@@ -445,6 +445,13 @@ impl SymbolSpace {
     pub fn same_space(&self, other: &SymbolSpace) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
+
+    /// Every symbol in this space, in id order.
+    #[cfg(test)]
+    pub(crate) fn symbols(&self) -> Vec<SymStr> {
+        let table = self.inner.table.read().expect("interner poisoned");
+        table.strs.iter().cloned().map(SymStr).collect()
+    }
 }
 
 impl Default for SymbolSpace {

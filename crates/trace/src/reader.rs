@@ -9,7 +9,7 @@
 //! current chunk, regardless of trace length.
 
 use crate::ctx::AnalysisCtx;
-use crate::parser::{ParseError, TraceParser};
+use crate::parser::{lines, ParseError, TraceParser};
 use crate::record::Record;
 use std::collections::VecDeque;
 use std::fmt;
@@ -158,11 +158,26 @@ impl<R: Read> RecordReader<R> {
         };
         let rest = self.carry.split_off(last_nl + 1);
         let complete = std::mem::replace(&mut self.carry, rest);
-        // `complete` ends with '\n'; strip it before splitting so the line
-        // sequence (including interior blank lines) matches `str::lines`,
-        // keeping parse-error line numbers identical to the batch parser.
-        for raw in complete[..complete.len() - 1].split(|&b| b == b'\n') {
-            let line = self.line_str(raw)?;
+        // `complete` ends with '\n', so it splits into whole lines exactly
+        // as `str::lines` splits the batch parser's input (including
+        // interior blank lines), keeping parse-error line numbers identical.
+        let valid = match std::str::from_utf8(&complete) {
+            Ok(text) => return self.feed_lines(text),
+            // Every line before the one holding the first invalid byte.
+            Err(e) => complete[..e.valid_up_to()]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1),
+        };
+        self.feed_lines(utf8_text(&complete[..valid])?)?;
+        // The invalid line fails its own check, at its own line number.
+        self.line_str(&complete[valid..])?;
+        Ok(())
+    }
+
+    /// Feed every line of `text` through the parser.
+    fn feed_lines(&mut self, text: &str) -> Result<(), TraceReadError> {
+        for line in lines(text) {
             self.lines_fed += 1;
             if let Some(rec) = self.parser.feed_line(line)? {
                 self.ready.push_back(rec);
@@ -350,6 +365,29 @@ mod tests {
             panic!("expected a parse error");
         };
         assert_eq!(e.line, 2, "the invalid byte sits on line 2");
+    }
+
+    #[test]
+    fn utf8_errors_keep_their_place_among_parse_errors() {
+        // A parse error on an earlier line of the same chunk wins...
+        let bytes: &[u8] = b"0,3,foo,6:1,11,27,215,\n0,zz,foo,6:1,11,27,216,\n1,64,\xff,1,p,\n";
+        let TraceReadError::Parse(e) = parse_read(bytes).unwrap_err() else {
+            panic!("expected a parse error");
+        };
+        assert_eq!((e.line, e.message.contains("src line")), (2, true));
+        // ...and an invalid byte further down is reported at its own line,
+        // whatever the chunk size.
+        let bytes: &[u8] = b"0,3,foo,6:1,11,27,215,\n1,64,5,1,p,\n\n1,64,\xff,1,p,\n2,64,1,1,q,\n";
+        for chunk in [1, 7, 4096] {
+            let err = RecordReader::with_chunk_size(bytes, chunk)
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap_err();
+            let TraceReadError::Parse(e) = err else {
+                panic!("expected a parse error");
+            };
+            assert_eq!(e.line, 4, "chunk = {chunk}");
+            assert!(e.message.contains("UTF-8"));
+        }
     }
 
     #[test]

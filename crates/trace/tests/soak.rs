@@ -11,9 +11,23 @@
 //! CI runs this in release mode (`cargo test --release --test soak`) so the
 //! allocation pattern matches production; it is cheap enough to ride along
 //! in the debug tier-1 run too.
+//!
+//! Both tests read the process-wide [`arena_bytes`] gauge, which the other
+//! test moves as it creates and drops sessions. The test harness runs them
+//! on parallel threads, so each holds [`SOAK`] for its whole body.
 
 use autocheck_trace::intern::arena_bytes;
 use autocheck_trace::AnalysisCtx;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests in this binary around the shared gauge.
+static SOAK: Mutex<()> = Mutex::new(());
+
+/// Take [`SOAK`]. The lock guards no data, so a guard poisoned by a failed
+/// test is as good as a clean one.
+fn exclusive() -> MutexGuard<'static, ()> {
+    SOAK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// One hostile session: a fresh space interning `n` long, never-repeating
 /// symbol names (the shape an adversarial trace generator produces).
@@ -37,6 +51,7 @@ fn hostile_session(wave: usize, n: usize) -> usize {
 fn a_thousand_hostile_sessions_plateau() {
     const SESSIONS: usize = 1200;
     const SYMBOLS_PER_SESSION: usize = 64;
+    let _soak = exclusive();
 
     // Baseline after one throwaway wave so one-time global costs (the
     // default space, lazily-initialized statics) are excluded.
@@ -52,8 +67,8 @@ fn a_thousand_hostile_sessions_plateau() {
 
     let settled = arena_bytes();
     // Plateau, not ramp: after every session has dropped, the arena is back
-    // at its baseline. The slack absorbs other tests in this binary (none
-    // today) and allocator-side rounding in the counters we track.
+    // at its baseline. The slack absorbs allocator-side rounding in the
+    // counters we track.
     assert!(
         settled <= baseline + per_session,
         "arena did not reclaim: baseline {baseline}, settled {settled} \
@@ -74,6 +89,7 @@ fn a_thousand_hostile_sessions_plateau() {
 fn interleaved_sessions_account_independently() {
     // Two live sessions: dropping one reclaims its bytes without touching
     // the other's.
+    let _soak = exclusive();
     let before = arena_bytes();
     let a = AnalysisCtx::session();
     let b = AnalysisCtx::session();
