@@ -8,10 +8,13 @@
 //! disturbs its neighbours. The corpus files are documented in
 //! `tests/hostile/README.md`; the seeded fault sweep additionally perturbs
 //! well-formed traces with `FaultReader` so short reads, injected I/O
-//! errors, truncation, and bit flips all land on the same bar.
+//! errors, truncation, and bit flips all land on the same bar. Under tight
+//! ceilings, the batch and streaming front doors reach the *same* outcome
+//! on every file: the same report or the same error message.
 
 use autocheck_core::{
-    AnalysisJob, JobInput, MultiAnalyzer, Region, StreamAnalyzer, StreamConfig, StreamError,
+    AnalysisJob, Analyzer, JobInput, MultiAnalyzer, Region, StreamAnalyzer, StreamConfig,
+    StreamError,
 };
 use autocheck_trace::{AnalysisCtx, FaultPlan, ResourceKind, ResourceLimits, TraceSource};
 use std::path::{Path, PathBuf};
@@ -163,6 +166,61 @@ fn tight_ceilings_trip_typed_on_the_resource_hostile_file() {
                 assert!(e.used > e.limit);
             }
             other => panic!("{kind}: expected Resource, got {other}"),
+        }
+    }
+}
+
+/// The ceiling sets of the mode-uniformity sweep: none, then each axis a
+/// hostile file can reach, one at a time, set low enough to trip.
+fn tight_ceilings() -> [(&'static str, ResourceLimits); 5] {
+    [
+        ("none", ResourceLimits::new()),
+        (
+            "trace-bytes=1000",
+            ResourceLimits::new().max_trace_bytes(1000),
+        ),
+        (
+            "trace-records=50",
+            ResourceLimits::new().max_trace_records(50),
+        ),
+        ("ddg-nodes=3", ResourceLimits::new().max_ddg_nodes(3)),
+        ("symbols=10", ResourceLimits::new().max_symbols(10)),
+    ]
+}
+
+#[test]
+fn batch_and_stream_reach_the_same_outcome_under_tight_ceilings() {
+    // Every corpus file under every ceiling set, through the batch
+    // `Analyzer::analyze_path` and the streaming `StreamAnalyzer::run_path`:
+    // the same rendered report, or the same error message — which axis
+    // tripped, at what count, or which parse error came first.
+    for path in corpus_files() {
+        for (name, limits) in tight_ceilings() {
+            let outcome = |stream: bool| {
+                let ctx = AnalysisCtx::session().untrusted().with_limits(limits);
+                let _guard = ctx.enter();
+                let region = Region::new("main", 3, 6);
+                let result = if stream {
+                    StreamAnalyzer::new(region)
+                        .with_ctx(ctx.clone())
+                        .run_path(&path)
+                        .map(|run| run.report)
+                } else {
+                    Analyzer::new(region)
+                        .with_ctx(ctx.clone())
+                        .analyze_path(&path)
+                };
+                match result {
+                    Ok(report) => format!("ok:{report}"),
+                    Err(e) => format!("err:{e}"),
+                }
+            };
+            assert_eq!(
+                outcome(false),
+                outcome(true),
+                "{} under {name}: batch and stream disagree",
+                path.display()
+            );
         }
     }
 }

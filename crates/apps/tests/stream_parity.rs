@@ -1,7 +1,8 @@
 //! Acceptance tests for the streaming analysis engine:
 //!
-//! * streaming and batch pipelines produce identical reports on the
-//!   Fig. 4 example and on all 14 benchmarks;
+//! * the streaming engine and the staged batch reference
+//!   (`Analyzer::analyze_staged`) produce identical reports on the Fig. 4
+//!   example and on all 14 benchmarks;
 //! * streaming memory is bounded: on multi-iteration traces the peak
 //!   live-record count stays strictly below the total record count, and
 //!   below `max_live_records` when one is set;
@@ -55,7 +56,7 @@ fn fig4_streaming_equals_batch() {
     let index = index_variables_of(&module, &region);
     let batch = Analyzer::new(region.clone())
         .with_index_vars(index.clone())
-        .analyze(&records);
+        .analyze_staged(&records);
     let stream = StreamAnalyzer::new(region)
         .with_index_vars(index)
         .analyze(&records)
@@ -73,7 +74,7 @@ fn all_fourteen_apps_streaming_equals_batch() {
         let index = index_variables_of(&module, &spec.region);
         let batch = Analyzer::new(spec.region.clone())
             .with_index_vars(index.clone())
-            .analyze(&records);
+            .analyze_staged(&records);
         let stream = StreamAnalyzer::new(spec.region.clone())
             .with_index_vars(index)
             .analyze(&records)
@@ -155,7 +156,7 @@ fn interpreter_to_analyzer_direct_mode_needs_no_trace_file() {
     let index = index_variables_of(&module, &spec.region);
     let batch = Analyzer::new(spec.region.clone())
         .with_index_vars(index.clone())
-        .analyze(&records);
+        .analyze_staged(&records);
 
     let analyzer = StreamAnalyzer::new(spec.region.clone()).with_index_vars(index);
     let mut session = analyzer.session();

@@ -16,14 +16,18 @@
 //!     [--untrusted-trace] [--metrics out.json]
 //! ```
 //!
-//! `--stream` analyzes the trace online through the bounded-memory
-//! streaming engine instead of materializing it: the file is pulled
-//! chunk-by-chunk, per-iteration analysis state is retired at iteration
-//! boundaries, and the report footer shows the peak live-record count so
-//! the memory bound is observable. `--max-live-records N` turns that bound
-//! into a hard limit (exceeding it is an error, not an OOM). `--dot` works
-//! here too: the engine contracts its own frozen DDG at finish (the graph
-//! is program-bounded, so the memory story is unchanged).
+//! Every analysis is one pass of the bounded-memory streaming engine: the
+//! file is pulled chunk by chunk and per-iteration analysis state is
+//! retired at iteration boundaries, so a run holds the live window, not the
+//! trace. The default mode prints the Table III timing footer. `--stream`
+//! prints the same report with a footer showing the peak live-record
+//! count, so the memory bound is observable; `--max-live-records N` turns
+//! that bound into a hard limit (exceeding it is an error, not an OOM).
+//! Both modes fail with the same diagnostic. `--dot` renders the
+//! contracted DDG: by default it re-reads the trace and folds it through
+//! the staged batch passes (their node numbering); with `--stream` the
+//! engine contracts its own frozen DDG at finish (the graph is
+//! program-bounded, so the memory story is unchanged).
 //!
 //! `--batch <manifest>` runs many analyses concurrently, each in its own
 //! session (own symbol space, own seeded hashers when `--untrusted-trace`
@@ -54,8 +58,8 @@
 //! analyzed on worker threads and deterministically merged — the report and
 //! DOT output are byte-identical to a serial run. `0` = auto uses one shard
 //! per available core; `--shards 1` forces the serial path. Left unset, it
-//! is auto in batch mode and serial with `--stream`: a sharded streaming
-//! run reads the whole file into memory, giving up the live-window bound.
+//! is serial in every mode: a sharded run reads the whole file into
+//! memory, giving up the live-window bound.
 //! Works in batch, `--stream`, and `--batch` manifest modes; binary traces
 //! carrying the v2 iteration-index footer shard without a planning
 //! pre-scan. Resource ceilings still apply to the merged session state.
@@ -66,10 +70,10 @@
 //! O(window) resident). Reports, DOT and exit codes are byte-identical to
 //! serial at every depth; only the wall clock changes. `0` = auto picks a
 //! depth from the core count (single-CPU hosts short-circuit to the serial
-//! path) and `--overlap 1` forces serial. Left unset, it is auto in batch
-//! mode and serial with `--stream`. Composes with `--shards` (overlap
-//! feeds the materialization in front of the sharded fold) and works in
-//! batch, `--stream`, and `--batch` modes.
+//! path) and `--overlap 1` forces serial. Left unset, it is serial in
+//! every mode. Composes with `--shards` (overlap feeds the
+//! materialization in front of the sharded fold) and works in batch,
+//! `--stream`, and `--batch` modes.
 //!
 //! Neither pays on a 2-vCPU host: measured end to end, decode-ahead gave a
 //! 0.87–0.96× speedup over serial and sharding 0.96–1.02×.
@@ -86,8 +90,8 @@ use autocheck_core::{
     capture_ledger, contract_for_mli, Analyzer, CollectMode, DdgAnalysis, Phases, PipelineConfig,
     Region, StreamAnalyzer, StreamConfig,
 };
-use autocheck_obs::{CounterId, Metrics};
-use autocheck_trace::{parse_limit_arg, AnalysisCtx, ResourceKind, ResourceLimits};
+use autocheck_obs::Metrics;
+use autocheck_trace::{parse_limit_arg, AnalysisCtx, ResourceLimits};
 use std::process::ExitCode;
 
 struct Args {
@@ -120,7 +124,7 @@ fn usage() -> ! {
          \x20                [--untrusted-trace] [--metrics <file|->] [--limit <kind>=<N>]...\n\
          \x20                (--shards: iteration-aligned trace shards; 0 = auto, 1 = serial)\n\
          \x20                (--overlap: decode-ahead ingest depth; 0 = auto, 1 = serial)\n\
-         \x20                (both default to auto, or to serial with --stream)\n\
+         \x20                (both default to serial)\n\
          \x20                (manifest lines: <trace-file> <function> <start> <end> [index,vars])\n\
          \x20                (--limit kinds: trace-records, trace-bytes, symbols, arena-bytes,\n\
          \x20                 ddg-nodes, ddg-edges, live-records; repeatable, applies per session)"
@@ -146,7 +150,7 @@ fn parse_args() -> Args {
     let mut batch = None;
     let mut jobs = 1usize;
     let mut metrics = None;
-    // Unset: auto in batch mode, serial with `--stream` (see `concurrency`).
+    // Unset: serial (see `concurrency`).
     let mut shards = None;
     let mut overlap = None;
     while let Some(a) = args.next() {
@@ -193,8 +197,8 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    let shards = concurrency(shards, stream);
-    let overlap = concurrency(overlap, stream);
+    let shards = concurrency(shards);
+    let overlap = concurrency(overlap);
     if let Some(batch) = batch {
         if trace.is_some()
             || start != 0
@@ -265,12 +269,12 @@ fn parse_args() -> Args {
     }
 }
 
-/// `--shards` or `--overlap` as given, or when unset 0 (auto) in batch
-/// mode and 1 (serial) with `--stream`. More than one shard reads the
-/// whole trace into memory, which breaks `--stream`'s bound of the live
-/// window, and on a 2-vCPU host neither sharding nor decode-ahead pays.
-fn concurrency(flag: Option<usize>, stream: bool) -> usize {
-    flag.unwrap_or(if stream { 1 } else { 0 })
+/// `--shards` or `--overlap` as given, or 1 (serial) when unset, in every
+/// mode; an explicit 0 still means auto. More than one shard reads the
+/// whole trace into memory, which gives up the live-window bound, and on a
+/// 2-vCPU host neither sharding nor decode-ahead pays.
+fn concurrency(flag: Option<usize>) -> usize {
+    flag.unwrap_or(1)
 }
 
 /// Parse a batch manifest: one analysis per non-comment line, formatted as
@@ -418,27 +422,7 @@ fn run_streaming(args: &Args, region: &Region, ctx: &AnalysisCtx) -> ExitCode {
             ..StreamConfig::default()
         })
         .with_ctx(ctx.clone());
-    // Sharded runs slurp the file so a binary trace's iteration-index
-    // footer can plan the shards without a pre-scan; serial runs keep the
-    // bounded single-pass reader (peak memory = live window).
-    let run = if autocheck_trace::resolve_shard_count(args.shards) > 1 {
-        match std::fs::read(&args.trace) {
-            Ok(bytes) => analyzer.run_bytes(&bytes),
-            Err(e) => {
-                eprintln!("error: cannot read `{}`: {e}", args.trace);
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        match std::fs::File::open(&args.trace) {
-            Ok(f) => analyzer.run_read(std::io::BufReader::new(f)),
-            Err(e) => {
-                eprintln!("error: cannot read `{}`: {e}", args.trace);
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let run = match run {
+    let run = match analyzer.run_path(&args.trace) {
         Ok(r) => r,
         Err(e) => return fail(args, ctx, e),
     };
@@ -542,24 +526,13 @@ fn main() -> ExitCode {
             ..PipelineConfig::default()
         })
         .with_ctx(ctx.clone());
-    // The file feeds the bounded chunked reader (format auto-detected from
-    // the leading magic) — ingest stays O(window) resident and, with
-    // overlap, runs concurrently with the fold.
+    // Records flow from the file (format auto-detected from the leading
+    // magic) straight into the engine, which enforces every ceiling as it
+    // folds — the same run `--stream` makes, reported as batch.
     let report = match analyzer.analyze_path(&args.trace) {
         Ok(r) => r,
         Err(e) => return fail(&args, &ctx, e),
     };
-    // Batch ingest enforced the trace-side ceilings; the finished graph is
-    // where the DDG ceilings become checkable.
-    for (kind, used) in [
-        (ResourceKind::DdgNodes, report.ddg.nodes as u64),
-        (ResourceKind::DdgEdges, report.ddg.edges as u64),
-    ] {
-        if let Err(e) = ctx.limits().check(kind, used) {
-            ctx.metrics().count(CounterId::LimitExceeded, 1);
-            return fail(&args, &ctx, e);
-        }
-    }
     println!("{report}");
     println!(
         "timings: preprocess {:.3?}, dependency {:.3?}, identify {:.3?}, contract {:.3?} (total {:.3?})",

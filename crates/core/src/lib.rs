@@ -30,15 +30,17 @@
 //! workspace — yielding the frozen CSR dependency graph plus the
 //! time-ordered R/W event sequence; [`contract`] reduces the complete DDG
 //! to MLI variables (Algorithm 1, over the CSR parent slices);
-//! [`mod@classify`] applies the four heuristics; [`pipeline`] glues
-//! everything together with the per-stage timing breakdown reported in the
-//! paper's Table III.
+//! [`mod@classify`] applies the four heuristics. Each is a separate pass
+//! over a materialized record slice, kept for the DOT goldens, `--dot`
+//! and the staged reference the parity suites check the engine against.
 //!
-//! For traces too big (or too ephemeral) to materialize, [`stream`] offers
-//! the same analysis as a single online pass with O(live window) memory:
-//! [`StreamAnalyzer`] mirrors [`Analyzer`]'s API, consumes records pushed
-//! from the interpreter or pulled from any `io::Read`, and produces
-//! identical reports (same classification decisions via [`decide`]).
+//! The analysis itself is one online pass: [`stream`] drives those stages'
+//! shared state machines over records pushed from the interpreter or
+//! pulled from a trace source, in O(live window) memory. [`Analyzer`]
+//! ([`pipeline`]) and [`StreamAnalyzer`] are two configurations of that
+//! pass — the first reports with the paper's Table III timing breakdown —
+//! so they produce identical reports (same classification decisions via
+//! [`decide`]).
 //!
 //! ```no_run
 //! use autocheck_core::{Analyzer, Region};

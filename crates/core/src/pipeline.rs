@@ -1,21 +1,32 @@
-//! The end-to-end AutoCheck pipeline with Table-III-style timing.
+//! The batch front door: [`Analyzer`], a configuration of the streaming
+//! engine that reports with Table-III-style timing.
+//!
+//! [`Analyzer`] and [`crate::StreamAnalyzer`] share one analysis driver:
+//! records flow from the trace source into the engine one at a time, and
+//! the finish step classifies, contracts and assembles the [`Report`]. The
+//! batch door always contracts the DDG (for [`DdgSummary`] and the ledger)
+//! and never renders it. The staged passes over a materialized slice —
+//! region partitioning, MLI identification, the dependency fold — remain as
+//! `Analyzer::analyze_staged`, the independent side of the
+//! batch-versus-stream parity suites.
 
 use crate::ddg::{DdgAnalysis, DdgOptions, RwKind};
 use crate::preprocess::{find_mli_vars_in, CollectMode};
 use crate::region::{Phase, Phases, Region};
 use crate::report::{DdgSummary, Report, Timings};
+use crate::stream::{Contraction, Drive, StreamAnalyzer, StreamConfig, StreamError};
 use autocheck_obs::{GaugeId, TimerId};
-use autocheck_stream::{
-    boundaries_from_annots, fold_ddg_sharded, fold_mli_sharded, VarStats, VarStatsBuilder,
-};
-use autocheck_trace::reader::TraceReadError;
-use autocheck_trace::{
-    plan_shards, resolve_shard_count, AnalysisCtx, ParallelConfig, Record, TraceSource,
-};
+use autocheck_stream::VarStatsBuilder;
+use autocheck_trace::{AnalysisCtx, Record, ResourceLimits};
 use std::path::Path;
 use std::time::Instant;
 
 /// Tunables for the pipeline (defaults reproduce the paper's tool).
+///
+/// Every setting at its default runs the trace through the streaming
+/// engine without holding it: records are materialized only for
+/// `parse_threads > 1` or `shards > 1` (and by `autocheck --dot`, which
+/// re-reads the trace to render the contracted DDG).
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
     /// Occurrence-collection strictness (see [`CollectMode`]).
@@ -23,19 +34,20 @@ pub struct PipelineConfig {
     /// Selective trace iteration (paper §IV-B); `false` is the ablation.
     pub selective: bool,
     /// Worker threads for trace parsing (paper §V-A, OpenMP). `1` =
-    /// serial.
+    /// serial; above 1 the trace is parsed into memory by the chunked
+    /// parser before the fold.
     pub parse_threads: usize,
-    /// Iteration-aligned shards for the analysis folds (MLI + dependency):
-    /// `1` = serial, `0` = one per available core, `N` = at most `N`
-    /// workers. Any value produces byte-identical reports and DOT output —
-    /// the plan degrades gracefully when the loop has fewer iterations
-    /// than requested shards.
+    /// Iteration-aligned shards for the engine fold: `1` = serial, `0` =
+    /// one per available core, `N` = at most `N` workers. Any value
+    /// produces byte-identical reports — the plan degrades gracefully when
+    /// the loop has fewer iterations than requested shards. More than one
+    /// shard materializes the records.
     pub shards: usize,
-    /// Decode-ahead depth for file ingest ([`Analyzer::analyze_path`]):
-    /// `1` = serial (the default), `0` = auto (serial on single-core
-    /// hosts), `n >= 2` = read and decode on background threads, `n`
-    /// record batches ahead. Reports are byte-identical at every depth;
-    /// see [`autocheck_trace::resolve_overlap_depth`].
+    /// Decode-ahead depth for file and in-memory ingest: `1` = serial (the
+    /// default), `0` = auto (serial on single-core hosts), `n >= 2` = read
+    /// and decode on background threads, `n` record batches ahead. Reports
+    /// are byte-identical at every depth; see
+    /// [`autocheck_trace::resolve_overlap_depth`].
     pub overlap: usize,
 }
 
@@ -56,6 +68,12 @@ impl Default for PipelineConfig {
 /// Inputs mirror the paper's §VII "Use of AutoCheck": the dynamic trace,
 /// the main loop's location, and (from the IR loop pass) the loop's
 /// control variables.
+///
+/// The analysis is one pass of the streaming engine, exactly as
+/// [`StreamAnalyzer`] runs it: the same report, the same memory bound. The
+/// trace is held in memory only when [`PipelineConfig::parse_threads`] or
+/// [`PipelineConfig::shards`] is above 1. [`analyze`](Self::analyze) pushes
+/// records the caller already holds.
 #[derive(Clone, Debug)]
 pub struct Analyzer {
     /// The main computation loop's location.
@@ -104,157 +122,121 @@ impl Analyzer {
     }
 
     /// Analyze already-parsed records.
+    ///
+    /// This applies none of the session's DDG or live-record ceilings, so
+    /// it cannot fail; the path, bytes and text entry points enforce them.
     pub fn analyze(&self, records: &[Record]) -> Report {
-        self.analyze_inner(records, std::time::Duration::ZERO)
+        let unbounded = self.ctx.clone().with_limits(ResourceLimits::default());
+        self.engine()
+            .with_ctx(unbounded)
+            .run_records_with(records, None, Contraction::Count, Instant::now())
+            .map(|run| run.report)
+            .expect("an engine without ceilings cannot fail")
     }
 
     /// Analyze a textual trace: parsing (serial or parallel per
     /// [`PipelineConfig::parse_threads`]) is included in the pre-processing
-    /// time, exactly like the paper's Table III.
-    pub fn analyze_text(&self, text: &str) -> Result<Report, autocheck_trace::ParseError> {
-        let t0 = Instant::now();
-        let records = self
-            .source(TraceSource::from_str(text))
-            .records()
-            .map_err(|e| match e {
-                TraceReadError::Parse(p) => p,
-                other => autocheck_trace::ParseError {
-                    line: 0,
-                    message: other.to_string(),
-                },
-            })?;
-        let parse_time = t0.elapsed();
-        Ok(self.analyze_inner(&records, parse_time))
+    /// time, like the paper's Table III.
+    pub fn analyze_text(&self, text: &str) -> Result<Report, StreamError> {
+        self.analyze_bytes(text.as_bytes())
     }
 
     /// Analyze a trace file in either format (text or binary, auto-detected
-    /// by magic bytes). Ingest time is included in the pre-processing time
-    /// like [`analyze_text`](Self::analyze_text).
-    pub fn analyze_path(&self, path: impl AsRef<Path>) -> Result<Report, TraceReadError> {
-        let t0 = Instant::now();
-        let records = self
-            .source(TraceSource::from_path(path.as_ref()))
-            .records()?;
-        let parse_time = t0.elapsed();
-        Ok(self.analyze_inner(&records, parse_time))
+    /// by magic bytes) — [`StreamAnalyzer::run_path`] under this
+    /// configuration. Ingest time is included in the pre-processing time.
+    pub fn analyze_path(&self, path: impl AsRef<Path>) -> Result<Report, StreamError> {
+        self.engine()
+            .run_path_with(path.as_ref(), self.drive())
+            .map(|run| run.report)
     }
 
     /// Analyze an in-memory trace in either format.
-    pub fn analyze_bytes(&self, bytes: &[u8]) -> Result<Report, TraceReadError> {
-        let t0 = Instant::now();
-        let records = self.source(TraceSource::from_bytes(bytes)).records()?;
-        let parse_time = t0.elapsed();
-        Ok(self.analyze_inner(&records, parse_time))
+    pub fn analyze_bytes(&self, bytes: &[u8]) -> Result<Report, StreamError> {
+        self.engine()
+            .run_bytes_with(bytes, self.drive())
+            .map(|run| run.report)
     }
 
-    /// Scope a [`TraceSource`] to this analyzer's session, parallelism,
-    /// and decode-ahead depth.
-    fn source<'a>(&self, source: TraceSource<'a>) -> TraceSource<'a> {
-        source
-            .ctx(&self.ctx)
-            .parallel(ParallelConfig {
-                threads: self.config.parse_threads,
+    /// The streaming front door this configuration drives.
+    pub(crate) fn engine(&self) -> StreamAnalyzer {
+        StreamAnalyzer::new(self.region.clone())
+            .with_index_vars(self.index_vars.clone())
+            .with_config(StreamConfig {
+                collect: self.config.collect,
+                selective: self.config.selective,
+                shards: self.config.shards,
+                overlap: self.config.overlap,
+                ..StreamConfig::default()
             })
-            .overlap(self.config.overlap)
+            .with_ctx(self.ctx.clone())
     }
 
-    fn analyze_inner(&self, records: &[Record], parse_time: std::time::Duration) -> Report {
+    pub(crate) fn drive(&self) -> Drive {
+        Drive {
+            parse_threads: self.config.parse_threads,
+            contraction: Contraction::Count,
+        }
+    }
+
+    /// The staged reference analysis: region partitioning
+    /// ([`Phases::compute_in`]), MLI identification ([`find_mli_vars_in`]),
+    /// one dependency fold ([`DdgAnalysis::fold_in`]) feeding per-variable
+    /// [`VarStatsBuilder`]s, contraction, and [`crate::classify::select`],
+    /// each a separate pass over `records`. It shares the state machines
+    /// with the engine but not the driver, so the parity suites compare
+    /// two drivers; it also books the Table III `dependency` time the fused
+    /// pass cannot separate. Serial only; ignores [`PipelineConfig`] apart
+    /// from `collect` and `selective`.
+    #[doc(hidden)]
+    pub fn analyze_staged(&self, records: &[Record]) -> Report {
         let m = self.ctx.metrics().clone();
 
-        // Pre-processing: region partitioning + MLI identification. The
-        // report's Table-III figure includes ingest (`parse_time`); the
-        // ledger books ingest under its own `stage.ingest` timer. With
-        // `shards > 1` the annotation vector doubles as the free source of
-        // iteration boundaries, and the MLI fold fans out over
-        // iteration-aligned shards (replay fast-forward + deterministic
-        // merge — byte-identical results, see `autocheck_stream::shard`).
+        // Pre-processing: region partitioning + MLI identification.
         let t = m.timed(TimerId::Preprocess);
         let phases = Phases::compute_in(records, &self.region, &self.ctx);
-        let shards = resolve_shard_count(self.config.shards);
-        let plan = if shards > 1 {
-            plan_shards(
-                records.len(),
-                &boundaries_from_annots(&phases.annots),
-                shards,
-            )
-        } else {
-            Vec::new()
-        };
-        let sharded = plan.len() > 1;
-        let mli = if sharded {
-            fold_mli_sharded(
-                records,
-                &phases.annots,
-                &plan,
-                self.config.collect,
-                &self.ctx,
-            )
-            .finish()
-        } else {
-            find_mli_vars_in(
-                records,
-                &phases,
-                &self.region,
-                self.config.collect,
-                &self.ctx,
-            )
-        };
-        let preprocess = parse_time + t.finish();
+        let mli = find_mli_vars_in(
+            records,
+            &phases,
+            &self.region,
+            self.config.collect,
+            &self.ctx,
+        );
+        let preprocess = t.finish();
 
         // Dependency analysis: one fold of the record slice through the
         // shared streaming DdgBuilder. Events are not retained — each one
         // feeds its variable's statistics builder as it is emitted (the
         // same fold the online engine runs), so peak memory for this stage
-        // is O(variables), not O(trace). The sharded variant runs one
-        // preloaded builder per shard and merges graphs and statistics in
-        // shard order.
+        // is O(variables), not O(trace).
         let t = m.timed(TimerId::Dependency);
         let addr_seed = self.ctx.addr_seed();
         let mut stats = self.ctx.addr_map::<u64, VarStatsBuilder>();
-        let mut stats_finished = self.ctx.addr_map::<u64, VarStats>();
-        let graph = if sharded {
-            let preload: Vec<_> = mli.iter().map(|v| (v.name, v.base_addr)).collect();
-            let (builder, merged) = fold_ddg_sharded(
-                records,
-                &phases.annots,
-                &plan,
-                self.config.selective,
-                true,
-                &preload,
-                &self.ctx,
-            );
-            stats_finished = merged;
-            builder.finish()
-        } else {
-            DdgAnalysis::fold_in(
-                records,
-                &phases,
-                &mli,
-                DdgOptions {
-                    selective: self.config.selective,
-                    retain_events: false,
-                    ..DdgOptions::default()
-                },
-                &self.ctx,
-                |e| {
-                    let builder = stats
-                        .entry(e.base)
-                        .or_insert_with(|| VarStatsBuilder::with_seed(addr_seed));
-                    match (e.phase, e.kind) {
-                        (Phase::Inside, kind) => {
-                            builder.feed_inside(e.iter, e.elem, kind == RwKind::Write)
-                        }
-                        (Phase::After, RwKind::Read) => builder.feed_after_read(),
-                        _ => {}
+        let graph = DdgAnalysis::fold_in(
+            records,
+            &phases,
+            &mli,
+            DdgOptions {
+                selective: self.config.selective,
+                retain_events: false,
+                ..DdgOptions::default()
+            },
+            &self.ctx,
+            |e| {
+                let builder = stats
+                    .entry(e.base)
+                    .or_insert_with(|| VarStatsBuilder::with_seed(addr_seed));
+                match (e.phase, e.kind) {
+                    (Phase::Inside, kind) => {
+                        builder.feed_inside(e.iter, e.elem, kind == RwKind::Write)
                     }
-                },
-            )
-        };
+                    (Phase::After, RwKind::Read) => builder.feed_after_read(),
+                    _ => {}
+                }
+            },
+        );
         let dependency = t.finish();
 
-        // Contraction (Algorithm 1), on the frozen CSR graph — its own
-        // stage in the timing breakdown, so batch and streaming book it
-        // the same way.
+        // Contraction (Algorithm 1), on the frozen CSR graph.
         let t = m.timed(TimerId::Contract);
         let contracted = crate::contract::contract_for_mli_in(&graph, &mli, &m);
         let contract = t.finish();
@@ -265,8 +247,7 @@ impl Analyzer {
             contracted_edges: contracted.edges.len(),
         };
 
-        // Identification: the shared selection over the folded statistics
-        // (the exact fold + decision the streaming finish step performs).
+        // Identification: the shared selection over the folded statistics.
         // Each MLI base is decided once, so its builder is taken out of the
         // seeded map and finished in place — no second map.
         let t = m.timed(TimerId::Identify);
@@ -276,14 +257,10 @@ impl Analyzer {
             self.region.start_line,
             &self.ctx,
             |var| {
-                let st = if sharded {
-                    stats_finished.remove(&var.base_addr).unwrap_or_default()
-                } else {
-                    stats
-                        .remove(&var.base_addr)
-                        .map(|b| b.finish())
-                        .unwrap_or_default()
-                };
+                let st = stats
+                    .remove(&var.base_addr)
+                    .map(|b| b.finish())
+                    .unwrap_or_default();
                 crate::classify::decide(&st, var.size)
             },
         );
@@ -338,6 +315,7 @@ pub fn index_variables_of(module: &autocheck_ir::Module, region: &Region) -> Vec
 mod tests {
     use super::*;
     use crate::report::DepType;
+    use autocheck_trace::TraceSource;
 
     /// The paper's Figure 4 example, end to end: compile with MiniLang,
     /// trace with the interpreter, analyze, and compare with the paper's

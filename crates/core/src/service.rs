@@ -8,7 +8,7 @@
 //! a crafted trace cannot aim precomputed hash-collision chains at the
 //! process). Jobs are pulled from a shared queue by a small thread pool;
 //! each worker installs its session's space for the duration of the job,
-//! runs the batch or streaming pipeline, and **renders all output inside
+//! runs the analysis engine, and **renders all output inside
 //! the session** — the returned [`SessionReport`] carries plain strings,
 //! so callers never hold cross-session symbol ids.
 //!
@@ -25,7 +25,7 @@ use crate::report::{DepType, Report, Timings};
 use crate::stream::{StreamAnalyzer, StreamConfig};
 use autocheck_obs::ledger::{BatchLedger, Ledger};
 use autocheck_obs::{CounterId, GaugeId, Metrics, TimerId};
-use autocheck_trace::{AnalysisCtx, ResourceKind, ResourceLimits, TraceSource};
+use autocheck_trace::{AnalysisCtx, ResourceLimits, TraceSource};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -34,8 +34,7 @@ use std::time::{Duration, Instant};
 pub enum JobInput {
     /// An in-memory textual trace.
     TraceText(String),
-    /// A trace file, read inside the session (so batch memory is paid
-    /// per-worker, not upfront for the whole manifest).
+    /// A trace file, read inside the session as the engine folds it.
     TracePath(String),
     /// MiniLang source: the session compiles it, executes it under the
     /// tracer (interning into the session's space), and analyzes the
@@ -60,8 +59,12 @@ pub struct AnalysisJob {
     /// Treat the trace as untrusted: the session gets a random
     /// address-hash seed (the `--untrusted-trace` flag).
     pub untrusted: bool,
-    /// Analyze through the bounded-memory streaming engine (reports the
-    /// session's peak live-record window).
+    /// Report as a streaming job: the session's peak live-record window,
+    /// the [`max_live_records`](Self::max_live_records) bound, and the
+    /// engine's own contracted DOT. Batch and streaming jobs run the same
+    /// engine pass; records are materialized only for `shards > 1`, and a
+    /// batch job's `dot` re-reads the trace to render the staged batch
+    /// numbering.
     pub stream: bool,
     /// Hard live-record bound for streaming jobs.
     pub max_live_records: Option<usize>,
@@ -116,7 +119,7 @@ impl AnalysisJob {
         self
     }
 
-    /// Analyze through the streaming engine.
+    /// Report as a streaming job (see [`AnalysisJob::stream`]).
     pub fn streaming(mut self, yes: bool) -> AnalysisJob {
         self.stream = yes;
         self
@@ -408,9 +411,11 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
     // space; hold the guard for the whole session.
     let _guard = ctx.enter();
 
-    let stream_analyzer = || {
-        StreamAnalyzer::new(job.region.clone())
-            .with_index_vars(job.index_vars.clone().unwrap_or_default())
+    // Every job is one run of the streaming engine. A batch job runs it
+    // the way the batch front door does: the DDG is contracted for the
+    // report, and the live-record bound (a streaming setting) is off.
+    let (engine, drive) = if job.stream {
+        let engine = StreamAnalyzer::new(job.region.clone())
             .with_config(StreamConfig {
                 collect: job.collect,
                 max_live_records: job.max_live_records,
@@ -419,54 +424,38 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
                 overlap: job.overlap,
                 ..StreamConfig::default()
             })
-            .with_ctx(ctx.clone())
+            .with_ctx(ctx.clone());
+        let drive = engine.drive();
+        (engine, drive)
+    } else {
+        let batch = Analyzer::new(job.region.clone())
+            .with_config(PipelineConfig {
+                collect: job.collect,
+                shards: job.shards,
+                overlap: job.overlap,
+                ..PipelineConfig::default()
+            })
+            .with_ctx(ctx.clone());
+        (batch.engine(), batch.drive())
     };
+    let trace_index = || job.index_vars.clone().unwrap_or_default();
 
-    // Streaming trace jobs never materialize the trace: records flow from
-    // the bounded reader straight into the engine, so a worker's peak
-    // memory really is the live window the report advertises.
-    if job.stream {
-        if let JobInput::TraceText(text) = &job.input {
-            let run = stream_analyzer()
-                .run_read(text.as_bytes())
-                .map_err(|e| e.to_string())?;
-            return Ok(session_report(
-                job,
-                ctx,
-                run.report,
-                Some(run.stats),
-                run.contracted_dot,
-                t0,
-            ));
-        }
-        if let JobInput::TracePath(path) = &job.input {
-            // Sharded file jobs slurp the bytes so a binary trace's
-            // iteration-index footer (when present) plans the shards
-            // without a pre-scan; serial jobs keep the bounded reader.
-            let run = if autocheck_trace::resolve_shard_count(job.shards) > 1 {
-                let bytes =
-                    std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-                stream_analyzer().run_bytes(&bytes)
-            } else {
-                let file =
-                    std::fs::File::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-                stream_analyzer().run_read(std::io::BufReader::new(file))
-            }
-            .map_err(|e| e.to_string())?;
-            return Ok(session_report(
-                job,
-                ctx,
-                run.report,
-                Some(run.stats),
-                run.contracted_dot,
-                t0,
-            ));
-        }
-    }
-
-    // Acquire records in-session: every symbol the trace mentions interns
-    // into this session's space.
-    let (records, index_vars) = match &job.input {
+    // Trace jobs never materialize the trace (unless sharded): records
+    // flow from the source straight into the engine, interning every
+    // symbol into this session's space.
+    let (run, records) = match &job.input {
+        JobInput::TracePath(path) => (
+            engine
+                .with_index_vars(trace_index())
+                .run_path_with(std::path::Path::new(path), drive),
+            None,
+        ),
+        JobInput::TraceText(text) => (
+            engine
+                .with_index_vars(trace_index())
+                .run_bytes_with(text.as_bytes(), drive),
+            None,
+        ),
         JobInput::MiniLang(source) => {
             let module =
                 autocheck_minilang::compile(source).map_err(|e| format!("compile error: {e:?}"))?;
@@ -483,68 +472,40 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
                 Some(v) => v.clone(),
                 None => index_variables_of(&module, &job.region),
             };
-            (sink.records, index)
+            // The interpreter already produced the records; push them.
+            let run = engine.with_index_vars(index).run_records_with(
+                &sink.records,
+                None,
+                drive.contraction,
+                Instant::now(),
+            );
+            (run, Some(sink.records))
         }
-        JobInput::TraceText(text) => (
-            TraceSource::from_str(text)
-                .ctx(ctx)
-                .records()
-                .map_err(|e| e.to_string())?,
-            job.index_vars.clone().unwrap_or_default(),
-        ),
-        JobInput::TracePath(path) => (
-            // Format (text or binary) auto-detects from the file's leading
-            // bytes, so jobs can point at either kind of trace.
-            TraceSource::from_path(path)
+    };
+    let run = run.map_err(|e| e.to_string())?;
+
+    // A batch job's DOT keeps the batch numbering: re-fold the records
+    // through the staged dependency fold, re-reading a trace input.
+    let dot = if job.dot && !job.stream {
+        let records = match (records, &job.input) {
+            (Some(records), _) => records,
+            (None, JobInput::TracePath(path)) => TraceSource::from_path(path)
                 .ctx(ctx)
                 .overlap(job.overlap)
                 .records()
-                .map_err(|e| format!("cannot read `{path}`: {e}"))?,
-            job.index_vars.clone().unwrap_or_default(),
-        ),
-    };
-
-    let (report, stream_stats, stream_dot) = if job.stream {
-        // MiniLang streaming: the records exist in memory anyway (the
-        // interpreter just produced them); push them through the engine
-        // (`run_records` shards the fold when the job asks for it).
-        let run = stream_analyzer()
-            .with_index_vars(index_vars)
-            .run_records(&records, None)
-            .map_err(|e| e.to_string())?;
-        (run.report, Some(run.stats), run.contracted_dot)
+                .map_err(|e| e.to_string())?,
+            (None, JobInput::TraceText(text)) => TraceSource::from_str(text)
+                .ctx(ctx)
+                .records()
+                .map_err(|e| e.to_string())?,
+            (None, JobInput::MiniLang(_)) => unreachable!("MiniLang jobs keep their records"),
+        };
+        Some(render_dot(&records, &job.region, &run.report, ctx))
     } else {
-        let analyzer = Analyzer::new(job.region.clone())
-            .with_index_vars(index_vars)
-            .with_config(PipelineConfig {
-                collect: job.collect,
-                shards: job.shards,
-                overlap: job.overlap,
-                ..PipelineConfig::default()
-            })
-            .with_ctx(ctx.clone());
-        let report = analyzer.analyze(&records);
-        // The batch fold is infallible (ingest already enforced the
-        // trace-side ceilings); DDG size is checked on the finished graph.
-        for (kind, used) in [
-            (ResourceKind::DdgNodes, report.ddg.nodes as u64),
-            (ResourceKind::DdgEdges, report.ddg.edges as u64),
-        ] {
-            if let Err(e) = ctx.limits().check(kind, used) {
-                ctx.metrics().count(CounterId::LimitExceeded, 1);
-                return Err(e.to_string());
-            }
-        }
-        (report, None, None)
+        run.contracted_dot
     };
-
-    let dot = if job.dot && !job.stream {
-        Some(render_dot(&records, &job.region, &report, ctx))
-    } else {
-        stream_dot
-    };
-
-    Ok(session_report(job, ctx, report, stream_stats, dot, t0))
+    let stats = job.stream.then_some(run.stats);
+    Ok(session_report(job, ctx, run.report, stats, dot, t0))
 }
 
 /// Assemble the rendered, session-independent report (called inside the

@@ -1,19 +1,21 @@
-//! Streaming front door: the online counterpart of [`crate::Analyzer`].
+//! Streaming front door, and the one analysis driver behind both doors.
 //!
 //! [`StreamAnalyzer`] mirrors the batch analyzer's API (region in, index
 //! variables in, [`Report`] out) but consumes records **as they arrive**
 //! instead of requiring the whole trace in memory: push records into a
 //! [`StreamSession`] (e.g. straight from the interpreter's sink — no trace
-//! file at all), or pull them from any [`io::Read`] through the trace
-//! crate's [`autocheck_trace::TraceSource`] (text or binary, auto-detected).
+//! file at all), or pull them from a file, a byte slice or any
+//! [`io::Read`] through the trace crate's [`autocheck_trace::TraceSource`]
+//! (text or binary, auto-detected).
 //!
 //! The analysis itself runs in `autocheck-stream`'s [`Engine`]: one pass,
 //! per-iteration state retired at iteration boundaries, peak memory
 //! observable as the *live-record count* ([`StreamStats`]) and optionally
-//! hard-bounded ([`StreamConfig::max_live_records`]). Classification
-//! decisions are shared with the batch pipeline ([`crate::classify::decide`]),
-//! so both produce identical reports by construction — a property the
-//! integration and property tests assert over the Fig. 4 example, all 14
+//! hard-bounded ([`StreamConfig::max_live_records`]). [`crate::Analyzer`]
+//! is a configuration of this same driver, so the two doors report
+//! identically by construction; the integration and property tests check
+//! the engine against the staged batch reference
+//! (`Analyzer::analyze_staged`) over the Fig. 4 example, all 14
 //! benchmarks, and random MiniLang programs.
 
 use crate::preprocess::{CollectMode, MliVar};
@@ -24,14 +26,15 @@ use autocheck_stream::{
     run_sharded, Engine, EngineConfig, EngineError, EngineOutcome, LiveBoundExceeded,
 };
 use autocheck_trace::{
-    resolve_overlap_depth, resolve_shard_count, AnalysisCtx, Record, ResourceExceeded,
-    TraceReadError, TraceSource,
+    resolve_overlap_depth, resolve_shard_count, AnalysisCtx, ParallelConfig, Record,
+    ResourceExceeded, TraceReadError, TraceSource,
 };
 use std::fmt;
 use std::io;
+use std::path::Path;
 use std::time::Instant;
 
-/// Tunables for the streaming pipeline (defaults match the batch
+/// Tunables for the streaming front door (defaults match the batch
 /// [`crate::PipelineConfig`] where the two overlap).
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
@@ -157,6 +160,26 @@ pub struct StreamRun {
     pub contracted_dot: Option<String>,
 }
 
+/// What the finish step does with the frozen DDG.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Contraction {
+    /// Leave it alone (a streaming run without contracted DOT).
+    Skip,
+    /// Contract it for [`crate::DdgSummary`] and the ledger, render nothing
+    /// (the batch front door).
+    Count,
+    /// Contract it and render the DOT ([`StreamConfig::contracted_dot`]).
+    Render,
+}
+
+/// The per-run settings a front door adds to [`StreamConfig`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Drive {
+    /// Chunked-parse workers; above 1 the records are materialized first.
+    pub(crate) parse_threads: usize,
+    pub(crate) contraction: Contraction,
+}
+
 /// The streaming AutoCheck analyzer. Construction mirrors
 /// [`crate::Analyzer`]: region, index variables, configuration.
 #[derive(Clone, Debug)]
@@ -201,6 +224,19 @@ impl StreamAnalyzer {
         self
     }
 
+    /// The settings [`StreamConfig`] implies for a run of this analyzer's
+    /// own entry points.
+    pub(crate) fn drive(&self) -> Drive {
+        Drive {
+            parse_threads: 1,
+            contraction: if self.config.contracted_dot {
+                Contraction::Render
+            } else {
+                Contraction::Skip
+            },
+        }
+    }
+
     fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             function: self.region.function.clone(),
@@ -216,13 +252,17 @@ impl StreamAnalyzer {
     /// Open a push-based session: feed records in execution order, then
     /// [`StreamSession::finish`].
     pub fn session(&self) -> StreamSession {
+        self.session_with(self.drive().contraction)
+    }
+
+    fn session_with(&self, contraction: Contraction) -> StreamSession {
         StreamSession {
             engine: Engine::with_ctx(self.engine_config(), &self.ctx),
             ctx: self.ctx.clone(),
             index_vars: self.index_vars.clone(),
             region_start: self.region.start_line,
             live_bound: self.config.max_live_records,
-            contracted_dot: self.config.contracted_dot,
+            contraction,
             started: None,
         }
     }
@@ -245,15 +285,33 @@ impl StreamAnalyzer {
         records: &[Record],
         boundaries: Option<&[u64]>,
     ) -> Result<StreamRun, StreamError> {
+        self.run_records_with(
+            records,
+            boundaries,
+            self.drive().contraction,
+            Instant::now(),
+        )
+    }
+
+    /// [`run_records`](Self::run_records) with the report's ingest figure
+    /// counted from `started` (the start of materialization, when the
+    /// records were read for this run).
+    pub(crate) fn run_records_with(
+        &self,
+        records: &[Record],
+        boundaries: Option<&[u64]>,
+        contraction: Contraction,
+        started: Instant,
+    ) -> Result<StreamRun, StreamError> {
         let shards = resolve_shard_count(self.config.shards);
         if shards <= 1 {
-            let mut session = self.session();
+            let mut session = self.session_with(contraction);
+            session.started = Some(started);
             for r in records {
                 session.push(r)?;
             }
             return Ok(session.finish());
         }
-        let t0 = Instant::now();
         let outcome = run_sharded(
             &self.engine_config(),
             &self.ctx,
@@ -261,15 +319,14 @@ impl StreamAnalyzer {
             boundaries,
             shards,
         )?;
-        let ingest = t0.elapsed();
         Ok(finish_outcome(
             move || outcome,
             &self.ctx,
             &self.index_vars,
             self.region.start_line,
             self.config.max_live_records,
-            self.config.contracted_dot,
-            ingest,
+            contraction,
+            started.elapsed(),
         ))
     }
 
@@ -287,49 +344,90 @@ impl StreamAnalyzer {
     /// read and decoded on background threads while the engine folds —
     /// same output, decode wall overlapped away.
     pub fn run_read<R: io::Read + Send>(&self, reader: R) -> Result<StreamRun, StreamError> {
+        self.run_source(TraceSource::from_reader(reader), None, self.drive())
+    }
+
+    /// Analyze a trace file in either format, like
+    /// [`run_read`](Self::run_read) over the opened file. A
+    /// `trace-bytes` ceiling is checked against the file's length before
+    /// a byte is read. Sharded runs read the whole file, so a binary
+    /// trace's iteration-index footer plans the shards without a scan.
+    pub fn run_path(&self, path: impl AsRef<Path>) -> Result<StreamRun, StreamError> {
+        self.run_path_with(path.as_ref(), self.drive())
+    }
+
+    pub(crate) fn run_path_with(
+        &self,
+        path: &Path,
+        drive: Drive,
+    ) -> Result<StreamRun, StreamError> {
         if resolve_shard_count(self.config.shards) > 1 {
-            // Overlap accelerates the materialization that feeds the
-            // sharded fold; the two compose.
-            let records = TraceSource::from_reader(reader)
-                .ctx(&self.ctx)
-                .overlap(self.config.overlap)
-                .records()?;
-            return self.run_records(&records, None);
+            let bytes = std::fs::read(path).map_err(TraceReadError::Io)?;
+            return self.run_bytes_with(&bytes, drive);
         }
-        if resolve_overlap_depth(self.config.overlap) > 1 {
-            return TraceSource::from_reader(reader)
-                .ctx(&self.ctx)
-                .overlap(self.config.overlap)
-                .overlapped(|batches| {
-                    let mut session = self.session();
-                    while let Some(batch) = batches.next_batch() {
-                        for record in &batch? {
-                            session.push(record)?;
-                        }
-                    }
-                    Ok(session.finish())
-                })?;
-        }
-        let mut session = self.session();
-        let stream = TraceSource::from_reader(reader).ctx(&self.ctx).stream()?;
-        for item in stream {
-            session.push(&item?)?;
-        }
-        Ok(session.finish())
+        self.run_source(TraceSource::from_path(path), None, drive)
     }
 
     /// Analyze an in-memory trace in either format. Binary traces carrying
     /// an iteration-index footer hand the shard planner its boundaries in
     /// O(index) — no extra scan.
     pub fn run_bytes(&self, bytes: &[u8]) -> Result<StreamRun, StreamError> {
-        if resolve_shard_count(self.config.shards) <= 1 {
-            return self.run_read(bytes);
+        self.run_bytes_with(bytes, self.drive())
+    }
+
+    pub(crate) fn run_bytes_with(
+        &self,
+        bytes: &[u8],
+        drive: Drive,
+    ) -> Result<StreamRun, StreamError> {
+        let boundaries = if resolve_shard_count(self.config.shards) > 1 {
+            autocheck_trace::binary::iteration_index(bytes)
+                .ok()
+                .flatten()
+        } else {
+            None
+        };
+        self.run_source(TraceSource::from_bytes(bytes), boundaries.as_deref(), drive)
+    }
+
+    /// The one engine run every input funnels into. Records are
+    /// materialized only for more than one shard or parse thread; the
+    /// decode-ahead pipeline feeds the engine batch by batch; otherwise
+    /// records flow one at a time from the source into the engine.
+    fn run_source(
+        &self,
+        source: TraceSource<'_>,
+        boundaries: Option<&[u64]>,
+        drive: Drive,
+    ) -> Result<StreamRun, StreamError> {
+        // Overlap also accelerates the materialization in front of a
+        // sharded fold; the two compose.
+        let source = source.ctx(&self.ctx).overlap(self.config.overlap);
+        if resolve_shard_count(self.config.shards) > 1 || drive.parse_threads > 1 {
+            let started = Instant::now();
+            let records = source
+                .parallel(ParallelConfig {
+                    threads: drive.parse_threads,
+                })
+                .records()?;
+            return self.run_records_with(&records, boundaries, drive.contraction, started);
         }
-        let boundaries = autocheck_trace::binary::iteration_index(bytes)
-            .ok()
-            .flatten();
-        let records = TraceSource::from_bytes(bytes).ctx(&self.ctx).records()?;
-        self.run_records(&records, boundaries.as_deref())
+        if resolve_overlap_depth(self.config.overlap) > 1 {
+            return source.overlapped(|batches| {
+                let mut session = self.session_with(drive.contraction);
+                while let Some(batch) = batches.next_batch() {
+                    for record in &batch? {
+                        session.push(record)?;
+                    }
+                }
+                Ok(session.finish())
+            })?;
+        }
+        let mut session = self.session_with(drive.contraction);
+        for item in source.stream()? {
+            session.push(&item?)?;
+        }
+        Ok(session.finish())
     }
 }
 
@@ -349,7 +447,7 @@ pub struct StreamSession {
     index_vars: Vec<String>,
     region_start: u32,
     live_bound: Option<usize>,
-    contracted_dot: bool,
+    contraction: Contraction,
     started: Option<Instant>,
 }
 
@@ -394,25 +492,25 @@ impl StreamSession {
             &self.index_vars,
             self.region_start,
             self.live_bound,
-            self.contracted_dot,
+            self.contraction,
             ingest,
         )
     }
 }
 
-/// The shared finish step: classification, optional contraction, and report
-/// assembly over an [`EngineOutcome`] — one implementation whether the
-/// outcome came from a serial [`StreamSession`] or a sharded merge.
-/// `outcome` is a closure so serial finalization (retiring windows,
-/// freezing the graph) is booked inside the identify stage, exactly as
-/// before.
+/// The shared finish step: classification, contraction as `contraction`
+/// asks, and report assembly over an [`EngineOutcome`] — one
+/// implementation whether the outcome came from a serial [`StreamSession`]
+/// or a sharded merge. `outcome` is a closure so serial finalization
+/// (retiring windows, freezing the graph) is booked inside the identify
+/// stage, exactly as before.
 fn finish_outcome(
     outcome: impl FnOnce() -> EngineOutcome,
     ctx: &AnalysisCtx,
     index_vars: &[String],
     region_start: u32,
     live_bound: Option<usize>,
-    render_contracted_dot: bool,
+    contraction: Contraction,
     ingest: std::time::Duration,
 ) -> StreamRun {
     let metrics = ctx.metrics().clone();
@@ -451,15 +549,15 @@ fn finish_outcome(
         ..Default::default()
     };
     let mut contract = std::time::Duration::ZERO;
-    let contracted_dot = if render_contracted_dot {
+    let contracted_dot = if contraction == Contraction::Skip {
+        None
+    } else {
         let t = metrics.timed(TimerId::Contract);
         let contracted = crate::contract::contract_for_mli_in(&outcome.ddg, &mli, &metrics);
         contract = t.finish();
         ddg.contracted_nodes = contracted.nodes.len();
         ddg.contracted_edges = contracted.edges.len();
-        Some(contracted.to_dot())
-    } else {
-        None
+        (contraction == Contraction::Render).then(|| contracted.to_dot())
     };
     if metrics.is_enabled() {
         crate::observe::note_session_symbols(ctx);
@@ -550,7 +648,7 @@ int main() {
         let index = index_variables_of(&module, &region);
         let batch = Analyzer::new(region.clone())
             .with_index_vars(index.clone())
-            .analyze(&records);
+            .analyze_staged(&records);
         let stream = StreamAnalyzer::new(region)
             .with_index_vars(index)
             .analyze(&records)
@@ -600,7 +698,7 @@ int main() {
         let index = index_variables_of(&module, &region);
         let batch = Analyzer::new(region.clone())
             .with_index_vars(index.clone())
-            .analyze(&records);
+            .analyze_staged(&records);
         let stream = StreamAnalyzer::new(region)
             .with_index_vars(index)
             .analyze_read(&text[..])
@@ -638,7 +736,7 @@ int main() {
         let stream = analyzer.analyze(&records).expect("bound never hit");
         let batch = Analyzer::new(region)
             .with_index_vars(index)
-            .analyze(&records);
+            .analyze_staged(&records);
         assert_reports_match(&batch, &stream);
     }
 

@@ -1,8 +1,10 @@
-//! `autocheck --stream` stays serial unless asked otherwise. With
-//! `--shards` and `--overlap` unset, a streaming run, alone or from a
-//! `--batch` manifest, books no sharded fold and no decode-ahead queue in
-//! its run ledger, and its live window peaks where an explicit
-//! `--shards 1 --overlap 1` run's does. Explicit values still engage both.
+//! `autocheck` stays serial unless asked otherwise, in every mode. With
+//! `--shards` and `--overlap` unset, a run — default or `--stream`, alone
+//! or from a `--batch` manifest — books no sharded fold and no
+//! decode-ahead queue in its run ledger, and its live window peaks where
+//! an explicit `--stream --shards 1 --overlap 1` run's does. A default run
+//! is that same engine run: its report body equals the `--stream` one.
+//! Explicit values still engage both.
 
 use autocheck_obs::ledger::{BatchLedger, Ledger};
 use autocheck_obs::{CounterId, GaugeId, TimerId};
@@ -41,8 +43,9 @@ fn setup(test: &str) -> (PathBuf, PathBuf) {
     (dir, trace)
 }
 
-/// Run `autocheck` with `args` plus `--metrics`, returning the ledger text.
-fn run(dir: &Path, args: &[&str]) -> String {
+/// Run `autocheck` with `args` plus `--metrics`, returning its standard
+/// output and the ledger text.
+fn run(dir: &Path, args: &[&str]) -> (String, String) {
     let metrics = dir.join("ledger.json");
     let out = Command::new(env!("CARGO_BIN_EXE_autocheck"))
         .args(args)
@@ -55,15 +58,58 @@ fn run(dir: &Path, args: &[&str]) -> String {
         "autocheck {args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    std::fs::read_to_string(&metrics).expect("ledger written")
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    (
+        stdout,
+        std::fs::read_to_string(&metrics).expect("ledger written"),
+    )
+}
+
+/// One single-trace run: `mode` flags, then the region, then `extra`.
+fn single(dir: &Path, trace: &Path, mode: &[&str], extra: &[&str]) -> (String, Ledger) {
+    let mut args = vec![trace.to_str().expect("utf-8 path")];
+    args.extend(mode);
+    args.extend(REGION);
+    args.extend(extra);
+    let (stdout, ledger) = run(dir, &args);
+    (stdout, Ledger::from_json(&ledger).expect("session ledger"))
 }
 
 fn stream_ledger(dir: &Path, trace: &Path, extra: &[&str]) -> Ledger {
-    let trace = trace.to_str().expect("utf-8 path");
-    let mut args = vec![trace, "--stream"];
-    args.extend(REGION);
-    args.extend(extra);
-    Ledger::from_json(&run(dir, &args)).expect("session ledger")
+    single(dir, trace, &["--stream"], extra).1
+}
+
+/// A report without its timing and session footers.
+fn body(report: &str) -> Vec<&str> {
+    let mut lines: Vec<&str> = report
+        .lines()
+        .filter(|l| {
+            !["timings:", "streaming:", "session:", "run ledger written"]
+                .iter()
+                .any(|p| l.starts_with(p))
+        })
+        .collect();
+    while lines.last().is_some_and(|l| l.is_empty()) {
+        lines.pop();
+    }
+    lines
+}
+
+/// The per-session report sections of a `--batch` run's output.
+fn batch_sections(stdout: &str) -> Vec<String> {
+    let mut sections: Vec<String> = Vec::new();
+    for line in stdout.lines() {
+        if line.starts_with("=== aggregate") {
+            break;
+        }
+        if line.starts_with("=== ") {
+            sections.push(String::new());
+        } else if let Some(section) = sections.last_mut() {
+            section.push_str(line);
+            section.push('\n');
+        }
+    }
+    sections
 }
 
 fn live_peak(l: &Ledger) -> u64 {
@@ -116,12 +162,61 @@ fn default_batch_stream_manifest_is_serial() {
     std::fs::write(&manifest, line.repeat(2)).expect("write manifest");
     let manifest = manifest.to_str().expect("utf-8 path");
     let serial = stream_ledger(&dir, &trace, &["--shards", "1", "--overlap", "1"]);
-    let batch = BatchLedger::from_json(&run(&dir, &["--batch", manifest, "--stream"]))
+    let batch = BatchLedger::from_json(&run(&dir, &["--batch", manifest, "--stream"]).1)
         .expect("batch ledger");
     assert_eq!(batch.sessions.len(), 2);
     for (i, session) in batch.sessions.iter().enumerate() {
         assert_serial(session, &format!("--batch --stream session {i}"));
         assert_eq!(live_peak(session), live_peak(&serial));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn default_run_is_the_serial_engine() {
+    let (dir, trace) = setup("default");
+    let (default_out, default) = single(&dir, &trace, &[], &[]);
+    let (stream_out, stream) = single(
+        &dir,
+        &trace,
+        &["--stream"],
+        &["--shards", "1", "--overlap", "1"],
+    );
+    assert_serial(&default, "default run");
+    assert_eq!(live_peak(&default), live_peak(&stream));
+    assert_eq!(
+        default.counter(CounterId::EngineRecords),
+        stream.counter(CounterId::EngineRecords)
+    );
+    assert!(body(&stream_out)[0].starts_with("AutoCheck report:"));
+    assert_eq!(body(&default_out), body(&stream_out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn default_batch_manifest_is_the_serial_engine() {
+    let (dir, trace) = setup("batch-default");
+    let manifest = dir.join("manifest.txt");
+    let line = format!("{} main 16 24 it\n", trace.display());
+    std::fs::write(&manifest, line.repeat(2)).expect("write manifest");
+    let manifest = manifest.to_str().expect("utf-8 path");
+    let (stream_out, stream) = single(
+        &dir,
+        &trace,
+        &["--stream"],
+        &["--shards", "1", "--overlap", "1"],
+    );
+    let (stdout, ledger) = run(&dir, &["--batch", manifest]);
+    let batch = BatchLedger::from_json(&ledger).expect("batch ledger");
+    assert_eq!(batch.sessions.len(), 2);
+    for (i, session) in batch.sessions.iter().enumerate() {
+        assert_serial(session, &format!("--batch session {i}"));
+        assert_eq!(live_peak(session), live_peak(&stream));
+    }
+    let sections = batch_sections(&stdout);
+    assert_eq!(sections.len(), 2);
+    for section in &sections {
+        assert_eq!(body(section), body(&stream_out));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,8 @@
 //! Property test: for random MiniLang programs, the streaming analyzer's
-//! report is identical to the batch pipeline's — critical set, dependency
-//! classes, skip reasons, first-seen lines, byte sizes, iteration and
-//! record counts.
+//! report is identical to the staged batch reference's
+//! (`Analyzer::analyze_staged`, separate passes over the materialized
+//! records) — critical set, dependency classes, skip reasons, first-seen
+//! lines, byte sizes, iteration and record counts.
 
 use autocheck_core::{index_variables_of, Analyzer, Region, StreamAnalyzer};
 use proptest::collection::vec;
@@ -30,7 +31,7 @@ proptest! {
         let index = index_variables_of(&module, &region);
         let batch = Analyzer::new(region.clone())
             .with_index_vars(index.clone())
-            .analyze(&sink.records);
+            .analyze_staged(&sink.records);
         let stream = StreamAnalyzer::new(region)
             .with_index_vars(index)
             .analyze(&sink.records)
@@ -49,8 +50,9 @@ proptest! {
         stmt_idx in vec(0usize..10, 1..5),
         m in 2u32..6,
     ) {
-        // Same property through the other front doors: the batch analyzer's
-        // text path vs the streaming analyzer's reader path.
+        // Same property through the other front doors: the staged batch
+        // reference over the parsed text vs the streaming analyzer's reader
+        // path.
         let (src, start, end) = program(&stmt_idx, m);
         let module = autocheck_minilang::compile(&src).unwrap();
         let mut sink = autocheck_interp::WriterSink::new(Vec::new());
@@ -61,10 +63,12 @@ proptest! {
 
         let region = Region::new("main", start, end);
         let index = index_variables_of(&module, &region);
+        let records = autocheck_trace::TraceSource::from_str(std::str::from_utf8(&text).unwrap())
+            .records()
+            .expect("parses");
         let batch = Analyzer::new(region.clone())
             .with_index_vars(index.clone())
-            .analyze_text(std::str::from_utf8(&text).unwrap())
-            .expect("parses");
+            .analyze_staged(&records);
         let stream = StreamAnalyzer::new(region)
             .with_index_vars(index)
             .analyze_read(&text[..])

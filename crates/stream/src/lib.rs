@@ -1,7 +1,7 @@
-//! Online AutoCheck analysis — the streaming counterpart of the batch
-//! pipeline in `autocheck-core`.
+//! Online AutoCheck analysis — the engine behind both front doors of
+//! `autocheck-core`.
 //!
-//! The batch pipeline materializes the entire dynamic trace (as a file,
+//! A staged analysis materializes the entire dynamic trace (as a file,
 //! then as a `Vec<Record>`), walks it three times (region partitioning, MLI
 //! identification, dependency analysis), and only then classifies. Dynamic
 //! traces grow to GBs, so that design's peak memory is O(trace). This crate
@@ -13,9 +13,10 @@
 //! the trace length.
 //!
 //! The crate sits *below* `autocheck-core` in the dependency graph (it
-//! depends only on `autocheck-trace`), so `autocheck-core` can offer a
-//! `StreamAnalyzer` front door that assembles these state machines into a
-//! drop-in replacement for its batch `Analyzer`. The pieces:
+//! depends only on `autocheck-trace`); `autocheck-core`'s `Analyzer` and
+//! `StreamAnalyzer` both drive its [`engine::Engine`], and its staged
+//! reference folds a materialized slice through the same state machines.
+//! The pieces:
 //!
 //! * [`region::RegionTracker`] — incremental trace partitioning: phase
 //!   (before/inside/after the main loop), iteration number, and
@@ -32,7 +33,7 @@
 //! * [`ddg::DdgBuilder`] — the **single** DDG construction: incremental
 //!   reg-var/reg-reg maps over [`graph::Graph`], emitting one read/write
 //!   [`ddg::AccessEvent`] per memory access instead of accumulating an
-//!   O(trace) event vector; the batch pipeline folds its record slice
+//!   O(trace) event vector; the staged batch passes fold a record slice
 //!   through this same builder;
 //! * [`stats::VarStatsBuilder`] — folds a variable's access events into the
 //!   bounded [`stats::VarStats`] summary the classification heuristics
@@ -44,8 +45,8 @@
 //!
 //! Classification *decisions* (WAR / RAPO / Outcome / Index and the skip
 //! reasons) deliberately do **not** live here: `autocheck-core` makes them
-//! from [`stats::VarStats`] through one shared function, so the batch and
-//! streaming paths cannot drift apart.
+//! from [`stats::VarStats`] through one shared function, so the engine and
+//! the staged reference cannot drift apart.
 
 pub mod ddg;
 pub mod engine;
@@ -65,8 +66,8 @@ pub use mli::{Collect, MliCollector, MliEntry};
 pub use prov::{relevant_opcode, resolve_alias, Provenance};
 pub use region::{Phase, RegionTracker, StreamAnnot};
 pub use shard::{
-    boundaries_from_annots, fold_ddg_sharded, fold_mli_sharded, iteration_boundaries,
-    merge_shard_states, merge_var_stats, run_planned, run_sharded,
+    boundaries_from_annots, fold_ddg_sharded, iteration_boundaries, merge_shard_states,
+    merge_var_stats, run_planned, run_sharded,
 };
 pub use stats::{VarStats, VarStatsBuilder};
 // The dense node-id interner moved next to `NameMap` in `autocheck-trace`;

@@ -43,14 +43,13 @@
 //! at merge time rather than mid-push. A hostile trace is still stopped
 //! with the same typed errors; it may just get further before the stop.
 //!
-//! The batch pipeline reuses the same machinery through
-//! [`fold_mli_sharded`] / [`fold_ddg_sharded`], which run over its
-//! precomputed annotation vector (and preload MLI variable nodes into
-//! every worker's graph, keeping the batch DOT numbering).
+//! [`fold_ddg_sharded`] runs the dependency fold alone over a precomputed
+//! annotation vector (preloading MLI variable nodes into every worker's
+//! graph, which keeps the staged batch DOT numbering); the sharded DOT
+//! golden tests drive it.
 
 use crate::ddg::DdgBuilder;
 use crate::engine::{Engine, EngineConfig, EngineError, EngineOutcome, EngineShardState};
-use crate::mli::{Collect, MliCollector};
 use crate::region::{Phase, RegionTracker, StreamAnnot};
 use crate::stats::{VarStats, VarStatsBuilder};
 use autocheck_obs::{CounterId, GaugeId, TimerId};
@@ -330,47 +329,10 @@ pub fn merge_var_stats(
     out
 }
 
-/// The batch pipeline's sharded MLI fold: one collector per shard over
-/// the precomputed annotation vector, merged in shard order. Returned
-/// *unfinished* so the caller matches occurrences exactly like the serial
-/// `find_mli_vars` fold.
-pub fn fold_mli_sharded(
-    records: &[Record],
-    annots: &[StreamAnnot],
-    plan: &[Range<usize>],
-    collect: Collect,
-    ctx: &AnalysisCtx,
-) -> MliCollector {
-    assert_eq!(
-        records.len(),
-        annots.len(),
-        "records and annotations must be parallel"
-    );
-    let workers: Vec<MliCollector> = plan
-        .iter()
-        .map(|_| MliCollector::with_ctx(collect, ctx))
-        .collect();
-    let parts = scatter(plan, workers, |mut mli, range| {
-        for i in 0..range.start {
-            mli.observe_replay(&records[i], annots[i]);
-        }
-        for i in range {
-            mli.observe(&records[i], annots[i]);
-        }
-        Ok::<_, Infallible>(mli)
-    })
-    .unwrap_or_else(|e| match e {});
-    let mut parts = parts.into_iter();
-    let mut merged = parts.next().expect("at least one shard");
-    for part in parts {
-        merged.absorb(part);
-    }
-    merged
-}
-
-/// The batch pipeline's sharded dependency fold: per-shard DDG builders —
-/// each preloaded with the MLI variable nodes, so the merged graph keeps
-/// the batch DOT numbering — with every worker folding its access events
+/// The sharded dependency fold over an annotated record slice: per-shard
+/// DDG builders — each preloaded with the MLI variable nodes, so the
+/// merged graph keeps the staged batch DOT numbering — with every worker
+/// folding its access events
 /// (filtered to MLI bases, exactly like the serial fold's event stream)
 /// straight into per-variable statistics. Returns the merged, unfrozen
 /// builder plus the merged statistics map.

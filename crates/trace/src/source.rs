@@ -195,14 +195,8 @@ impl<'a> TraceSource<'a> {
             ),
         };
         drop(span);
-        match &result {
-            Err(TraceReadError::Parse(_)) | Err(TraceReadError::Binary(_)) => {
-                metrics.count(CounterId::ParseErrors, 1);
-            }
-            Err(TraceReadError::Resource(_)) => {
-                metrics.count(CounterId::LimitExceeded, 1);
-            }
-            _ => {}
+        if let Err(e) = &result {
+            note_error(&metrics, e);
         }
         result
     }
@@ -229,7 +223,7 @@ impl<'a> TraceSource<'a> {
         let reader: BoxedReader<'a> = match self.input {
             Input::Str(s) => Box::new(s.as_bytes()),
             Input::Bytes(b) => Box::new(b),
-            Input::Path(p) => open_path(&p, &self.ctx)?,
+            Input::Path(p) => open_path(&p, &self.ctx).inspect_err(|e| note_error(&metrics, e))?,
             Input::Reader(r) => r,
         };
         let (format, reader) = peek_format(reader, self.format)?;
@@ -266,7 +260,9 @@ impl<'a> TraceSource<'a> {
     }
 
     /// Pull records one at a time with bounded memory (text: chunked line
-    /// reader; binary: string table plus one record).
+    /// reader; binary: string table plus one record). A path input is
+    /// opened as [`records`](Self::records) opens it: a `trace-bytes`
+    /// ceiling is checked against the file's length first.
     pub fn stream(self) -> Result<TraceStream<'a>, TraceReadError> {
         let ctx = self.ctx;
         let (format, reader): (TraceFormat, BoxedReader<'a>) = match self.input {
@@ -276,8 +272,8 @@ impl<'a> TraceSource<'a> {
             ),
             Input::Bytes(b) => (resolve_format(b, self.format), Box::new(b)),
             Input::Path(p) => {
-                let file = std::io::BufReader::new(std::fs::File::open(&p)?);
-                peek_format(Box::new(file), self.format)?
+                let file = open_path(&p, &ctx).inspect_err(|e| note_error(ctx.metrics(), e))?;
+                peek_format(file, self.format)?
             }
             Input::Reader(r) => peek_format(r, self.format)?,
         };
@@ -291,9 +287,7 @@ impl<'a> TraceSource<'a> {
                     // The open path reads the string table, so a byte
                     // ceiling can trip before the stream even exists.
                     let e = unsmuggle_limit(e);
-                    if matches!(e, TraceReadError::Resource(_)) {
-                        metrics.count(CounterId::LimitExceeded, 1);
-                    }
+                    note_error(&metrics, &e);
                     return Err(e);
                 }
             },
@@ -471,6 +465,17 @@ impl Read for ByteLimitReader<'_> {
     }
 }
 
+/// Book a failed ingest on the session's error counters.
+fn note_error(metrics: &Metrics, e: &TraceReadError) {
+    match e {
+        TraceReadError::Parse(_) | TraceReadError::Binary(_) => {
+            metrics.count(CounterId::ParseErrors, 1);
+        }
+        TraceReadError::Resource(_) => metrics.count(CounterId::LimitExceeded, 1),
+        TraceReadError::Io(_) => {}
+    }
+}
+
 /// Book ingested volume under the resolved format's counters.
 fn note_ingest(metrics: &Metrics, format: TraceFormat, bytes: u64, records: u64) {
     let (rec_id, byte_id) = match format {
@@ -575,12 +580,7 @@ impl Iterator for TraceStream<'_> {
                 note_ingest(&self.metrics, self.format, seen - self.reported_bytes, 1);
                 self.reported_bytes = seen;
             }
-            Some(Err(TraceReadError::Parse(_))) | Some(Err(TraceReadError::Binary(_))) => {
-                self.metrics.count(CounterId::ParseErrors, 1);
-            }
-            Some(Err(TraceReadError::Resource(_))) => {
-                self.metrics.count(CounterId::LimitExceeded, 1);
-            }
+            Some(Err(e)) => note_error(&self.metrics, e),
             _ => {}
         }
         item
