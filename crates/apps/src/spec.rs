@@ -1,9 +1,9 @@
 //! Benchmark descriptors and the shared compile→trace→analyze driver.
 
 use autocheck_core::{index_variables_of, Analyzer, DepType, Region, Report};
-use autocheck_interp::{ExecOptions, Machine, NoHook, VecSink, WriterSink};
+use autocheck_interp::{ExecOptions, Machine, NoHook, VecSink};
 use autocheck_ir::Module;
-use autocheck_trace::Record;
+use autocheck_trace::{Record, TraceWriter};
 use std::time::{Duration, Instant};
 
 /// One benchmark.
@@ -97,12 +97,11 @@ pub fn analyze_app(spec: &AppSpec) -> AppRun {
     let trace_gen_time = t0.elapsed();
 
     // Byte size of the textual form, without keeping the text around.
-    let mut byte_sink = WriterSink::new(std::io::sink());
+    let mut text = TraceWriter::new(std::io::sink());
     for r in &sink.records {
-        use autocheck_interp::TraceSink as _;
-        byte_sink.record(r.clone()).expect("sink");
+        text.write_record(r).expect("io::sink never fails");
     }
-    let trace_bytes = byte_sink.bytes_written();
+    let trace_bytes = text.bytes_written();
 
     let index = index_variables_of(&module, &spec.region);
     let report = Analyzer::new(spec.region.clone())

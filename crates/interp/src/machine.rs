@@ -7,8 +7,8 @@ use crate::memory::{Memory, SymbolInfo, SymbolScope, GLOBAL_BASE};
 use crate::rtvalue::RtValue;
 use crate::sink::TraceSink;
 use autocheck_ir::{
-    BinOp, BlockId, Builtin, Callee, CastOp, CmpPred, FuncId, Function, GlobalInit, Inst, InstKind,
-    Module, RegName, SrcLoc, Type, Value,
+    BinOp, BlockId, Builtin, Callee, CastOp, CmpPred, FuncId, Function, GlobalInit, Inst, InstId,
+    InstKind, Module, RegName, SrcLoc, Type, Value,
 };
 use autocheck_trace::{AnalysisCtx, Name, SymId};
 
@@ -68,6 +68,13 @@ pub struct Machine<'m> {
     func_names: Vec<SymId>,
     block_labels: Vec<Vec<SymId>>,
     param_names: Vec<Vec<SymId>>,
+    /// `[func][inst]`: the symbol of each instruction's `RegName::Var`,
+    /// interned on first use. Lazily, so that the session's symbols, and
+    /// their ids, are exactly those of interning at every use: a function
+    /// that never runs interns none of its variable names.
+    inst_syms: Vec<Vec<Option<SymId>>>,
+    /// Each global's name, interned on first use (as `inst_syms`).
+    global_syms: Vec<Option<SymId>>,
     output: Vec<String>,
     dyn_id: u64,
     last_line: Option<(u32, u32)>,
@@ -140,17 +147,18 @@ impl<'m> Machine<'m> {
             func_names,
             block_labels,
             param_names,
+            inst_syms: module
+                .functions
+                .iter()
+                .map(|f| vec![None; f.insts.len()])
+                .collect(),
+            global_syms: vec![None; module.globals.len()],
             output: Vec::new(),
             dyn_id: 0,
             last_line: None,
             opts,
             ctx,
         }
-    }
-
-    /// A symbolic [`Name`] interned in this machine's session space.
-    fn sym(&self, s: &str) -> Name {
-        Name::Sym(self.ctx.intern(s))
     }
 
     /// The memory (for whole-image checkpoint tooling).
@@ -204,27 +212,39 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// The trace name and register-ness of an operand.
-    fn operand_name(&self, frame: &Frame, v: Value) -> (Name, bool) {
-        match v {
-            Value::Inst(id) => {
-                let f = self.module.function(frame.func);
-                match &f.inst(id).name {
-                    RegName::Temp(n) => (Name::Temp(*n), true),
-                    RegName::Var(s) => (self.sym(s), true),
-                    RegName::None => (Name::None, true),
-                }
+    /// The trace name of the register instruction `id` of `func` defines.
+    fn reg_name(&mut self, func: FuncId, id: InstId) -> Name {
+        let module = self.module;
+        match &module.function(func).inst(id).name {
+            RegName::Temp(n) => Name::Temp(*n),
+            RegName::Var(s) => {
+                let ctx = &self.ctx;
+                let slot = &mut self.inst_syms[func.index()][id.index()];
+                Name::Sym(*slot.get_or_insert_with(|| ctx.intern(s)))
             }
+            RegName::None => Name::None,
+        }
+    }
+
+    /// The trace name and register-ness of an operand.
+    fn operand_name(&mut self, frame: &Frame, v: Value) -> (Name, bool) {
+        match v {
+            Value::Inst(id) => (self.reg_name(frame.func, id), true),
             Value::Param(i) => (
                 Name::Sym(self.param_names[frame.func.index()][i as usize]),
                 true,
             ),
-            Value::Global(g) => (self.sym(&self.module.global(g).name), true),
+            Value::Global(g) => {
+                let (ctx, module) = (&self.ctx, self.module);
+                let slot = &mut self.global_syms[g.index()];
+                let sym = *slot.get_or_insert_with(|| ctx.intern(&module.global(g).name));
+                (Name::Sym(sym), true)
+            }
             _ => (Name::None, false),
         }
     }
 
-    fn dyn_operand(&self, frame: &Frame, v: Value) -> Result<DynOperand, ExecError> {
+    fn dyn_operand(&mut self, frame: &Frame, v: Value) -> Result<DynOperand, ExecError> {
         let value = self.eval(frame, v)?;
         let (name, is_reg) = self.operand_name(frame, v);
         Ok(DynOperand {
@@ -232,14 +252,6 @@ impl<'m> Machine<'m> {
             value,
             is_reg,
         })
-    }
-
-    fn result_name(&self, inst: &Inst) -> Name {
-        match &inst.name {
-            RegName::Temp(n) => Name::Temp(*n),
-            RegName::Var(s) => self.sym(s),
-            RegName::None => Name::None,
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -319,7 +331,7 @@ impl<'m> Machine<'m> {
                     return Ok(None);
                 }
             };
-            let inst = func.inst(inst_id).clone();
+            let inst = func.inst(inst_id);
 
             // Line-transition hook.
             if inst.loc.line != 0 {
@@ -356,17 +368,9 @@ impl<'m> Machine<'m> {
                     frame.regs[inst_id.index()] = Some(RtValue::P(addr));
                     if trace_on {
                         let ops = [DynOperand::imm(RtValue::I(ty.byte_size() as i64))];
-                        let res = DynOperand::reg(self.sym(var), RtValue::P(addr));
-                        self.emit(
-                            sink,
-                            &frame,
-                            block,
-                            &inst,
-                            &ops,
-                            &[],
-                            Some(res),
-                            Some(self.ctx.intern(var)),
-                        )?;
+                        let sym = self.ctx.intern(var);
+                        let res = DynOperand::reg(Name::Sym(sym), RtValue::P(addr));
+                        self.emit(sink, &frame, block, inst, &ops, &[], Some(res), Some(sym))?;
                     }
                 }
                 InstKind::Load { ptr, ty } => {
@@ -379,11 +383,11 @@ impl<'m> Machine<'m> {
                     frame.regs[inst_id.index()] = Some(loaded);
                     if trace_on {
                         let res = DynOperand {
-                            name: self.result_name(&inst),
+                            name: self.reg_name(fid, inst_id),
                             value: loaded,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, &inst, &[pv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[pv], &[], Some(res), None)?;
                     }
                 }
                 InstKind::Store { value, ptr, ty } => {
@@ -402,7 +406,7 @@ impl<'m> Machine<'m> {
                             .write_i64(addr, vv.value.as_i().unwrap_or_default())?,
                     }
                     if trace_on {
-                        self.emit(sink, &frame, block, &inst, &[vv, pv], &[], None, None)?;
+                        self.emit(sink, &frame, block, inst, &[vv, pv], &[], None, None)?;
                     }
                 }
                 InstKind::Gep { base, index, elem } => {
@@ -415,11 +419,11 @@ impl<'m> Machine<'m> {
                     frame.regs[inst_id.index()] = Some(res_v);
                     if trace_on {
                         let res = DynOperand {
-                            name: self.result_name(&inst),
+                            name: self.reg_name(fid, inst_id),
                             value: res_v,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, &inst, &[bv, iv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[bv, iv], &[], Some(res), None)?;
                     }
                 }
                 InstKind::BitCast { value, .. } => {
@@ -427,11 +431,11 @@ impl<'m> Machine<'m> {
                     frame.regs[inst_id.index()] = Some(vv.value);
                     if trace_on {
                         let res = DynOperand {
-                            name: self.result_name(&inst),
+                            name: self.reg_name(fid, inst_id),
                             value: vv.value,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, &inst, &[vv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[vv], &[], Some(res), None)?;
                     }
                 }
                 InstKind::Binary { op, lhs, rhs } => {
@@ -441,11 +445,11 @@ impl<'m> Machine<'m> {
                     frame.regs[inst_id.index()] = Some(out);
                     if trace_on {
                         let res = DynOperand {
-                            name: self.result_name(&inst),
+                            name: self.reg_name(fid, inst_id),
                             value: out,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, &inst, &[lv, rv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[lv, rv], &[], Some(res), None)?;
                     }
                 }
                 InstKind::Cmp {
@@ -460,11 +464,11 @@ impl<'m> Machine<'m> {
                     frame.regs[inst_id.index()] = Some(out);
                     if trace_on {
                         let res = DynOperand {
-                            name: self.result_name(&inst),
+                            name: self.reg_name(fid, inst_id),
                             value: out,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, &inst, &[lv, rv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[lv, rv], &[], Some(res), None)?;
                     }
                 }
                 InstKind::Cast { op, value } => {
@@ -477,11 +481,11 @@ impl<'m> Machine<'m> {
                     frame.regs[inst_id.index()] = Some(out);
                     if trace_on {
                         let res = DynOperand {
-                            name: self.result_name(&inst),
+                            name: self.reg_name(fid, inst_id),
                             value: out,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, &inst, &[vv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[vv], &[], Some(res), None)?;
                     }
                 }
                 InstKind::Call { callee, args } => {
@@ -490,7 +494,7 @@ impl<'m> Machine<'m> {
                         Callee::Builtin(b) => {
                             // Call form 1: one record including the result.
                             arg_ops.push(DynOperand::reg(
-                                self.sym(b.name()),
+                                Name::Sym(self.ctx.intern(b.name())),
                                 RtValue::P(CODE_BASE - 0x1000 + *b as u64 * 0x10),
                             ));
                             let mut vals = Vec::with_capacity(args.len());
@@ -505,11 +509,11 @@ impl<'m> Machine<'m> {
                             }
                             if trace_on {
                                 let res = out.map(|v| DynOperand {
-                                    name: self.result_name(&inst),
+                                    name: self.reg_name(fid, inst_id),
                                     value: v,
                                     is_reg: true,
                                 });
-                                self.emit(sink, &frame, block, &inst, &arg_ops, &[], res, None)?;
+                                self.emit(sink, &frame, block, inst, &arg_ops, &[], res, None)?;
                             }
                             self.dyn_id += 1;
                             idx += 1;
@@ -519,7 +523,7 @@ impl<'m> Machine<'m> {
                             // Call form 2: record with args + `f` param
                             // lines, then the callee body.
                             arg_ops.push(DynOperand::reg(
-                                self.sym(&self.module.function(*callee_id).name),
+                                Name::Sym(self.func_names[callee_id.index()]),
                                 RtValue::P(Self::code_addr(*callee_id)),
                             ));
                             let mut vals = Vec::with_capacity(args.len());
@@ -542,16 +546,14 @@ impl<'m> Machine<'m> {
                                 // caller's uses of the returned value.
                                 let res = if self.module.function(*callee_id).ret != Type::Void {
                                     Some(DynOperand {
-                                        name: self.result_name(&inst),
+                                        name: self.reg_name(fid, inst_id),
                                         value: RtValue::I(0),
                                         is_reg: true,
                                     })
                                 } else {
                                     None
                                 };
-                                self.emit(
-                                    sink, &frame, block, &inst, &arg_ops, &params, res, None,
-                                )?;
+                                self.emit(sink, &frame, block, inst, &arg_ops, &params, res, None)?;
                             }
                             self.dyn_id += 1;
                             let ret =
@@ -576,7 +578,7 @@ impl<'m> Machine<'m> {
                         None => None,
                     };
                     if trace_on {
-                        self.emit(sink, &frame, block, &inst, &ops, &[], None, None)?;
+                        self.emit(sink, &frame, block, inst, &ops, &[], None, None)?;
                     }
                     self.dyn_id += 1;
                     self.mem.stack_release(frame.sp_base);
@@ -584,7 +586,7 @@ impl<'m> Machine<'m> {
                 }
                 InstKind::Br { target } => {
                     if trace_on {
-                        self.emit(sink, &frame, block, &inst, &[], &[], None, None)?;
+                        self.emit(sink, &frame, block, inst, &[], &[], None, None)?;
                     }
                     self.dyn_id += 1;
                     block = *target;
@@ -599,7 +601,7 @@ impl<'m> Machine<'m> {
                     let cv = self.dyn_operand(&frame, *cond)?;
                     let taken = cv.value.as_b().unwrap_or(false);
                     if trace_on {
-                        self.emit(sink, &frame, block, &inst, &[cv], &[], None, None)?;
+                        self.emit(sink, &frame, block, inst, &[cv], &[], None, None)?;
                     }
                     self.dyn_id += 1;
                     block = if taken { *then_bb } else { *else_bb };
@@ -1007,6 +1009,41 @@ mod tests {
         // Global loads carry the global's name on the pointer operand.
         let load = sink.records.iter().find(|r| r.opcode == 27).unwrap();
         assert_eq!(load.op1().unwrap().name, Name::sym("seed"));
+    }
+
+    #[test]
+    fn variable_names_intern_on_first_use_only() {
+        // `ghost` lives in a function that never runs and `unread` is a
+        // global nothing reads: neither may reach the session, while the
+        // names the run uses must (the session's symbol set is part of
+        // what `mlc trace --stream` reports).
+        let mut m = mul_module();
+        m.add_global(autocheck_ir::Global {
+            name: "unread".into(),
+            ty: Type::I64,
+            init: GlobalInit::Zero,
+            loc: SrcLoc::new(1, 1),
+        });
+        let mut idle = FunctionBuilder::new(autocheck_ir::Function::new(
+            "idle",
+            vec![],
+            Type::Void,
+            SrcLoc::new(9, 1),
+        ));
+        idle.alloca("ghost", Type::I64);
+        idle.ret(None);
+        m.add_function(idle.finish());
+        let ctx = AnalysisCtx::session();
+        let mut machine = Machine::with_ctx(&m, ExecOptions::default(), ctx.clone());
+        machine.run(&mut VecSink::default(), &mut NoHook).unwrap();
+        let present = |s: &str| {
+            let before = ctx.space().len();
+            ctx.intern(s);
+            ctx.space().len() == before
+        };
+        assert!(present("x") && present("print") && present("idle"));
+        assert!(!present("ghost"));
+        assert!(!present("unread"));
     }
 
     #[test]

@@ -90,7 +90,8 @@ impl<F: FnMut(Record) -> Result<(), ExecError>> TraceSink for FnSink<F> {
 }
 
 /// Streams the textual trace format into any [`Write`] — the equivalent of
-/// LLVM-Tracer's trace file.
+/// LLVM-Tracer's trace file. Dropped without [`finish`](Self::finish), it
+/// hands every record written so far to `out`, as a `BufWriter` does.
 pub struct WriterSink<W: Write> {
     writer: TraceWriter<W>,
 }

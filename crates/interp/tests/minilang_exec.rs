@@ -223,3 +223,52 @@ fn interrupted_run_matches_prefix_of_full_run() {
     assert_eq!(partial.records.len() as u64, cut);
     assert_eq!(&full.records[..cut as usize], &partial.records[..]);
 }
+
+/// A `Write` whose bytes stay readable after the sink that owns it drops.
+#[derive(Clone, Default)]
+struct Shared(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+
+impl std::io::Write for Shared {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn dropped_writer_sink_keeps_the_prefix_of_an_interrupted_run() {
+    // As an interrupted `mlc trace` drops its sink without `finish`: the
+    // text on the wire must be exactly the records executed before the
+    // cut, including those still buffered in the writer.
+    let m = compile(FIG4).unwrap();
+    let cut = ExecOptions {
+        fail_after: Some(1500),
+        ..ExecOptions::default()
+    };
+    let mut records = VecSink::default();
+    assert!(Machine::new(&m, cut)
+        .run(&mut records, &mut NoHook)
+        .is_err());
+    let out = Shared::default();
+    let mut sink = autocheck_interp::WriterSink::new(out.clone());
+    let err = Machine::new(&m, cut)
+        .run(&mut sink, &mut NoHook)
+        .unwrap_err();
+    assert_eq!(
+        err,
+        autocheck_interp::ExecError::Interrupted { dyn_id: 1500 }
+    );
+    let expected = autocheck_trace::writer::to_string(&records.records);
+    let on_wire_before_drop = out.0.borrow().len();
+    assert!(
+        0 < on_wire_before_drop && on_wire_before_drop < expected.len(),
+        "the cut must fall between two flushes ({on_wire_before_drop} of {} bytes)",
+        expected.len()
+    );
+    assert_eq!(sink.bytes_written(), expected.len() as u64);
+    drop(sink);
+    assert_eq!(*out.0.borrow(), expected.into_bytes());
+}

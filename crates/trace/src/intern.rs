@@ -334,6 +334,14 @@ impl SymbolSpace {
         CURRENT.with(|c| c.borrow().clone())
     }
 
+    /// The process-unique tag of the thread's current space (0 for the
+    /// global one). Tags are never reused, so a cache of resolved strings
+    /// can check that it still belongs to the current space without
+    /// cloning the space or keeping it alive.
+    pub(crate) fn current_tag() -> u64 {
+        CURRENT.with(|c| c.borrow().inner.tag)
+    }
+
     /// Install this space as the thread's current space until the returned
     /// guard drops (restoring the previous one — guards nest).
     ///

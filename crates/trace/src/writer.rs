@@ -1,17 +1,199 @@
 //! Serializing records into the textual trace format.
+//!
+//! # Encode kernel
+//!
+//! Every record is encoded byte by byte into a reusable `Vec<u8>`: decimal
+//! and hex digits are written straight into the buffer, and the fixed
+//! punctuation of each line is copied as literal bytes. Nothing on this
+//! path goes through `fmt` except floats, which keep `{:.6}` (`%.6f`, as
+//! LLVM-Tracer prints them). [`TraceWriter`], [`format_record`] and
+//! [`to_string`] all use the same kernel, so they write the same bytes.
+//!
+//! # Symbol cache
+//!
+//! A record names its function, its block label and up to one symbol per
+//! operand, and traces repeat the same few symbols millions of times.
+//! Resolving one through the space takes a lock and a refcount, so each
+//! encoder keeps a direct-mapped cache of 256 slots: slot `id % 256` holds
+//! the last symbol resolved there, with its id. Ids are dense per space,
+//! so a space's first 256 symbols never evict each other. The cache is
+//! bounded whatever the input: at most 256 entries, no probing, no growth.
+//!
+//! Symbols resolve in the space that is thread-current when a record is
+//! written, as `SymId`'s `Display` does, so a writer may be built before
+//! its session's guard is entered. Each record checks the current space's
+//! tag first and empties the cache when the space has changed.
 
-use crate::record::{Operand, Record};
-use std::fmt::Write as FmtWrite;
+use crate::intern::{SymId, SymStr, SymbolSpace};
+use crate::name::Name;
+use crate::record::{OpTag, Operand, Record, TraceValue};
 use std::io::{self, Write};
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
+
+/// A [`TraceWriter`] hands its buffer to the inner writer once it holds at
+/// least this many bytes, so `W` sees large writes: an 8 KiB `BufWriter`
+/// passes them straight through.
+const FLUSH_AT: usize = 64 * 1024;
+
+/// Slots in each encoder's symbol cache (see the module docs).
+const CACHE_SLOTS: usize = 256;
+
+/// Append the decimal digits of `v`.
+#[inline]
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Append `v` in decimal, with a `-` when negative.
+#[inline]
+fn push_i64(out: &mut Vec<u8>, v: i64) {
+    if v < 0 {
+        out.push(b'-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Append the lowercase hex digits of `v`, without leading zeros.
+#[inline]
+fn push_hex(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 16];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b"0123456789abcdef"[(v & 0xf) as usize];
+        v >>= 4;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// The encode kernel: record text appended to a byte buffer, symbols
+/// through the cache (see the module docs).
+struct Encoder {
+    /// Tag of the space the cached symbols were resolved in; `None` before
+    /// the first record.
+    space: Option<u64>,
+    /// Slot `id % CACHE_SLOTS` holds the last symbol resolved there.
+    cache: Box<[Option<(SymId, SymStr)>]>,
+}
+
+impl Encoder {
+    fn new() -> Encoder {
+        Encoder {
+            space: None,
+            cache: vec![None; CACHE_SLOTS].into_boxed_slice(),
+        }
+    }
+
+    /// Append the bytes of `id`, resolved in the thread's current space.
+    #[inline]
+    fn push_sym(&mut self, out: &mut Vec<u8>, id: SymId) {
+        let slot = &mut self.cache[id.index() % CACHE_SLOTS];
+        match slot {
+            Some((cached, text)) if *cached == id => out.extend_from_slice(text.as_bytes()),
+            _ => {
+                let text = id.as_str();
+                out.extend_from_slice(text.as_bytes());
+                *slot = Some((id, text));
+            }
+        }
+    }
+
+    /// Append the text of `r` to `out`: ASCII, `{:.6}` float text and the
+    /// symbols' `str` bytes, so only whole UTF-8 sequences.
+    fn encode(&mut self, r: &Record, out: &mut Vec<u8>) {
+        let space = SymbolSpace::current_tag();
+        if self.space != Some(space) {
+            self.cache.fill(None);
+            self.space = Some(space);
+        }
+        // Header: 0,<line>,<func>,<bb_line>:<bb_col>,<label>,<opcode>,<dyn_id>,
+        out.extend_from_slice(b"0,");
+        push_i64(out, r.src_line.into());
+        out.push(b',');
+        self.push_sym(out, r.func);
+        out.push(b',');
+        push_u64(out, r.bb.0.into());
+        out.push(b':');
+        push_u64(out, r.bb.1.into());
+        out.push(b',');
+        self.push_sym(out, r.bb_label);
+        out.push(b',');
+        push_u64(out, r.opcode.into());
+        out.push(b',');
+        push_u64(out, r.dyn_id);
+        out.extend_from_slice(b",\n");
+        for op in &r.operands {
+            self.operand(out, op);
+        }
+        if let Some(res) = &r.result {
+            self.operand(out, res);
+        }
+    }
+
+    /// `<tag>,<bits>,<value>,<is_reg>,<name>,` and a newline.
+    fn operand(&mut self, out: &mut Vec<u8>, op: &Operand) {
+        match op.tag {
+            OpTag::Pos(i) => push_u64(out, i.into()),
+            OpTag::Param => out.push(b'f'),
+            OpTag::Result => out.push(b'r'),
+        }
+        out.push(b',');
+        push_u64(out, op.bits.into());
+        out.push(b',');
+        match op.value {
+            TraceValue::I(v) => push_i64(out, v),
+            TraceValue::F(v) => {
+                // Writing to a `Vec` cannot fail.
+                let _ = write!(out, "{v:.6}");
+            }
+            TraceValue::Ptr(p) => {
+                out.extend_from_slice(b"0x");
+                push_hex(out, p);
+            }
+            TraceValue::None => out.push(b' '),
+        }
+        out.extend_from_slice(if op.is_reg { b",1," } else { b",0," });
+        match op.name {
+            Name::Temp(n) => push_u64(out, n.into()),
+            Name::Sym(s) => self.push_sym(out, s),
+            Name::None => {}
+        }
+        out.extend_from_slice(b",\n");
+    }
+}
 
 /// Streaming trace writer over any [`io::Write`].
 ///
-/// The writer buffers one block at a time in a reusable `String`, so the
-/// per-record allocation cost is amortized away — the trace emitter sits on
-/// the interpreter's hot path.
+/// Records are encoded into one reusable buffer (see the module docs),
+/// which goes to the inner writer in writes of at least 64 KiB. Like a
+/// `BufWriter`, a writer dropped without [`finish`](Self::finish) hands
+/// what it holds to the inner writer, ignoring errors, so an interrupted
+/// run leaves every record written so far.
 pub struct TraceWriter<W: Write> {
-    out: W,
-    buf: String,
+    /// The inner writer; taken by [`finish`](Self::finish).
+    out: Option<W>,
+    buf: Vec<u8>,
+    /// Length of `buf` up to the end of the last whole record: a record
+    /// whose encoding panicked is never handed on.
+    whole: usize,
+    encoder: Encoder,
     records: u64,
     bytes: u64,
 }
@@ -20,20 +202,41 @@ impl<W: Write> TraceWriter<W> {
     /// Wrap `out`.
     pub fn new(out: W) -> Self {
         TraceWriter {
-            out,
-            buf: String::with_capacity(256),
+            out: Some(out),
+            buf: Vec::with_capacity(FLUSH_AT + 4096),
+            whole: 0,
+            encoder: Encoder::new(),
             records: 0,
             bytes: 0,
         }
     }
 
-    /// Serialize one record.
+    /// Serialize one record. An error comes from handing a full buffer to
+    /// the inner writer; the buffered bytes are dropped with it.
     pub fn write_record(&mut self, r: &Record) -> io::Result<()> {
-        self.buf.clear();
-        format_record(r, &mut self.buf);
+        self.encoder.encode(r, &mut self.buf);
+        self.bytes += (self.buf.len() - self.whole) as u64;
+        self.whole = self.buf.len();
         self.records += 1;
-        self.bytes += self.buf.len() as u64;
-        self.out.write_all(self.buf.as_bytes())
+        if self.buf.len() >= FLUSH_AT {
+            self.flush_buf()?;
+        }
+        Ok(())
+    }
+
+    /// Hand the whole records in the buffer to the inner writer.
+    fn flush_buf(&mut self) -> io::Result<()> {
+        // Taken out first: if the inner writer panics, the drop that
+        // follows does not hand the same bytes over again.
+        let mut buf = std::mem::take(&mut self.buf);
+        let result = match &mut self.out {
+            Some(out) => out.write_all(&buf[..self.whole]),
+            None => Ok(()),
+        };
+        buf.clear();
+        self.buf = buf;
+        self.whole = 0;
+        result
     }
 
     /// Number of records written so far.
@@ -41,67 +244,51 @@ impl<W: Write> TraceWriter<W> {
         self.records
     }
 
-    /// Number of bytes written so far.
+    /// Number of bytes written so far, including those still buffered.
     pub fn bytes_written(&self) -> u64 {
         self.bytes
     }
 
     /// Flush and return the inner writer.
     pub fn finish(mut self) -> io::Result<W> {
-        self.out.flush()?;
-        Ok(self.out)
+        self.flush_buf()?;
+        let mut out = self
+            .out
+            .take()
+            .expect("a writer holds its output until finish");
+        out.flush()?;
+        Ok(out)
     }
+}
 
-    /// Mutable access to the underlying writer.
-    pub fn get_mut(&mut self) -> &mut W {
-        &mut self.out
+impl<W: Write> Drop for TraceWriter<W> {
+    fn drop(&mut self) {
+        let _ = self.flush_buf();
     }
 }
 
 /// Append the textual form of `r` to `buf`.
 pub fn format_record(r: &Record, buf: &mut String) {
-    // Header: 0,<line>,<func>,<bb_line>:<bb_col>,<label>,<opcode>,<dyn_id>,
-    let _ = writeln!(
-        buf,
-        "0,{},{},{}:{},{},{},{},",
-        r.src_line, r.func, r.bb.0, r.bb.1, r.bb_label, r.opcode, r.dyn_id
-    );
-    for op in &r.operands {
-        format_operand(op, buf);
-    }
-    if let Some(res) = &r.result {
-        format_operand(res, buf);
-    }
-}
-
-fn format_operand(op: &Operand, buf: &mut String) {
-    let _ = writeln!(
-        buf,
-        "{},{},{},{},{},",
-        op.tag,
-        op.bits,
-        op.value,
-        if op.is_reg { 1 } else { 0 },
-        op.name
-    );
+    buf.push_str(&to_string(std::slice::from_ref(r)));
 }
 
 /// Serialize a slice of records to a `String` (convenience for tests and
 /// small traces).
 pub fn to_string(records: &[Record]) -> String {
-    let mut s = String::new();
+    let mut encoder = Encoder::new();
+    let mut bytes = Vec::new();
     for r in records {
-        format_record(r, &mut s);
+        encoder.encode(r, &mut bytes);
     }
-    s
+    String::from_utf8(bytes).expect("the encoder writes only whole UTF-8 sequences")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::SymId;
-    use crate::name::Name;
-    use crate::record::{opcodes, OpTag, TraceValue};
+    use crate::record::opcodes;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// The `Load` block from paper Fig. 1, transliterated to our canonical
     /// field order.
@@ -179,5 +366,111 @@ mod tests {
         let bytes = w.bytes_written();
         let inner = w.finish().unwrap();
         assert_eq!(inner.len() as u64, bytes);
+    }
+
+    /// A `Write` whose bytes stay readable after the writer is gone.
+    #[derive(Clone, Default)]
+    struct Shared(Rc<RefCell<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A load record of `func`/`label` naming `var`, `dyn_id` `i`.
+    fn load(func: SymId, label: SymId, var: Name, i: u64) -> Record {
+        Record {
+            src_line: 7,
+            func,
+            bb: (6, 1),
+            bb_label: label,
+            opcode: opcodes::LOAD,
+            dyn_id: i,
+            operands: vec![Operand::reg(
+                OpTag::Pos(1),
+                64,
+                TraceValue::Ptr(0x1000 + 8 * i),
+                var,
+            )],
+            result: Some(Operand::reg(
+                OpTag::Result,
+                64,
+                TraceValue::F(i as f64 / 3.0),
+                Name::Temp(i as u32),
+            )),
+        }
+    }
+
+    #[test]
+    fn writer_built_before_the_guard_resolves_at_write_time() {
+        // Built while the global space is current, then used under two
+        // session guards in turn, as the service tests build their sinks.
+        // Id 0 names a different string in each space, so a cache kept
+        // across the switch would print the wrong one.
+        let mut w = TraceWriter::new(Vec::new());
+        let a = SymbolSpace::new();
+        let b = SymbolSpace::new();
+        let mut expected = String::new();
+        for (space, func) in [(&a, "alpha"), (&b, "βeta"), (&a, "alpha")] {
+            let _guard = space.enter();
+            let id = SymId::intern(func);
+            assert_eq!(id.index(), 0);
+            let r = load(id, id, Name::Sym(id), 1);
+            w.write_record(&r).unwrap();
+            reference::format_record(&r, &mut expected);
+        }
+        assert!(expected.contains("0,7,βeta,6:1,βeta,27,1,\n1,64,0x1008,1,βeta,\n"));
+        assert_eq!(w.finish().unwrap(), expected.as_bytes());
+    }
+
+    #[test]
+    fn bytes_written_equals_the_final_length() {
+        let out = Shared::default();
+        let mut w = TraceWriter::new(out.clone());
+        let (func, label) = (SymId::intern("main"), SymId::intern("loop"));
+        let mut flushes = 0;
+        for i in 0..5000 {
+            let before = out.0.borrow().len();
+            w.write_record(&load(func, label, Name::sym("sum"), i))
+                .unwrap();
+            let on_wire = out.0.borrow().len();
+            flushes += usize::from(on_wire != before);
+            assert!(on_wire as u64 <= w.bytes_written());
+        }
+        assert!(flushes >= 3, "the records span several flushes");
+        let bytes = w.bytes_written();
+        w.finish().unwrap();
+        assert_eq!(out.0.borrow().len() as u64, bytes);
+    }
+
+    #[test]
+    fn dropped_writer_hands_over_every_whole_record() {
+        let out = Shared::default();
+        let mut w = TraceWriter::new(out.clone());
+        let (func, label) = (SymId::intern("main"), SymId::intern("loop"));
+        let recs: Vec<Record> = (0..2000)
+            .map(|i| load(func, label, Name::Temp(3), i))
+            .collect();
+        for r in &recs {
+            w.write_record(r).unwrap();
+        }
+        // A record naming an id the current space never interned panics
+        // half-way through its encoding; none of its bytes may follow.
+        let space = SymbolSpace::new();
+        let bogus = space.intern("only_in_space");
+        let fresh = SymbolSpace::new();
+        let _guard = fresh.enter();
+        let half = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.write_record(&load(bogus, bogus, Name::None, 0))
+        }));
+        assert!(half.is_err());
+        drop(_guard);
+        drop(w);
+        assert_eq!(*out.0.borrow(), to_string(&recs).into_bytes());
     }
 }
