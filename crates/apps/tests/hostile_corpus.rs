@@ -241,6 +241,25 @@ fn lying_binary_headers_do_not_drive_allocation() {
     assert!(!err.to_string().is_empty());
 }
 
+#[test]
+fn bitflip_under_a_byte_ceiling_reports_the_decode_error() {
+    // The flipped tag sits at byte 322 of a 4,910-byte file. A reader that
+    // reads ahead must stop at the 1,000-byte ceiling rather than cross it,
+    // or the run reports `trace-bytes 1001 > limit 1000` instead.
+    let bytes = std::fs::read(corpus_dir().join("bitflip.bin")).unwrap();
+    let ctx = AnalysisCtx::session()
+        .untrusted()
+        .with_limits(ResourceLimits::new().max_trace_bytes(1000));
+    let err = StreamAnalyzer::new(Region::new("main", 3, 6))
+        .with_ctx(ctx)
+        .run_read(&bytes[..])
+        .expect_err("the flipped tag is an error");
+    assert_eq!(
+        err.to_string(),
+        "binary trace error at byte 322: unknown operand tag kind 16"
+    );
+}
+
 /// One batch-ingest outcome, rendered for cross-depth comparison: the
 /// record count on success, the full diagnostic on failure. Overlapped
 /// ingest must reproduce the serial outcome byte for byte — same typed

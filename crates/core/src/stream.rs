@@ -303,6 +303,9 @@ impl StreamAnalyzer {
         contraction: Contraction,
         started: Instant,
     ) -> Result<StreamRun, StreamError> {
+        // The fold and the finish step resolve symbols (MLI names sort by
+        // string) in the thread's current space: make it the session's.
+        let _space = self.ctx.enter();
         let shards = resolve_shard_count(self.config.shards);
         if shards <= 1 {
             let mut session = self.session_with(contraction);
@@ -400,6 +403,7 @@ impl StreamAnalyzer {
         boundaries: Option<&[u64]>,
         drive: Drive,
     ) -> Result<StreamRun, StreamError> {
+        let _space = self.ctx.enter();
         // Overlap also accelerates the materialization in front of a
         // sharded fold; the two compose.
         let source = source.ctx(&self.ctx).overlap(self.config.overlap);
@@ -424,8 +428,9 @@ impl StreamAnalyzer {
             })?;
         }
         let mut session = self.session_with(drive.contraction);
-        for item in source.stream()? {
-            session.push(&item?)?;
+        let mut records = source.stream()?;
+        while let Some(record) = records.next_record() {
+            session.push(record?)?;
         }
         Ok(session.finish())
     }
@@ -513,6 +518,8 @@ fn finish_outcome(
     contraction: Contraction,
     ingest: std::time::Duration,
 ) -> StreamRun {
+    // A caller-driven session may finish with no guard held.
+    let _space = ctx.enter();
     let metrics = ctx.metrics().clone();
     // The fused online pass is the streaming counterpart of
     // pre-processing; the ledger books it there.

@@ -80,11 +80,17 @@
 
 use crate::ctx::AnalysisCtx;
 use crate::intern::{SymId, SymStr};
+use crate::limits::ResourceKind;
 use crate::name::Name;
 use crate::reader::TraceReadError;
 use crate::record::{OpTag, Operand, Record, TraceValue};
 use fxhash::FxHashMap;
 use std::io::{self, Read, Write};
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 /// The four magic bytes opening every binary trace file.
 pub const MAGIC: [u8; 4] = [0xB7, b'A', b'C', b'T'];
@@ -342,11 +348,6 @@ impl<W: Write> BinaryWriter<W> {
         self.out.flush()?;
         Ok(self.out)
     }
-
-    /// Mutable access to the underlying writer.
-    pub fn get_mut(&mut self) -> &mut W {
-        &mut self.out
-    }
 }
 
 /// Serialize a slice of records to a complete binary trace (convenience
@@ -535,20 +536,41 @@ fn intern_strtab(
 
 /// Decode the record whose header starts at `bytes[at..]`; returns the
 /// record and the offset just past it. `base` rebases error offsets onto
-/// the whole file.
+/// the whole file. The allocating form of [`decode_record_into`], for the
+/// zero-copy reader.
 fn decode_record(
     bytes: &[u8],
     at: usize,
     base: u64,
     syms: &[SymId],
 ) -> Result<(Record, usize), TraceReadError> {
+    let mut rec = Record::blank();
+    let end = decode_record_into(bytes, at, base, syms, &mut rec)?;
+    Ok((rec, end))
+}
+
+/// Decode the record whose header starts at `bytes[at..]` into `rec`,
+/// reusing its operand buffer; returns the offset just past the record.
+/// Every field of `rec` is overwritten on success; on error `rec` holds a
+/// partial decode. Errors name the first problem in file order (a bad
+/// entry before a truncated one), with `base` rebasing offsets onto the
+/// whole file.
+#[inline(always)]
+fn decode_record_into(
+    bytes: &[u8],
+    at: usize,
+    base: u64,
+    syms: &[SymId],
+    rec: &mut Record,
+) -> Result<usize, TraceReadError> {
     let off = |rel: usize| base + (at + rel) as u64;
-    // SAFETY of the `try_into().unwrap()`s below: the length-checked `get`
-    // calls guarantee `h` spans RECORD_BYTES and `o` spans OPERAND_BYTES, so
-    // every constant subrange is in bounds with exactly the converted width.
-    // Truncated input fails the `get`, never the conversion.
-    let h = bytes
+    // SAFETY of the `try_into().unwrap()`s below: `h` here and `o` in
+    // `decode_operand` are fixed-size arrays, so every constant subrange is
+    // in bounds with exactly the converted width. Truncated input fails the
+    // `get`/`next`, never a conversion.
+    let h: &[u8; RECORD_BYTES] = bytes
         .get(at..at + RECORD_BYTES)
+        .and_then(|h| h.try_into().ok())
         .ok_or_else(|| berr(off(0), "truncated record header"))?;
     let sym = |rel: usize, what: &str| -> Result<SymId, TraceReadError> {
         let ix = u32::from_le_bytes(h[rel..rel + 4].try_into().unwrap());
@@ -558,78 +580,89 @@ fn decode_record(
     };
     let packed = u16::from_le_bytes([h[22], h[23]]);
     let n_ops = (packed & 0x7FFF) as usize;
-    let has_result = packed & 0x8000 != 0;
-    let mut rec = Record {
-        src_line: i32::from_le_bytes(h[0..4].try_into().unwrap()),
-        func: sym(4, "function symbol")?,
-        bb: (
-            u32::from_le_bytes(h[8..12].try_into().unwrap()),
-            u32::from_le_bytes(h[12..16].try_into().unwrap()),
-        ),
-        bb_label: sym(16, "block-label symbol")?,
-        opcode: u16::from_le_bytes([h[20], h[21]]),
-        dyn_id: u64::from_le_bytes(h[24..32].try_into().unwrap()),
-        operands: Vec::with_capacity(n_ops),
-        result: None,
-    };
-    let mut at = at + RECORD_BYTES;
-    for i in 0..n_ops + has_result as usize {
-        let o = bytes
-            .get(at..at + OPERAND_BYTES)
-            .ok_or_else(|| berr(base + at as u64, "truncated operand entry"))?;
-        let ooff = |rel: usize| base + (at + rel) as u64;
-        let tag = match (o[0], o[1]) {
-            (0, p) if p >= 1 => OpTag::Pos(p),
-            (0, _) => return Err(berr(ooff(1), "positional operand id 0")),
-            (1, _) => OpTag::Param,
-            (2, _) => OpTag::Result,
-            (k, _) => return Err(berr(ooff(0), format!("unknown operand tag kind {k}"))),
-        };
-        let is_reg = match o[4] {
-            0 => false,
-            1 => true,
-            b => return Err(berr(ooff(4), format!("bad is_reg byte {b}"))),
-        };
-        let name_payload = u32::from_le_bytes(o[6..10].try_into().unwrap());
-        let name = match o[5] {
-            0 => Name::None,
-            1 => Name::Temp(name_payload),
-            2 => Name::Sym(syms.get(name_payload as usize).copied().ok_or_else(|| {
-                berr(
-                    ooff(6),
-                    format!("name symbol index {name_payload} out of range"),
-                )
-            })?),
-            b => return Err(berr(ooff(5), format!("unknown name kind {b}"))),
-        };
-        let value_payload = u64::from_le_bytes(o[11..19].try_into().unwrap());
-        let value = match o[10] {
-            0 => TraceValue::None,
-            1 => TraceValue::I(value_payload as i64),
-            2 => TraceValue::F(f64::from_bits(value_payload)),
-            3 => TraceValue::Ptr(value_payload),
-            b => return Err(berr(ooff(10), format!("unknown value kind {b}"))),
-        };
-        let op = Operand {
-            tag,
-            bits: u16::from_le_bytes([o[2], o[3]]),
-            value,
-            is_reg,
-            name,
-        };
-        if has_result && i == n_ops {
-            rec.result = Some(op);
-        } else {
+    let entries = n_ops + (packed >> 15) as usize;
+    rec.src_line = i32::from_le_bytes(h[0..4].try_into().unwrap());
+    rec.func = sym(4, "function symbol")?;
+    rec.bb = (
+        u32::from_le_bytes(h[8..12].try_into().unwrap()),
+        u32::from_le_bytes(h[12..16].try_into().unwrap()),
+    );
+    rec.bb_label = sym(16, "block-label symbol")?;
+    rec.opcode = u16::from_le_bytes([h[20], h[21]]);
+    rec.dyn_id = u64::from_le_bytes(h[24..32].try_into().unwrap());
+    rec.operands.clear();
+    rec.operands.reserve_exact(n_ops);
+    rec.result = None;
+    let body = at + RECORD_BYTES;
+    let mut chunks = bytes[body..].chunks_exact(OPERAND_BYTES);
+    for i in 0..entries {
+        let entry = body + i * OPERAND_BYTES;
+        let o = chunks
+            .next()
+            .ok_or_else(|| berr(base + entry as u64, "truncated operand entry"))?;
+        let o = o.try_into().expect("chunks_exact yields OPERAND_BYTES");
+        let op = decode_operand(o, base + entry as u64, syms)?;
+        if i < n_ops {
             rec.operands.push(op);
+        } else {
+            rec.result = Some(op);
         }
-        at += OPERAND_BYTES;
     }
-    Ok((rec, at))
+    Ok(body + entries * OPERAND_BYTES)
+}
+
+/// Decode one operand entry; `off` is its byte offset in the file.
+#[inline(always)]
+fn decode_operand(
+    o: &[u8; OPERAND_BYTES],
+    off: u64,
+    syms: &[SymId],
+) -> Result<Operand, TraceReadError> {
+    let tag = match (o[0], o[1]) {
+        (0, p) if p >= 1 => OpTag::Pos(p),
+        (0, _) => return Err(berr(off + 1, "positional operand id 0")),
+        (1, _) => OpTag::Param,
+        (2, _) => OpTag::Result,
+        (k, _) => return Err(berr(off, format!("unknown operand tag kind {k}"))),
+    };
+    let is_reg = match o[4] {
+        0 => false,
+        1 => true,
+        b => return Err(berr(off + 4, format!("bad is_reg byte {b}"))),
+    };
+    let name_payload = u32::from_le_bytes(o[6..10].try_into().unwrap());
+    let name = match o[5] {
+        0 => Name::None,
+        1 => Name::Temp(name_payload),
+        2 => Name::Sym(syms.get(name_payload as usize).copied().ok_or_else(|| {
+            berr(
+                off + 6,
+                format!("name symbol index {name_payload} out of range"),
+            )
+        })?),
+        b => return Err(berr(off + 5, format!("unknown name kind {b}"))),
+    };
+    let value_payload = u64::from_le_bytes(o[11..19].try_into().unwrap());
+    let value = match o[10] {
+        0 => TraceValue::None,
+        1 => TraceValue::I(value_payload as i64),
+        2 => TraceValue::F(f64::from_bits(value_payload)),
+        3 => TraceValue::Ptr(value_payload),
+        b => return Err(berr(off + 10, format!("unknown value kind {b}"))),
+    };
+    Ok(Operand {
+        tag,
+        bits: u16::from_le_bytes([o[2], o[3]]),
+        value,
+        is_reg,
+        name,
+    })
 }
 
 /// Byte length of the record starting at `bytes[at..]` without decoding it
 /// (header peek only) — the record-aligned analogue of the text format's
-/// `\n0,` boundary scan, used to cut parallel chunks.
+/// `\n0,` boundary scan, used to cut parallel chunks and to size the
+/// streaming reader's next fill.
 fn record_len(bytes: &[u8], at: usize, base: u64) -> Result<usize, TraceReadError> {
     let h = bytes
         .get(at..at + RECORD_BYTES)
@@ -842,8 +875,23 @@ impl Iterator for BinaryReader<'_> {
 // Streaming reader
 // ---------------------------------------------------------------------------
 
+/// Bytes the streaming reader asks its input for at once. A record takes
+/// 32 bytes plus 19 per operand entry, so one refill serves about a
+/// thousand typical records; a larger record grows the window to fit.
+const WINDOW_BYTES: usize = 64 * 1024;
+
 /// Streaming binary trace reader over any [`Read`], with bounded memory:
-/// the string table (read and interned once at open) plus one record.
+/// the string table (read and interned once at open) plus one read window
+/// (64 KiB, or the largest record when that is bigger).
+///
+/// Records decode in place out of the window into one reused slot, which
+/// [`TraceStream::next_record`](crate::TraceStream::next_record) lends and
+/// the [`Iterator`] impl hands over by value. The window refills only when
+/// the next record or footer field needs more bytes than it holds, and no
+/// refill reads past the session's `trace-bytes` ceiling. At the ceiling
+/// it asks for one byte, so a crossed ceiling, the end of input or an I/O
+/// error shows at the byte where a reader taking each record exactly would
+/// meet it. The input must start at the trace's first byte.
 ///
 /// The counterpart of the text format's [`RecordReader`](crate::RecordReader);
 /// [`crate::TraceSource::stream`] picks between the two by magic bytes.
@@ -856,53 +904,129 @@ pub struct BinaryStreamReader<R: Read> {
     /// Footer already consumed and validated.
     footer_done: bool,
     yielded: u64,
-    /// Absolute byte offset of the next unread byte (error reporting).
+    /// The read window: `window[start..end]` is read but not yet decoded.
+    window: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Absolute byte offset of `window[start]`, the next undecoded byte.
     offset: u64,
-    /// Reusable per-record scratch buffer.
-    scratch: Vec<u8>,
+    /// Bytes left to read before the `trace-bytes` ceiling (`u64::MAX`
+    /// without one).
+    budget: u64,
+    /// The last record decoded; the next decode reuses its operand buffer.
+    slot: Record,
     failed: bool,
 }
 
 impl<R: Read> BinaryStreamReader<R> {
     /// Read the header and string table; intern every symbol once.
-    pub fn open(mut inner: R, ctx: &AnalysisCtx) -> Result<BinaryStreamReader<R>, TraceReadError> {
-        let mut head = [0u8; HEADER_BYTES];
-        read_exact_at(&mut inner, &mut head, 0, "header")?;
-        let (version, record_count, string_count, strtab_len) = parse_header_fields(&head)?;
-        // Pull the string table incrementally: allocation tracks bytes the
-        // stream actually delivers, so a hostile length cannot force an
-        // up-front over-allocation.
-        let mut strtab = Vec::new();
-        let mut remaining = strtab_len as usize;
-        let mut chunk = [0u8; 4096];
-        while remaining > 0 {
-            let want = remaining.min(chunk.len());
-            let n = self::read_some(
-                &mut inner,
-                &mut chunk[..want],
-                HEADER_BYTES as u64 + strtab.len() as u64,
-            )?;
-            if n == 0 {
-                return Err(berr(
-                    HEADER_BYTES as u64 + strtab.len() as u64,
-                    "truncated string table",
-                ));
-            }
-            strtab.extend_from_slice(&chunk[..n]);
-            remaining -= n;
-        }
-        let syms = intern_strtab(&strtab, string_count, HEADER_BYTES as u64, ctx)?;
-        Ok(BinaryStreamReader {
+    pub fn open(inner: R, ctx: &AnalysisCtx) -> Result<BinaryStreamReader<R>, TraceReadError> {
+        let mut r = BinaryStreamReader {
             inner,
-            syms,
-            record_count,
-            version,
+            syms: Vec::new(),
+            record_count: 0,
+            version: VERSION,
             footer_done: false,
             yielded: 0,
-            offset: HEADER_BYTES as u64 + strtab_len as u64,
-            scratch: Vec::new(),
+            window: vec![0; WINDOW_BYTES],
+            start: 0,
+            end: 0,
+            offset: 0,
+            budget: ctx
+                .limits()
+                .get(ResourceKind::TraceBytes)
+                .unwrap_or(u64::MAX),
+            slot: Record::blank(),
             failed: false,
-        })
+        };
+        let head: [u8; HEADER_BYTES] = r.peek("header")?;
+        let (version, record_count, string_count, strtab_len) = parse_header_fields(&head)?;
+        r.consume(HEADER_BYTES);
+        // Copy the string table out a window at a time: allocation tracks
+        // bytes the stream actually delivers, so a hostile length cannot
+        // force an up-front over-allocation.
+        let mut strtab = Vec::new();
+        let mut remaining = strtab_len as usize;
+        while remaining > 0 {
+            r.fill(1, "string table")?;
+            let n = remaining.min(r.end - r.start);
+            strtab.extend_from_slice(&r.window[r.start..r.start + n]);
+            r.consume(n);
+            remaining -= n;
+        }
+        r.syms = intern_strtab(&strtab, string_count, HEADER_BYTES as u64, ctx)?;
+        r.version = version;
+        r.record_count = record_count;
+        Ok(r)
+    }
+
+    /// Records the header declares.
+    pub fn record_count(&self) -> u64 {
+        self.record_count
+    }
+
+    /// Byte offset of the next undecoded byte: the header, the string
+    /// table and every record delivered so far, not what the window has
+    /// read ahead.
+    pub(crate) fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// The record the last step decoded.
+    pub(crate) fn slot(&mut self) -> &mut Record {
+        &mut self.slot
+    }
+
+    /// The one decode step behind the [`Iterator`] impl and
+    /// [`TraceStream::next_record`](crate::TraceStream::next_record): the
+    /// next record into the slot, or the end of the stream checked. `None`
+    /// once the records and any footer are consumed and the input has
+    /// ended, and after an error.
+    pub(crate) fn advance(&mut self) -> Option<Result<(), TraceReadError>> {
+        if self.failed {
+            return None;
+        }
+        let step = if self.yielded == self.record_count {
+            match self.end_of_records() {
+                Ok(()) => return None,
+                Err(e) => Err(e),
+            }
+        } else {
+            self.decode_next()
+        };
+        match step {
+            Ok(()) => {
+                self.yielded += 1;
+                Some(Ok(()))
+            }
+            Err(e) => {
+                self.failed = true;
+                Some(Err(e))
+            }
+        }
+    }
+
+    fn decode_next(&mut self) -> Result<(), TraceReadError> {
+        self.fill(RECORD_BYTES, "record header")?;
+        let total = record_len(&self.window[self.start..self.end], 0, self.offset)?;
+        self.fill(total, "operand entries")?;
+        let record = &self.window[self.start..self.start + total];
+        decode_record_into(record, 0, self.offset, &self.syms, &mut self.slot)?;
+        self.consume(total);
+        Ok(())
+    }
+
+    /// After the last declared record: consume a version-2 footer, then
+    /// require the end of input.
+    fn end_of_records(&mut self) -> Result<(), TraceReadError> {
+        if self.version == VERSION_INDEXED && !self.footer_done {
+            self.read_footer()?;
+            self.footer_done = true;
+        }
+        if self.refill(1)? {
+            return Err(berr(self.offset, "trailing bytes after the last record"));
+        }
+        Ok(())
     }
 
     /// Consume and validate the version-2 iteration-index footer after the
@@ -910,8 +1034,7 @@ impl<R: Read> BinaryStreamReader<R> {
     /// valid index can never hold more boundaries than records), so a
     /// hostile count cannot force an over-allocation.
     fn read_footer(&mut self) -> Result<(), TraceReadError> {
-        let mut frame = [0u8; 8];
-        read_exact_at(&mut self.inner, &mut frame, self.offset, "index header")?;
+        let frame: [u8; 8] = self.peek("index header")?;
         if frame[..4] != INDEX_MAGIC {
             return Err(berr(self.offset, "missing iteration-index header magic"));
         }
@@ -922,16 +1045,14 @@ impl<R: Read> BinaryStreamReader<R> {
                 "iteration-index count exceeds the record count",
             ));
         }
-        self.offset += 8;
+        self.consume(8);
         let mut bounds = Vec::with_capacity(count as usize);
-        let mut entry = [0u8; 8];
         for _ in 0..count {
-            read_exact_at(&mut self.inner, &mut entry, self.offset, "index entry")?;
-            bounds.push(u64::from_le_bytes(entry));
-            self.offset += 8;
+            bounds.push(u64::from_le_bytes(self.peek("index entry")?));
+            self.consume(8);
         }
         check_boundaries(&bounds, self.record_count, self.offset)?;
-        read_exact_at(&mut self.inner, &mut frame, self.offset, "index trailer")?;
+        let frame: [u8; 8] = self.peek("index trailer")?;
         let tail_count = u32::from_le_bytes(frame[..4].try_into().unwrap()) as u64;
         if tail_count != count {
             return Err(berr(
@@ -945,92 +1066,79 @@ impl<R: Read> BinaryStreamReader<R> {
                 "missing iteration-index trailer magic",
             ));
         }
-        self.offset += 8;
+        self.consume(8);
         Ok(())
     }
 
-    /// Records the header declares.
-    pub fn record_count(&self) -> u64 {
-        self.record_count
+    /// Copy the next `N` undecoded bytes out of the window without
+    /// consuming them.
+    fn peek<const N: usize>(&mut self, what: &str) -> Result<[u8; N], TraceReadError> {
+        self.fill(N, what)?;
+        Ok(self.window[self.start..self.start + N]
+            .try_into()
+            .expect("fill leaves N bytes at start"))
     }
 
-    fn read_record(&mut self) -> Result<Record, TraceReadError> {
-        self.scratch.resize(RECORD_BYTES, 0);
-        let mut tmp = std::mem::take(&mut self.scratch);
-        let r = (|| {
-            read_exact_at(
-                &mut self.inner,
-                &mut tmp[..RECORD_BYTES],
-                self.offset,
-                "record header",
-            )?;
-            let packed = u16::from_le_bytes([tmp[22], tmp[23]]);
-            let entries = (packed & 0x7FFF) as usize + (packed >> 15) as usize;
-            let total = RECORD_BYTES + entries * OPERAND_BYTES;
-            tmp.resize(total, 0);
-            read_exact_at(
-                &mut self.inner,
-                &mut tmp[RECORD_BYTES..total],
-                self.offset + RECORD_BYTES as u64,
-                "operand entries",
-            )?;
-            let (rec, end) = decode_record(&tmp[..total], 0, self.offset, &self.syms)?;
-            debug_assert_eq!(end, total);
-            self.offset += total as u64;
-            Ok(rec)
-        })();
-        self.scratch = tmp;
-        r
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        self.offset += n as u64;
+    }
+
+    /// Make the window hold `need` undecoded bytes, or fail with
+    /// "truncated {what}" at the byte where the input ended.
+    #[inline]
+    fn fill(&mut self, need: usize, what: &str) -> Result<(), TraceReadError> {
+        if self.end - self.start >= need || self.refill(need)? {
+            return Ok(());
+        }
+        Err(berr(
+            self.offset + (self.end - self.start) as u64,
+            format!("truncated {what}"),
+        ))
+    }
+
+    /// Read until the window holds `need` undecoded bytes; false when the
+    /// input ends first. Each read fills as much of the window as the
+    /// ceiling allows; a read at the ceiling asks for one byte, which
+    /// crosses it.
+    fn refill(&mut self, need: usize) -> Result<bool, TraceReadError> {
+        while self.end - self.start < need {
+            if self.start > 0 {
+                self.window.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            }
+            if self.window.len() < need {
+                self.window.resize(need, 0);
+            }
+            let room = (self.window.len() - self.end) as u64;
+            let want = room.min(self.budget).max(1) as usize;
+            let n = read_some(&mut self.inner, &mut self.window[self.end..self.end + want])?;
+            if n == 0 {
+                return Ok(false);
+            }
+            self.end += n;
+            self.budget = self.budget.saturating_sub(n as u64);
+        }
+        Ok(true)
     }
 }
 
 impl<R: Read> Iterator for BinaryStreamReader<R> {
     type Item = Result<Record, TraceReadError>;
 
+    /// The lending step, handing the decoded record over by value (the
+    /// next decode starts a fresh operand buffer).
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        if self.yielded == self.record_count {
-            if self.version == VERSION_INDEXED && !self.footer_done {
-                if let Err(e) = self.read_footer() {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-                self.footer_done = true;
-            }
-            // Exactly the declared records (and footer), then end of stream.
-            let mut probe = [0u8; 1];
-            return match read_some(&mut self.inner, &mut probe, self.offset) {
-                Ok(0) => None,
-                Ok(_) => {
-                    self.failed = true;
-                    Some(Err(berr(
-                        self.offset,
-                        "trailing bytes after the last record",
-                    )))
-                }
-                Err(e) => {
-                    self.failed = true;
-                    Some(Err(e))
-                }
-            };
-        }
-        match self.read_record() {
-            Ok(rec) => {
-                self.yielded += 1;
-                Some(Ok(rec))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
+        Some(
+            self.advance()?
+                .map(|()| std::mem::replace(&mut self.slot, Record::blank())),
+        )
     }
 }
 
-/// `read` retrying on `Interrupted` (error offsets stay meaningful).
-fn read_some<R: Read>(r: &mut R, buf: &mut [u8], _offset: u64) -> Result<usize, TraceReadError> {
+/// `read` retrying on `Interrupted`.
+fn read_some<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, TraceReadError> {
     loop {
         match r.read(buf) {
             Ok(n) => return Ok(n),
@@ -1038,24 +1146,6 @@ fn read_some<R: Read>(r: &mut R, buf: &mut [u8], _offset: u64) -> Result<usize, 
             Err(e) => return Err(TraceReadError::Io(e)),
         }
     }
-}
-
-/// `read_exact` that reports truncation as a [`BinaryError`] at `offset`.
-fn read_exact_at<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    offset: u64,
-    what: &str,
-) -> Result<(), TraceReadError> {
-    let mut done = 0;
-    while done < buf.len() {
-        let n = read_some(r, &mut buf[done..], offset + done as u64)?;
-        if n == 0 {
-            return Err(berr(offset + done as u64, format!("truncated {what}")));
-        }
-        done += n;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -513,6 +513,13 @@ impl SymId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// Id 0, for a field that is overwritten before it is read (a record
+    /// slot awaiting its first decode). Never resolve it: in an empty space
+    /// it names nothing.
+    pub(crate) const fn placeholder() -> SymId {
+        SymId(0)
+    }
 }
 
 impl fmt::Display for SymId {

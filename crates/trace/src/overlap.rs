@@ -97,14 +97,14 @@ fn classify(e: &TraceReadError) -> IngestErrorClass {
 pub(crate) struct IngestSummary {
     /// Records delivered to the consumer (across all batches).
     pub records: u64,
-    /// The metered byte count as of the last delivered batch — the figure
+    /// The ingest byte count as of the last delivered batch — the figure
     /// serial streaming ingest would have booked by its last record.
     pub bytes_at_last_batch: u64,
     /// Set when the consumer was handed an error (even if it swallowed it).
     pub error: Option<IngestErrorClass>,
 }
 
-/// One decoded-ahead batch plus the metered byte count when its last
+/// One decoded-ahead batch plus the ingest byte count when its last
 /// record was produced.
 type BatchMsg = Result<(Vec<Record>, u64), TraceReadError>;
 
@@ -231,11 +231,10 @@ pub(crate) fn run_pipeline<'env, T>(
             TraceFormat::Binary => {
                 let ctx = ctx.clone();
                 let metrics = metrics.clone();
-                let read_bytes = Arc::clone(read_bytes);
                 scope.spawn(move || {
                     let tx = batch_tx;
                     let out = catch_unwind(AssertUnwindSafe(|| {
-                        binary_producer(reader, &ctx, &tx, &metrics, &read_bytes)
+                        binary_producer(reader, &ctx, &tx, &metrics)
                     }));
                     if out.is_err() {
                         send_msg(&tx, &metrics, Err(panic_error()));
@@ -461,7 +460,6 @@ fn binary_producer(
     ctx: &AnalysisCtx,
     batch_tx: &SyncSender<BatchMsg>,
     metrics: &Metrics,
-    read_bytes: &AtomicU64,
 ) {
     let mut stream = match BinaryStreamReader::open(reader, ctx) {
         Ok(s) => s,
@@ -471,15 +469,15 @@ fn binary_producer(
         }
     };
     let mut batch: Vec<Record> = Vec::with_capacity(BINARY_BATCH_RECORDS);
-    // Metered bytes as of the last record pulled — snapshotted per record
-    // so the figure excludes trailing footer reads, matching what serial
-    // streaming ingest books by its last record.
+    // The decode offset as of the last record pulled: the bytes of the
+    // records delivered, excluding the footer and the window's read-ahead,
+    // exactly what serial streaming ingest books by its last record.
     let mut bytes_at_last = 0u64;
     loop {
         match stream.next() {
             Some(Ok(record)) => {
                 batch.push(record);
-                bytes_at_last = read_bytes.load(Ordering::Relaxed);
+                bytes_at_last = stream.offset();
                 if batch.len() >= BINARY_BATCH_RECORDS {
                     let full =
                         std::mem::replace(&mut batch, Vec::with_capacity(BINARY_BATCH_RECORDS));

@@ -158,6 +158,20 @@ impl Record {
     pub fn op2(&self) -> Option<&Operand> {
         self.positional().nth(1)
     }
+
+    /// A record to decode into: the first decode overwrites every field.
+    pub(crate) fn blank() -> Record {
+        Record {
+            src_line: 0,
+            func: SymId::placeholder(),
+            bb: (0, 0),
+            bb_label: SymId::placeholder(),
+            opcode: 0,
+            dyn_id: 0,
+            operands: Vec::new(),
+            result: None,
+        }
+    }
 }
 
 /// Well-known opcode numbers, re-declared here so the trace crate does not

@@ -260,7 +260,7 @@ impl<'a> TraceSource<'a> {
     }
 
     /// Pull records one at a time with bounded memory (text: chunked line
-    /// reader; binary: string table plus one record). A path input is
+    /// reader; binary: string table plus one read window). A path input is
     /// opened as [`records`](Self::records) opens it: a `trace-bytes`
     /// ceiling is checked against the file's length first.
     pub fn stream(self) -> Result<TraceStream<'a>, TraceReadError> {
@@ -291,7 +291,10 @@ impl<'a> TraceSource<'a> {
                     return Err(e);
                 }
             },
-            _ => StreamInner::Text(Box::new(RecordReader::with_ctx(reader, &ctx))),
+            _ => StreamInner::Text(
+                Box::new(RecordReader::with_ctx(reader, &ctx)),
+                Record::blank(),
+            ),
         };
         Ok(TraceStream {
             inner,
@@ -397,8 +400,14 @@ pub(crate) fn check_ingest_limits(
     let limits = ctx.limits();
     limits.check(ResourceKind::TraceRecords, records)?;
     limits.check(ResourceKind::TraceBytes, bytes)?;
-    limits.check(ResourceKind::Symbols, ctx.space().len() as u64)?;
-    limits.check(ResourceKind::ArenaBytes, ctx.space().owned_bytes() as u64)?;
+    // The space's counts sit behind its lock: read them only when a
+    // ceiling needs them.
+    if limits.get(ResourceKind::Symbols).is_some() {
+        limits.check(ResourceKind::Symbols, ctx.space().len() as u64)?;
+    }
+    if limits.get(ResourceKind::ArenaBytes).is_some() {
+        limits.check(ResourceKind::ArenaBytes, ctx.space().owned_bytes() as u64)?;
+    }
     Ok(())
 }
 
@@ -422,14 +431,14 @@ pub(crate) fn unsmuggle_limit(e: TraceReadError) -> TraceReadError {
 /// buffers can over-allocate. The violation travels as an `io::Error`
 /// wrapping the typed [`ResourceExceeded`]; [`unsmuggle_limit`] restores it
 /// at the `TraceSource` boundary.
-struct ByteLimitReader<'a> {
+pub(crate) struct ByteLimitReader<'a> {
     inner: BoxedReader<'a>,
     served: u64,
     limit: u64,
 }
 
 impl<'a> ByteLimitReader<'a> {
-    fn wrap(inner: BoxedReader<'a>, ctx: &AnalysisCtx) -> BoxedReader<'a> {
+    pub(crate) fn wrap(inner: BoxedReader<'a>, ctx: &AnalysisCtx) -> BoxedReader<'a> {
         match ctx.limits().get(ResourceKind::TraceBytes) {
             Some(limit) => Box::new(ByteLimitReader {
                 inner,
@@ -515,8 +524,12 @@ impl Read for MeteredReader<'_> {
     }
 }
 
-/// The pull iterator behind [`TraceSource::stream`]. Yields records until
+/// The pull stream behind [`TraceSource::stream`]. Yields records until
 /// the first error, then fuses.
+///
+/// [`next_record`](Self::next_record) lends each record from one reused
+/// slot (a binary trace decodes into it in place); the [`Iterator`] impl
+/// runs the same step and hands the record over by value.
 pub struct TraceStream<'a> {
     inner: StreamInner<'a>,
     metrics: Metrics,
@@ -534,7 +547,9 @@ pub struct TraceStream<'a> {
 
 enum StreamInner<'a> {
     // Boxed: the text reader's line-carry buffers dwarf the binary variant.
-    Text(Box<RecordReader<BoxedReader<'a>>>),
+    // The slot holds the last record the text reader parsed.
+    Text(Box<RecordReader<BoxedReader<'a>>>, Record),
+    // The binary reader keeps its own slot.
     Binary(BinaryStreamReader<BoxedReader<'a>>),
 }
 
@@ -543,28 +558,46 @@ impl TraceStream<'_> {
     pub fn is_binary(&self) -> bool {
         matches!(self.inner, StreamInner::Binary(_))
     }
-}
 
-impl Iterator for TraceStream<'_> {
-    type Item = Result<Record, TraceReadError>;
+    /// The next record, lent from the stream's slot until the next call.
+    pub fn next_record(&mut self) -> Option<Result<&Record, TraceReadError>> {
+        match self.advance()? {
+            Ok(()) => Some(Ok(self.slot())),
+            Err(e) => Some(Err(e)),
+        }
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
+    /// The record the last step delivered.
+    fn slot(&mut self) -> &mut Record {
+        match &mut self.inner {
+            StreamInner::Text(_, slot) => slot,
+            StreamInner::Binary(r) => r.slot(),
+        }
+    }
+
+    /// One step: the next record into the slot, then the session's ingest
+    /// ceilings and counters.
+    fn advance(&mut self) -> Option<Result<(), TraceReadError>> {
         if self.limit_tripped {
             return None;
         }
-        let item = match &mut self.inner {
-            StreamInner::Text(r) => r.next(),
-            StreamInner::Binary(r) => r.next(),
+        let (step, bytes) = match &mut self.inner {
+            StreamInner::Text(r, slot) => {
+                let step = r.next().map(|item| item.map(|rec| *slot = rec));
+                (step, self.read_bytes.load(Ordering::Relaxed))
+            }
+            // The decode offset, not the bytes the window has read ahead:
+            // ingest books exactly the bytes of the records delivered.
+            StreamInner::Binary(r) => (r.advance(), r.offset()),
         };
         // Per-record limit enforcement: each delivered record re-checks the
         // session's ingest ceilings, so a violation surfaces within one
         // record of crossing the line — bounded growth by construction.
-        let item = match item {
-            Some(Ok(rec)) => {
+        let step = match step {
+            Some(Ok(())) => {
                 self.records_seen += 1;
-                let bytes = self.read_bytes.load(Ordering::Relaxed);
                 match check_ingest_limits(&self.ctx, self.records_seen, bytes) {
-                    Ok(()) => Some(Ok(rec)),
+                    Ok(()) => Some(Ok(())),
                     Err(limit) => {
                         self.limit_tripped = true;
                         Some(Err(TraceReadError::Resource(limit)))
@@ -574,16 +607,26 @@ impl Iterator for TraceStream<'_> {
             Some(Err(e)) => Some(Err(unsmuggle_limit(e))),
             None => None,
         };
-        match &item {
-            Some(Ok(_)) if self.metrics.is_enabled() => {
-                let seen = self.read_bytes.load(Ordering::Relaxed);
-                note_ingest(&self.metrics, self.format, seen - self.reported_bytes, 1);
-                self.reported_bytes = seen;
+        match &step {
+            Some(Ok(())) if self.metrics.is_enabled() => {
+                note_ingest(&self.metrics, self.format, bytes - self.reported_bytes, 1);
+                self.reported_bytes = bytes;
             }
             Some(Err(e)) => note_error(&self.metrics, e),
             _ => {}
         }
-        item
+        step
+    }
+}
+
+impl Iterator for TraceStream<'_> {
+    type Item = Result<Record, TraceReadError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        Some(
+            self.advance()?
+                .map(|()| std::mem::replace(self.slot(), Record::blank())),
+        )
     }
 }
 
