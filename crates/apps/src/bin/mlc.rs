@@ -14,12 +14,9 @@
 //! mlc convert <in> <out> [--to text|binary]
 //!                                     # lossless trace conversion; the input
 //!                                     # format auto-detects, --to defaults
-//!                                     # to the opposite format. With
-//!                                     # --function/--start/--end the binary
-//!                                     # output carries the v2 iteration-
-//!                                     # index footer (shard planning with
-//!                                     # no pre-scan); an input footer is
-//!                                     # otherwise carried over
+//!                                     # to the opposite format. Records
+//!                                     # stream from input to output; <out>
+//!                                     # appears only once it is complete
 //! mlc ir    <file.mc>                 # dump the textual IR
 //! mlc loops <file.mc> [--function f]  # list loops and their control vars
 //! mlc app   <name> [-o file.mc]       # emit a bundled benchmark's source
@@ -39,8 +36,11 @@ use autocheck_interp::{
 use autocheck_ir::{Cfg, DomTree, LoopForest};
 use autocheck_obs::ledger::{BatchLedger, Ledger};
 use autocheck_obs::{Metrics, TimerId};
-use autocheck_trace::{AnalysisCtx, Record, TraceSource};
+use autocheck_trace::{
+    AnalysisCtx, BinaryWriter, Record, TraceReadError, TraceSource, TraceStream, TraceWriter,
+};
 use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ! {
@@ -50,9 +50,7 @@ fn usage() -> ! {
          \x20      mlc trace <file.mc>... --stream [--function f] [--start n --end n]\n\
          \x20                [--max-live-records N] [--limit <kind>=<N>]... [--metrics <file|->]\n\
          \x20                (per-session stats per input file)\n\
-         \x20      mlc convert <in> <out> [--to text|binary]   (trace format conversion)\n\
-         \x20      mlc convert <in> <out> --to binary --function f --start n --end n\n\
-         \x20                (also emit the v2 iteration-index footer for sharded analysis)"
+         \x20      mlc convert <in> <out> [--to text|binary]   (trace format conversion)"
     );
     std::process::exit(2)
 }
@@ -111,6 +109,47 @@ impl<W: Write> TraceSink for FileSink<W> {
             FileSink::Text(s) => s.record(rec),
             FileSink::Binary(s) => s.record(rec),
         }
+    }
+}
+
+/// Why `mlc convert` stopped: the input failed to read or decode, or the
+/// output failed to write.
+enum ConvertError {
+    Read(TraceReadError),
+    Write(std::io::Error),
+}
+
+impl From<std::io::Error> for ConvertError {
+    fn from(e: std::io::Error) -> Self {
+        ConvertError::Write(e)
+    }
+}
+
+/// Stream every record of `records` into a new trace file at `path`,
+/// binary or text. Returns the records and bytes written.
+fn convert_into(
+    records: &mut TraceStream<'_>,
+    path: &Path,
+    to_binary: bool,
+    ctx: &AnalysisCtx,
+) -> Result<(u64, u64), ConvertError> {
+    let out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    if to_binary {
+        let mut w = BinaryWriter::with_ctx(out, ctx);
+        while let Some(record) = records.next_record() {
+            w.write_record(record.map_err(ConvertError::Read)?)?;
+        }
+        let counts = (w.records_written(), w.bytes_written());
+        w.finish()?;
+        Ok(counts)
+    } else {
+        let mut w = TraceWriter::new(out);
+        while let Some(record) = records.next_record() {
+            w.write_record(record.map_err(ConvertError::Read)?)?;
+        }
+        let counts = (w.records_written(), w.bytes_written());
+        w.finish()?;
+        Ok(counts)
     }
 }
 
@@ -406,14 +445,32 @@ fn main() -> ExitCode {
                 Some(p) => p.clone(),
                 None => usage(),
             };
-            let bytes = match std::fs::read(target) {
-                Ok(b) => b,
-                Err(e) => {
+            if ["--function", "--start", "--end"]
+                .iter()
+                .any(|f| opt(f).is_some())
+            {
+                eprintln!(
+                    "error: `mlc convert` writes no iteration-index footer; \
+                     --function/--start/--end do not apply"
+                );
+                return ExitCode::FAILURE;
+            }
+            // A fresh session per conversion: the trace is third-party input.
+            let ctx = AnalysisCtx::session();
+            let _guard = ctx.enter();
+            let mut records = match TraceSource::from_path(target).ctx(&ctx).stream() {
+                Ok(s) => s,
+                Err(TraceReadError::Io(e)) => {
                     eprintln!("error: cannot read `{target}`: {e}");
                     return ExitCode::FAILURE;
                 }
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::FAILURE;
+                }
             };
-            let src_binary = autocheck_trace::binary::is_binary(&bytes);
+            let in_bytes = std::fs::metadata(target).map_or(0, |m| m.len());
+            let src_binary = records.is_binary();
             let to_binary = match opt("--to").as_deref() {
                 Some("binary") => true,
                 Some("text") => false,
@@ -424,71 +481,46 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            // A fresh session per conversion: the trace is third-party input.
-            let ctx = AnalysisCtx::session();
-            let _guard = ctx.enter();
-            let records = match TraceSource::from_bytes(&bytes).ctx(&ctx).records() {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // Optional v2 iteration-index footer: `--function/--start/--end`
-            // name the main loop, the region tracker computes the
-            // iteration-aligned boundaries, and the binary writer appends
-            // them so sharded readers plan without a pre-scan. Without a
-            // region, an existing footer on a binary input is carried over.
-            let index_region = match (opt("--function"), opt("--start"), opt("--end")) {
-                (Some(f), Some(s), Some(e)) => match (s.parse::<u32>(), e.parse::<u32>()) {
-                    (Ok(s), Ok(e)) => Some(Region::new(f, s, e)),
-                    _ => usage(),
-                },
-                (None, None, None) => None,
-                _ => {
-                    eprintln!("error: --function/--start/--end must be given together");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut indexed = false;
-            let out_bytes = if to_binary {
-                let bounds = match &index_region {
-                    Some(region) => {
-                        let phases = autocheck_core::Phases::compute_in(&records, region, &ctx);
-                        Some(autocheck_core::boundaries_from_annots(&phases.annots))
-                    }
-                    None => autocheck_trace::binary::iteration_index(&bytes)
-                        .ok()
-                        .flatten(),
-                };
-                match bounds {
-                    Some(b) => {
-                        indexed = true;
-                        autocheck_trace::binary::to_bytes_with_index(&records, b, &ctx)
-                    }
-                    None => autocheck_trace::binary::to_bytes(&records, &ctx),
-                }
-            } else {
-                if index_region.is_some() {
-                    eprintln!("error: the iteration-index footer requires `--to binary`");
-                    return ExitCode::FAILURE;
-                }
-                autocheck_trace::writer::to_string(&records).into_bytes()
-            };
-            if let Err(e) = std::fs::write(&out_path, &out_bytes) {
-                eprintln!("error: cannot write `{out_path}`: {e}");
+            // Write beside the output and rename over it only on success: a
+            // failed conversion leaves no output file, and the input may be
+            // the output.
+            let out = Path::new(&out_path);
+            let Some(name) = out.file_name() else {
+                eprintln!("error: cannot write `{out_path}`: not a file path");
                 return ExitCode::FAILURE;
-            }
+            };
+            let tmp = out.with_file_name(format!(
+                ".{}.convert-{}",
+                name.to_string_lossy(),
+                std::process::id()
+            ));
+            let written = convert_into(&mut records, &tmp, to_binary, &ctx).and_then(|counts| {
+                std::fs::rename(&tmp, out)
+                    .map(|()| counts)
+                    .map_err(Into::into)
+            });
+            let (n, out_bytes) = match written {
+                Ok(counts) => counts,
+                Err(e) => {
+                    let _ = std::fs::remove_file(&tmp);
+                    match e {
+                        ConvertError::Read(e) => eprintln!("error: {e}"),
+                        ConvertError::Write(e) => {
+                            eprintln!("error: cannot write `{out_path}`: {e}")
+                        }
+                    }
+                    return ExitCode::FAILURE;
+                }
+            };
             eprintln!(
-                "converted {} -> {} ({} records, {} -> {}{}, {} -> {} bytes)",
+                "converted {} -> {} ({} records, {} -> {}, {} -> {} bytes)",
                 target,
                 out_path,
-                records.len(),
+                n,
                 if src_binary { "binary" } else { "text" },
                 if to_binary { "binary" } else { "text" },
-                if indexed { " + iteration index" } else { "" },
-                bytes.len(),
-                out_bytes.len()
+                in_bytes,
+                out_bytes
             );
             ExitCode::SUCCESS
         }

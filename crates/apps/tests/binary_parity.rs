@@ -3,8 +3,10 @@
 //! same trace as text — byte-identical rendered reports and DOT graphs —
 //! across all three front doors (batch [`Analyzer`], [`StreamAnalyzer`],
 //! and `MultiAnalyzer` jobs), on the Fig. 4 example and all 14 benchmarks.
-//! Plus the `mlc convert` CLI round trip: text → binary → text reproduces
-//! the original trace byte for byte.
+//! Plus the `mlc convert` CLI: text → binary → text reproduces the original
+//! trace byte for byte, in place too, and a failed conversion leaves no
+//! output file; and a version-2 file with an iteration-index footer still
+//! reads like the version-1 trace of the same run.
 
 use autocheck_core::{
     contract_for_mli, index_variables_of, AnalysisJob, Analyzer, DdgAnalysis, DdgOptions, JobInput,
@@ -12,6 +14,7 @@ use autocheck_core::{
 };
 use autocheck_interp::{BinarySink, ExecOptions, Machine, NoHook, WriterSink};
 use autocheck_trace::{binary, AnalysisCtx};
+use std::path::Path;
 
 /// Name, MiniLang source, region and index variables for every program the
 /// parity tests cover: the Fig. 4 worked example plus the 14 benchmarks.
@@ -222,5 +225,115 @@ fn mlc_convert_round_trips_fig4_byte_identically() {
         "converted binary must equal the directly-emitted binary trace"
     );
     assert_eq!(orig_text, same_text, "--to text is the identity on text");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A version-2 file (iteration-index footer) written by an earlier release
+/// still reads: `tests/golden/fig4_v2.bin` decodes to the same records and
+/// renders the same report and DOT as the version-1 trace of the same run.
+#[test]
+fn v2_footer_golden_reads_like_the_v1_trace() {
+    let v2 = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/fig4_v2.bin"
+    ))
+    .expect("tests/golden/fig4_v2.bin exists");
+    assert_eq!(u16::from_le_bytes([v2[4], v2[5]]), binary::VERSION_INDEXED);
+    let (name, src, region, index) = suite().remove(0);
+    assert_eq!(name, "fig4");
+    let (_, v1) = traces_of(&src);
+    assert_eq!(u16::from_le_bytes([v1[4], v1[5]]), binary::VERSION);
+    assert_eq!(
+        batch_output(&v2, &region, &index),
+        batch_output(&v1, &region, &index),
+        "v2 and v1 render differently"
+    );
+    let ctx = AnalysisCtx::session();
+    let records = |bytes: &[u8]| {
+        autocheck_trace::TraceSource::from_bytes(bytes)
+            .ctx(&ctx)
+            .records()
+            .expect("decodes")
+    };
+    assert_eq!(records(&v2), records(&v1));
+    let stream = |bytes: &[u8]| {
+        let ctx = AnalysisCtx::session();
+        let _guard = ctx.enter();
+        StreamAnalyzer::new(region.clone())
+            .with_index_vars(index.clone())
+            .with_ctx(ctx.clone())
+            .analyze_read(bytes)
+            .expect("streams")
+            .to_string()
+    };
+    assert_eq!(stream(&v2), stream(&v1));
+}
+
+/// Run `mlc` with `args`, returning its exit status and stderr.
+fn mlc_status(args: &[&str]) -> (std::process::ExitStatus, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mlc"))
+        .args(args)
+        .output()
+        .expect("mlc runs");
+    (
+        out.status,
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `mlc convert` writes beside its output and renames only on success: a
+/// truncated input in either format leaves no output file behind (and no
+/// temporary file either).
+#[test]
+fn mlc_convert_of_a_truncated_input_leaves_no_output() {
+    let fig4 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fig4.mc");
+    let dir = std::env::temp_dir().join(format!("autocheck-mlc-truncated-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let p = |n: &str| dir.join(n).to_string_lossy().into_owned();
+    for format in ["text", "binary"] {
+        let whole = p(&format!("whole.{format}"));
+        let (status, stderr) = mlc_status(&["trace", fig4, "-o", &whole, "--format", format]);
+        assert!(status.success(), "{stderr}");
+        let bytes = std::fs::read(&whole).unwrap();
+        // Cut mid-record, past the binary string table and the first text
+        // blocks, so the converter has started writing when it fails.
+        let cut = p(&format!("cut.{format}"));
+        std::fs::write(&cut, &bytes[..bytes.len() / 2 + 7]).unwrap();
+        let out = p(&format!("out.{format}"));
+        let (status, stderr) = mlc_status(&["convert", &cut, &out]);
+        assert!(!status.success(), "{format}: truncated input converted");
+        assert!(stderr.starts_with("error: "), "{format}: {stderr}");
+        assert!(!Path::new(&out).exists(), "{format}: output left behind");
+    }
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        ["cut.binary", "cut.text", "whole.binary", "whole.text"],
+        "no temporary file survives"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Converting a file onto itself works: text -> binary -> text in place
+/// reproduces the original bytes.
+#[test]
+fn mlc_convert_in_place_round_trips() {
+    let fig4 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fig4.mc");
+    let dir = std::env::temp_dir().join(format!("autocheck-mlc-in-place-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let trace = dir.join("t.trace").to_string_lossy().into_owned();
+    let (status, stderr) = mlc_status(&["trace", fig4, "-o", &trace]);
+    assert!(status.success(), "{stderr}");
+    let original = std::fs::read(&trace).unwrap();
+    let (status, stderr) = mlc_status(&["convert", &trace, &trace]);
+    assert!(status.success(), "{stderr}");
+    assert!(binary::is_binary(&std::fs::read(&trace).unwrap()));
+    let (status, stderr) = mlc_status(&["convert", &trace, &trace]);
+    assert!(status.success(), "{stderr}");
+    assert_eq!(std::fs::read(&trace).unwrap(), original);
     let _ = std::fs::remove_dir_all(&dir);
 }

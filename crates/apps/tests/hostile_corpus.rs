@@ -260,140 +260,6 @@ fn bitflip_under_a_byte_ceiling_reports_the_decode_error() {
     );
 }
 
-/// One batch-ingest outcome, rendered for cross-depth comparison: the
-/// record count on success, the full diagnostic on failure. Overlapped
-/// ingest must reproduce the serial outcome byte for byte — same typed
-/// error, same message, same record count.
-fn batch_outcome(result: Result<Vec<autocheck_trace::Record>, impl std::fmt::Display>) -> String {
-    match result {
-        Ok(recs) => format!("ok:{}", recs.len()),
-        Err(e) => format!("err:{e}"),
-    }
-}
-
-#[test]
-fn overlapped_batch_ingest_matches_serial_over_the_corpus() {
-    // Every hostile file, at every decode-ahead depth: the outcome —
-    // success or typed diagnostic — is byte-identical to the serial path.
-    for path in corpus_files() {
-        let run = |depth: usize| {
-            let ctx = untrusted_ctx();
-            batch_outcome(
-                TraceSource::from_path(&path)
-                    .ctx(&ctx)
-                    .overlap(depth)
-                    .records(),
-            )
-        };
-        let serial = run(1);
-        for depth in [2, 4] {
-            assert_eq!(
-                run(depth),
-                serial,
-                "{}: overlap {depth} diverged from serial",
-                path.display()
-            );
-        }
-    }
-}
-
-#[test]
-fn overlapped_streaming_survives_the_corpus_with_serial_error_classes() {
-    // The streaming front door under overlap: success renders the
-    // identical report; failure lands in the same typed error class the
-    // serial stream produces. (Exact error text is not compared here —
-    // the serial stream reads in small chunks while the pipeline reads in
-    // windows, so byte counters embedded in resource diagnostics may
-    // legitimately differ.)
-    for path in corpus_files() {
-        let bytes = std::fs::read(&path).expect("corpus file readable");
-        let run = |depth: usize| {
-            let ctx = untrusted_ctx();
-            let _guard = ctx.enter();
-            let analyzer = StreamAnalyzer::new(Region::new("main", 3, 6))
-                .with_config(StreamConfig {
-                    overlap: depth,
-                    ..StreamConfig::default()
-                })
-                .with_ctx(ctx.clone());
-            match analyzer.analyze_read(&bytes[..]) {
-                Ok(report) => format!("ok:{report}"),
-                Err(StreamError::Source(_)) => "err:source".to_string(),
-                Err(StreamError::Resource(_)) => "err:resource".to_string(),
-                Err(StreamError::LiveBound(_)) => "err:livebound".to_string(),
-            }
-        };
-        let serial = run(1);
-        for depth in [2, 4] {
-            assert_eq!(
-                run(depth),
-                serial,
-                "{}: streaming overlap {depth} diverged from serial",
-                path.display()
-            );
-        }
-    }
-}
-
-#[test]
-fn seeded_faults_stay_typed_and_match_serial_under_overlap() {
-    // The PR 8 fault harness, pointed at the decode-ahead pipeline:
-    // 64 deterministic plans of short reads, injected I/O errors,
-    // truncation, and bit flips, each run serially and at overlap 2 and 4.
-    // A fault that hits the producer thread must surface to the consumer
-    // as the same typed error the serial path reports — never a poisoned
-    // channel, never a panic.
-    let bytes = std::fs::read(corpus_dir().join("adversarial_symbols.txt")).unwrap();
-    for seed in 0..64u64 {
-        let batch = |depth: usize| {
-            let ctx = untrusted_ctx();
-            let plan = FaultPlan::from_seed(seed, bytes.len() as u64);
-            batch_outcome(
-                TraceSource::from_reader(plan.reader(&bytes[..]))
-                    .ctx(&ctx)
-                    .overlap(depth)
-                    .records(),
-            )
-        };
-        let serial = batch(1);
-        for depth in [2, 4] {
-            assert_eq!(
-                batch(depth),
-                serial,
-                "seed {seed}: batch overlap {depth} diverged from serial"
-            );
-        }
-
-        // Streaming front door under the same plan and depths: identical
-        // report on success, same error class on failure.
-        let stream = |depth: usize| {
-            let ctx = untrusted_ctx();
-            let _guard = ctx.enter();
-            let plan = FaultPlan::from_seed(seed, bytes.len() as u64);
-            let analyzer = StreamAnalyzer::new(Region::new("main", 3, 6))
-                .with_config(StreamConfig {
-                    overlap: depth,
-                    ..StreamConfig::default()
-                })
-                .with_ctx(ctx.clone());
-            match analyzer.analyze_read(plan.reader(&bytes[..])) {
-                Ok(report) => format!("ok:{report}"),
-                Err(StreamError::Source(_)) => "err:source".to_string(),
-                Err(StreamError::Resource(_)) => "err:resource".to_string(),
-                Err(StreamError::LiveBound(_)) => "err:livebound".to_string(),
-            }
-        };
-        let stream_serial = stream(1);
-        for depth in [2, 4] {
-            assert_eq!(
-                stream(depth),
-                stream_serial,
-                "seed {seed}: streaming overlap {depth} diverged from serial"
-            );
-        }
-    }
-}
-
 #[test]
 fn seeded_faults_over_well_formed_traces_stay_typed() {
     // Perturb the well-formed corpus file under 64 deterministic fault

@@ -10,7 +10,7 @@
 
 use autocheck_apps::hpccg;
 use autocheck_interp::{ExecOptions, Machine, NoHook, WriterSink};
-use autocheck_trace::{binary, AnalysisCtx, ParallelConfig, TraceSource};
+use autocheck_trace::{binary, AnalysisCtx, TraceSource};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -59,22 +59,6 @@ fn bench_binary_ingest(c: &mut Criterion) {
     group.bench_function("binary-decode", |b| {
         b.iter(|| {
             let recs = TraceSource::from_bytes(black_box(&bin))
-                .records()
-                .expect("decodes");
-            black_box(recs.len())
-        })
-    });
-
-    // Parallel decode over record-aligned chunks (the binary counterpart of
-    // the parallel-parse bench).
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2);
-    group.throughput(Throughput::Bytes(bin.len() as u64));
-    group.bench_function(format!("binary-decode-par{threads}"), |b| {
-        b.iter(|| {
-            let recs = TraceSource::from_bytes(black_box(&bin))
-                .parallel(ParallelConfig { threads })
                 .records()
                 .expect("decodes");
             black_box(recs.len())

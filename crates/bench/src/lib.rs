@@ -5,7 +5,7 @@
 //! | binary      | paper artifact | what it prints |
 //! |-------------|----------------|----------------|
 //! | `table2`    | Table II       | per-benchmark LOC, trace size/time, critical variables with dependency types, MCLR |
-//! | `table3`    | Table III      | per-benchmark analysis-time breakdown, serial vs parallel pre-processing |
+//! | `table3`    | Table III      | per-benchmark analysis-time breakdown, batch vs streaming, serial vs `--jobs` sessions |
 //! | `table4`    | Table IV       | per-benchmark checkpoint storage: BLCR whole-image vs AutoCheck |
 //! | `validate`  | §VI-B          | restart success + false-positive sweep |
 //!

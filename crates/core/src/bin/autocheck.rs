@@ -9,30 +9,37 @@
 //!
 //! ```text
 //! autocheck <trace-file> --function main --start 13 --end 21 \
-//!     [--index it,step] [--threads N] [--shards N] [--overlap N] [--dot out.dot] \
-//!     [--collect arithmetic] [--stream] [--max-live-records N] [--untrusted-trace] \
+//!     [--index it,step] [--dot out.dot] [--collect arithmetic] [--stream] \
+//!     [--max-live-records N] [--untrusted-trace] [--metrics out.json]
+//! autocheck --batch <manifest> [--jobs N] [--stream] [--untrusted-trace] \
 //!     [--metrics out.json]
-//! autocheck --batch <manifest> [--jobs N] [--shards N] [--overlap N] [--stream] \
-//!     [--untrusted-trace] [--metrics out.json]
 //! ```
 //!
-//! Every analysis is one pass of the bounded-memory streaming engine: the
-//! file is pulled chunk by chunk and per-iteration analysis state is
-//! retired at iteration boundaries, so a run holds the live window, not the
-//! trace. The default mode prints the Table III timing footer. `--stream`
-//! prints the same report with a footer showing the peak live-record
-//! count, so the memory bound is observable; `--max-live-records N` turns
-//! that bound into a hard limit (exceeding it is an error, not an OOM).
+//! Every analysis is one serial pass of the bounded-memory streaming
+//! engine: the file is pulled chunk by chunk and per-iteration analysis
+//! state is retired at iteration boundaries, so a run holds the live
+//! window, not the trace. The default mode prints the Table III timing
+//! footer. `--stream` prints the same report with a footer showing the
+//! peak live-record count, so the memory bound is observable;
+//! `--max-live-records N` turns that bound into a hard limit (exceeding it
+//! is an error, not an OOM).
 //! Both modes fail with the same diagnostic. `--dot` renders the
 //! contracted DDG: by default it re-reads the trace and folds it through
 //! the staged batch passes (their node numbering); with `--stream` the
 //! engine contracts its own frozen DDG at finish (the graph is
 //! program-bounded, so the memory story is unchanged).
 //!
-//! `--batch <manifest>` runs many analyses concurrently, each in its own
-//! session (own symbol space, own seeded hashers when `--untrusted-trace`
-//! is set), on `--jobs N` worker threads. Each manifest line names one
-//! analysis:
+//! `--batch <manifest>` runs many analyses, each in its own session (own
+//! symbol space, own seeded hashers when `--untrusted-trace` is set), on
+//! `--jobs N` worker threads (default 1). `--jobs` is the tool's only
+//! concurrency: one trace is always analyzed serially. The paper's §V-A
+//! parallel trace parsing is deliberately not reproduced — on the hosts
+//! measured, every way of splitting one trace across threads (a chunked
+//! parse, iteration-aligned shards, decode-ahead overlap) was slower than
+//! the serial pass and most held the whole trace in memory, while
+//! `--jobs 2` over several traces ran 1.5–2.0× faster. `--threads`,
+//! `--shards` and `--overlap` are usage errors. Each manifest line names
+//! one analysis:
 //!
 //! ```text
 //! # trace-file  function  start  end  [index,vars]
@@ -53,30 +60,6 @@
 //! one-line `error:` diagnostic and a nonzero exit, never an OOM; in
 //! `--batch` mode the limits apply per session, so one tenant tripping its
 //! quota cannot disturb the other sessions' reports.
-//!
-//! `--shards N` splits the trace into at most `N` iteration-aligned shards
-//! analyzed on worker threads and deterministically merged — the report and
-//! DOT output are byte-identical to a serial run. `0` = auto uses one shard
-//! per available core; `--shards 1` forces the serial path. Left unset, it
-//! is serial in every mode: a sharded run reads the whole file into
-//! memory, giving up the live-window bound.
-//! Works in batch, `--stream`, and `--batch` manifest modes; binary traces
-//! carrying the v2 iteration-index footer shard without a planning
-//! pre-scan. Resource ceilings still apply to the merged session state.
-//!
-//! `--overlap N` overlaps trace ingest with analysis: the file is read and
-//! decoded on background threads, `N` record batches ahead of the fold,
-//! through a bounded channel and a recycled buffer pool (file ingest stays
-//! O(window) resident). Reports, DOT and exit codes are byte-identical to
-//! serial at every depth; only the wall clock changes. `0` = auto picks a
-//! depth from the core count (single-CPU hosts short-circuit to the serial
-//! path) and `--overlap 1` forces serial. Left unset, it is serial in
-//! every mode. Composes with `--shards` (overlap feeds the
-//! materialization in front of the sharded fold) and works in batch,
-//! `--stream`, and `--batch` modes.
-//!
-//! Neither pays on a 2-vCPU host: measured end to end, decode-ahead gave a
-//! 0.87–0.96× speedup over serial and sharding 0.96–1.02×.
 //!
 //! `--metrics <file|->` turns on the observability layer: the session runs
 //! with a metrics registry (counters, gauges, stage timers, histograms)
@@ -100,7 +83,6 @@ struct Args {
     start: u32,
     end: u32,
     index: Vec<String>,
-    threads: usize,
     dot: Option<String>,
     collect: CollectMode,
     stream: bool,
@@ -110,24 +92,32 @@ struct Args {
     batch: Option<String>,
     jobs: usize,
     metrics: Option<String>,
-    shards: usize,
-    overlap: usize,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: autocheck <trace-file> --function <name> --start <line> --end <line>\n\
-         \x20                [--index v1,v2] [--threads N] [--shards N] [--overlap N] [--dot <file>]\n\
-         \x20                [--collect any|arithmetic] [--stream] [--max-live-records N]\n\
+         \x20                [--index v1,v2] [--dot <file>] [--collect any|arithmetic]\n\
+         \x20                [--stream] [--max-live-records N] [--untrusted-trace]\n\
+         \x20                [--metrics <file|->] [--limit <kind>=<N>]...\n\
+         \x20      autocheck --batch <manifest> [--jobs N] [--stream]\n\
          \x20                [--untrusted-trace] [--metrics <file|->] [--limit <kind>=<N>]...\n\
-         \x20      autocheck --batch <manifest> [--jobs N] [--shards N] [--overlap N] [--stream]\n\
-         \x20                [--untrusted-trace] [--metrics <file|->] [--limit <kind>=<N>]...\n\
-         \x20                (--shards: iteration-aligned trace shards; 0 = auto, 1 = serial)\n\
-         \x20                (--overlap: decode-ahead ingest depth; 0 = auto, 1 = serial)\n\
-         \x20                (both default to serial)\n\
+         \x20                (one trace is analyzed serially; --jobs N analyzes N manifest\n\
+         \x20                 traces at a time, default 1)\n\
          \x20                (manifest lines: <trace-file> <function> <start> <end> [index,vars])\n\
          \x20                (--limit kinds: trace-records, trace-bytes, symbols, arena-bytes,\n\
          \x20                 ddg-nodes, ddg-edges, live-records; repeatable, applies per session)"
+    );
+    std::process::exit(2)
+}
+
+/// A removed single-trace concurrency flag: a usage error naming the one
+/// concurrency the tool has.
+fn removed_flag(flag: &str) -> ! {
+    eprintln!(
+        "error: {flag} was removed: serial is the only single-trace mode; \
+         to analyze several traces concurrently, list them in a --batch manifest \
+         and pass --jobs N"
     );
     std::process::exit(2)
 }
@@ -139,8 +129,6 @@ fn parse_args() -> Args {
     let mut function_set = false;
     let (mut start, mut end) = (0u32, 0u32);
     let mut index = Vec::new();
-    let mut threads = 1usize;
-    let mut threads_set = false;
     let mut dot = None;
     let mut collect = CollectMode::AnyAccess;
     let mut stream = false;
@@ -150,9 +138,6 @@ fn parse_args() -> Args {
     let mut batch = None;
     let mut jobs = 1usize;
     let mut metrics = None;
-    // Unset: serial (see `concurrency`).
-    let mut shards = None;
-    let mut overlap = None;
     while let Some(a) = args.next() {
         let mut take = || args.next().unwrap_or_else(|| usage());
         match a.as_str() {
@@ -163,10 +148,7 @@ fn parse_args() -> Args {
             "--start" | "-s" => start = take().parse().unwrap_or_else(|_| usage()),
             "--end" | "-e" => end = take().parse().unwrap_or_else(|_| usage()),
             "--index" | "-i" => index = take().split(',').map(|s| s.trim().to_string()).collect(),
-            "--threads" | "-t" => {
-                threads = take().parse().unwrap_or_else(|_| usage());
-                threads_set = true;
-            }
+            "--threads" | "-t" | "--shards" | "--overlap" => removed_flag(&a),
             "--dot" => dot = Some(take()),
             "--collect" => {
                 collect = match take().as_str() {
@@ -188,8 +170,6 @@ fn parse_args() -> Args {
                 }
             },
             "--metrics" => metrics = Some(take()),
-            "--shards" => shards = Some(take().parse().unwrap_or_else(|_| usage())),
-            "--overlap" => overlap = Some(take().parse().unwrap_or_else(|_| usage())),
             "--batch" => batch = Some(take()),
             "--jobs" | "-j" => jobs = take().parse().unwrap_or_else(|_| usage()),
             "--help" | "-h" => usage(),
@@ -197,8 +177,6 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    let shards = concurrency(shards);
-    let overlap = concurrency(overlap);
     if let Some(batch) = batch {
         if trace.is_some()
             || start != 0
@@ -206,12 +184,11 @@ fn parse_args() -> Args {
             || dot.is_some()
             || function_set
             || !index.is_empty()
-            || threads_set
         {
             eprintln!(
                 "error: --batch takes every per-analysis setting from the manifest; \
-                 positional trace, --function, --start/--end, --index, --threads and \
-                 --dot do not apply"
+                 positional trace, --function, --start/--end, --index and --dot do not \
+                 apply"
             );
             std::process::exit(2);
         }
@@ -221,7 +198,6 @@ fn parse_args() -> Args {
             start,
             end,
             index,
-            threads,
             dot: None,
             collect,
             stream,
@@ -231,8 +207,6 @@ fn parse_args() -> Args {
             batch: Some(batch),
             jobs,
             metrics,
-            shards,
-            overlap,
         };
     }
     let Some(trace) = trace else { usage() };
@@ -244,17 +218,12 @@ fn parse_args() -> Args {
         eprintln!("error: --max-live-records only applies to --stream mode");
         std::process::exit(2);
     }
-    if threads_set && stream {
-        eprintln!("error: --threads does not apply to --stream mode (single online pass)");
-        std::process::exit(2);
-    }
     Args {
         trace,
         function,
         start,
         end,
         index,
-        threads,
         dot,
         collect,
         stream,
@@ -264,17 +233,7 @@ fn parse_args() -> Args {
         batch: None,
         jobs,
         metrics,
-        shards,
-        overlap,
     }
-}
-
-/// `--shards` or `--overlap` as given, or 1 (serial) when unset, in every
-/// mode; an explicit 0 still means auto. More than one shard reads the
-/// whole trace into memory, which gives up the live-window bound, and on a
-/// 2-vCPU host neither sharding nor decode-ahead pays.
-fn concurrency(flag: Option<usize>) -> usize {
-    flag.unwrap_or(1)
 }
 
 /// Parse a batch manifest: one analysis per non-comment line, formatted as
@@ -318,9 +277,7 @@ fn parse_manifest(path: &str, args: &Args) -> Result<Vec<autocheck_core::Analysi
         )
         .untrusted(args.untrusted)
         .streaming(args.stream)
-        .with_limits(args.limits)
-        .with_shards(args.shards)
-        .with_overlap(args.overlap);
+        .with_limits(args.limits);
         job.collect = args.collect;
         job.max_live_records = args.max_live_records;
         if let Some(ix) = fields.get(4) {
@@ -348,8 +305,8 @@ fn emit_metrics(path: &str, table: String, json: String) -> bool {
     true
 }
 
-/// `--batch`: run every manifest analysis in its own session, concurrently
-/// on `--jobs` workers, reporting peak-live and timings per session.
+/// `--batch`: run every manifest analysis in its own session, on `--jobs`
+/// workers, reporting peak-live and timings per session.
 fn run_batch(args: &Args, manifest: &str) -> ExitCode {
     let jobs = match parse_manifest(manifest, args) {
         Ok(j) => j,
@@ -417,8 +374,6 @@ fn run_streaming(args: &Args, region: &Region, ctx: &AnalysisCtx) -> ExitCode {
             collect: args.collect,
             max_live_records: args.max_live_records,
             contracted_dot: args.dot.is_some(),
-            shards: args.shards,
-            overlap: args.overlap,
             ..StreamConfig::default()
         })
         .with_ctx(ctx.clone());
@@ -519,10 +474,7 @@ fn main() -> ExitCode {
     let analyzer = Analyzer::new(region.clone())
         .with_index_vars(args.index.clone())
         .with_config(PipelineConfig {
-            parse_threads: args.threads,
             collect: args.collect,
-            shards: args.shards,
-            overlap: args.overlap,
             ..PipelineConfig::default()
         })
         .with_ctx(ctx.clone());
@@ -548,7 +500,6 @@ fn main() -> ExitCode {
         // contracted DDG from the frozen graph.
         let records = match autocheck_trace::TraceSource::from_path(&args.trace)
             .ctx(&ctx)
-            .overlap(args.overlap)
             .records()
         {
             Ok(r) => r,

@@ -84,6 +84,4 @@ pub use stream::{
 // alone, without a direct autocheck-stream dependency. The shared graph
 // core (one growable graph, one frozen CSR form, one DOT writer) likewise
 // surfaces here: `DdgAnalysis.graph` *is* a `CsrGraph`.
-pub use autocheck_stream::{
-    boundaries_from_annots, CsrGraph, DotWriter, Graph, VarStats, VarStatsBuilder,
-};
+pub use autocheck_stream::{CsrGraph, DotWriter, Graph, VarStats, VarStatsBuilder};

@@ -8,16 +8,15 @@ use autocheck_obs::GaugeId;
 use autocheck_trace::AnalysisCtx;
 
 /// Publish the session's interner gauges: distinct symbols in this
-/// session's space, and the process-wide arena footprint in bytes (the
-/// deliberate dedup leak, measured at last). Called by both pipelines as a
+/// session's space, and the string bytes that space owns. A session space
+/// books only its own bytes, whatever other sessions are live; the global
+/// space books its process-lifetime table. Called by both pipelines as a
 /// session finishes; idempotent.
 pub fn note_session_symbols(ctx: &AnalysisCtx) {
     let m = ctx.metrics();
-    m.gauge_set(GaugeId::Symbols, ctx.space().len() as u64);
-    m.gauge_set(
-        GaugeId::ArenaBytes,
-        autocheck_trace::intern::arena_bytes() as u64,
-    );
+    let space = ctx.space();
+    m.gauge_set(GaugeId::Symbols, space.len() as u64);
+    m.gauge_set(GaugeId::ArenaBytes, space.owned_bytes() as u64);
 }
 
 /// Snapshot the session's registry into a named [`Ledger`] (all-zero when
@@ -47,6 +46,33 @@ mod tests {
             "arena holds at least the strings just interned"
         );
         assert_eq!(ledger.name, "t");
+    }
+
+    #[test]
+    fn live_sessions_book_only_their_own_arena_bytes() {
+        // Two sessions live at once, with disjoint symbol sets of different
+        // sizes: each ledger carries its own space's bytes, not the
+        // process-wide total.
+        let a = AnalysisCtx::session().with_metrics(Metrics::enabled());
+        let b = AnalysisCtx::session().with_metrics(Metrics::enabled());
+        let a_syms = ["observe_own_bytes_a1", "observe_own_bytes_a2"];
+        let b_syms = [
+            "observe_own_bytes_b1",
+            "observe_own_bytes_b2",
+            "observe_own_b3",
+        ];
+        for s in a_syms {
+            a.intern(s);
+        }
+        for s in b_syms {
+            b.intern(s);
+        }
+        let bytes = |syms: &[&str]| syms.iter().map(|s| s.len() as u64).sum::<u64>();
+        let (la, lb) = (capture_ledger("a", &a), capture_ledger("b", &b));
+        assert_eq!(la.gauge(GaugeId::ArenaBytes).0, bytes(&a_syms));
+        assert_eq!(lb.gauge(GaugeId::ArenaBytes).0, bytes(&b_syms));
+        assert_eq!(la.gauge(GaugeId::Symbols).0, 2);
+        assert_eq!(lb.gauge(GaugeId::Symbols).0, 3);
     }
 
     #[test]

@@ -14,41 +14,23 @@ use crate::ddg::{DdgAnalysis, DdgOptions, RwKind};
 use crate::preprocess::{find_mli_vars_in, CollectMode};
 use crate::region::{Phase, Phases, Region};
 use crate::report::{DdgSummary, Report, Timings};
-use crate::stream::{Contraction, Drive, StreamAnalyzer, StreamConfig, StreamError};
+use crate::stream::{Contraction, StreamAnalyzer, StreamConfig, StreamError};
 use autocheck_obs::{GaugeId, TimerId};
 use autocheck_stream::VarStatsBuilder;
 use autocheck_trace::{AnalysisCtx, Record, ResourceLimits};
 use std::path::Path;
-use std::time::Instant;
 
 /// Tunables for the pipeline (defaults reproduce the paper's tool).
 ///
-/// Every setting at its default runs the trace through the streaming
-/// engine without holding it: records are materialized only for
-/// `parse_threads > 1` or `shards > 1` (and by `autocheck --dot`, which
-/// re-reads the trace to render the contracted DDG).
+/// Every run streams the trace through the engine without holding it; the
+/// paper's §V-A parallel trace parsing is deliberately not reproduced (the
+/// README's "Concurrency" section has the measurements).
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
     /// Occurrence-collection strictness (see [`CollectMode`]).
     pub collect: CollectMode,
     /// Selective trace iteration (paper §IV-B); `false` is the ablation.
     pub selective: bool,
-    /// Worker threads for trace parsing (paper §V-A, OpenMP). `1` =
-    /// serial; above 1 the trace is parsed into memory by the chunked
-    /// parser before the fold.
-    pub parse_threads: usize,
-    /// Iteration-aligned shards for the engine fold: `1` = serial, `0` =
-    /// one per available core, `N` = at most `N` workers. Any value
-    /// produces byte-identical reports — the plan degrades gracefully when
-    /// the loop has fewer iterations than requested shards. More than one
-    /// shard materializes the records.
-    pub shards: usize,
-    /// Decode-ahead depth for file and in-memory ingest: `1` = serial (the
-    /// default), `0` = auto (serial on single-core hosts), `n >= 2` = read
-    /// and decode on background threads, `n` record batches ahead. Reports
-    /// are byte-identical at every depth; see
-    /// [`autocheck_trace::resolve_overlap_depth`].
-    pub overlap: usize,
 }
 
 impl Default for PipelineConfig {
@@ -56,9 +38,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             collect: CollectMode::AnyAccess,
             selective: true,
-            parse_threads: 1,
-            shards: 1,
-            overlap: 1,
         }
     }
 }
@@ -69,11 +48,10 @@ impl Default for PipelineConfig {
 /// the main loop's location, and (from the IR loop pass) the loop's
 /// control variables.
 ///
-/// The analysis is one pass of the streaming engine, exactly as
+/// The analysis is one serial pass of the streaming engine, exactly as
 /// [`StreamAnalyzer`] runs it: the same report, the same memory bound. The
-/// trace is held in memory only when [`PipelineConfig::parse_threads`] or
-/// [`PipelineConfig::shards`] is above 1. [`analyze`](Self::analyze) pushes
-/// records the caller already holds.
+/// trace is never held in memory; [`analyze`](Self::analyze) pushes records
+/// the caller already holds.
 #[derive(Clone, Debug)]
 pub struct Analyzer {
     /// The main computation loop's location.
@@ -129,13 +107,12 @@ impl Analyzer {
         let unbounded = self.ctx.clone().with_limits(ResourceLimits::default());
         self.engine()
             .with_ctx(unbounded)
-            .run_records_with(records, None, Contraction::Count, Instant::now())
+            .run_records_with(records, Contraction::Count)
             .map(|run| run.report)
             .expect("an engine without ceilings cannot fail")
     }
 
-    /// Analyze a textual trace: parsing (serial or parallel per
-    /// [`PipelineConfig::parse_threads`]) is included in the pre-processing
+    /// Analyze a textual trace: parsing is included in the pre-processing
     /// time, like the paper's Table III.
     pub fn analyze_text(&self, text: &str) -> Result<Report, StreamError> {
         self.analyze_bytes(text.as_bytes())
@@ -146,14 +123,14 @@ impl Analyzer {
     /// configuration. Ingest time is included in the pre-processing time.
     pub fn analyze_path(&self, path: impl AsRef<Path>) -> Result<Report, StreamError> {
         self.engine()
-            .run_path_with(path.as_ref(), self.drive())
+            .run_path_with(path.as_ref(), Contraction::Count)
             .map(|run| run.report)
     }
 
     /// Analyze an in-memory trace in either format.
     pub fn analyze_bytes(&self, bytes: &[u8]) -> Result<Report, StreamError> {
         self.engine()
-            .run_bytes_with(bytes, self.drive())
+            .run_bytes_with(bytes, Contraction::Count)
             .map(|run| run.report)
     }
 
@@ -164,18 +141,9 @@ impl Analyzer {
             .with_config(StreamConfig {
                 collect: self.config.collect,
                 selective: self.config.selective,
-                shards: self.config.shards,
-                overlap: self.config.overlap,
                 ..StreamConfig::default()
             })
             .with_ctx(self.ctx.clone())
-    }
-
-    pub(crate) fn drive(&self) -> Drive {
-        Drive {
-            parse_threads: self.config.parse_threads,
-            contraction: Contraction::Count,
-        }
     }
 
     /// The staged reference analysis: region partitioning
@@ -185,8 +153,7 @@ impl Analyzer {
     /// each a separate pass over `records`. It shares the state machines
     /// with the engine but not the driver, so the parity suites compare
     /// two drivers; it also books the Table III `dependency` time the fused
-    /// pass cannot separate. Serial only; ignores [`PipelineConfig`] apart
-    /// from `collect` and `selective`.
+    /// pass cannot separate.
     #[doc(hidden)]
     pub fn analyze_staged(&self, records: &[Record]) -> Report {
         let m = self.ctx.metrics().clone();
@@ -431,12 +398,6 @@ int main() {
         let records = TraceSource::from_str(&text).records().unwrap();
         let from_records = analyzer.analyze(&records);
         assert_eq!(from_text.summary(), from_records.summary());
-
-        // Parallel parsing changes nothing.
-        let mut par = analyzer.clone();
-        par.config.parse_threads = 4;
-        let parallel = par.analyze_text(&text).unwrap();
-        assert_eq!(parallel.summary(), from_records.summary());
     }
 
     #[test]
@@ -462,41 +423,6 @@ int main() {
             })
             .analyze(&sink.records);
         assert_eq!(selective.summary(), exhaustive.summary());
-    }
-
-    #[test]
-    fn sharded_analysis_matches_serial() {
-        let module = autocheck_minilang::compile(FIG4).unwrap();
-        let mut machine =
-            autocheck_interp::Machine::new(&module, autocheck_interp::ExecOptions::default());
-        let mut sink = autocheck_interp::VecSink::default();
-        machine
-            .run(&mut sink, &mut autocheck_interp::NoHook)
-            .unwrap();
-        let region = Region::new("main", 13, 21);
-        let index = index_variables_of(&module, &region);
-        let serial = Analyzer::new(region.clone())
-            .with_index_vars(index.clone())
-            .analyze(&sink.records);
-        // 0 = auto; 64 exceeds the iteration count (graceful degradation).
-        for shards in [0usize, 2, 3, 8, 64] {
-            let out = Analyzer::new(region.clone())
-                .with_index_vars(index.clone())
-                .with_config(PipelineConfig {
-                    shards,
-                    ..PipelineConfig::default()
-                })
-                .analyze(&sink.records);
-            assert_eq!(out.summary(), serial.summary(), "{shards} shards");
-            assert_eq!(out.mli, serial.mli, "{shards} shards");
-            assert_eq!(out.skipped, serial.skipped, "{shards} shards");
-            assert_eq!(out.iterations, serial.iterations);
-            assert_eq!(out.records, serial.records);
-            assert_eq!(out.ddg.nodes, serial.ddg.nodes, "{shards} shards");
-            assert_eq!(out.ddg.edges, serial.ddg.edges, "{shards} shards");
-            assert_eq!(out.ddg.contracted_nodes, serial.ddg.contracted_nodes);
-            assert_eq!(out.ddg.contracted_edges, serial.ddg.contracted_edges);
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::pipeline::{index_variables_of, Analyzer, PipelineConfig};
 use crate::preprocess::CollectMode;
 use crate::region::{Phases, Region};
 use crate::report::{DepType, Report, Timings};
-use crate::stream::{StreamAnalyzer, StreamConfig};
+use crate::stream::{Contraction, StreamAnalyzer, StreamConfig};
 use autocheck_obs::ledger::{BatchLedger, Ledger};
 use autocheck_obs::{CounterId, GaugeId, Metrics, TimerId};
 use autocheck_trace::{AnalysisCtx, ResourceLimits, TraceSource};
@@ -62,9 +62,8 @@ pub struct AnalysisJob {
     /// Report as a streaming job: the session's peak live-record window,
     /// the [`max_live_records`](Self::max_live_records) bound, and the
     /// engine's own contracted DOT. Batch and streaming jobs run the same
-    /// engine pass; records are materialized only for `shards > 1`, and a
-    /// batch job's `dot` re-reads the trace to render the staged batch
-    /// numbering.
+    /// engine pass; a batch job's `dot` re-reads the trace to render the
+    /// staged batch numbering.
     pub stream: bool,
     /// Hard live-record bound for streaming jobs.
     pub max_live_records: Option<usize>,
@@ -75,16 +74,6 @@ pub struct AnalysisJob {
     /// Also render the contracted DDG as DOT (batch *and* streaming jobs —
     /// the streaming engine contracts its own frozen graph at finish).
     pub dot: bool,
-    /// Iteration-aligned shards for the analysis fold: `1` = serial, `0` =
-    /// one per available core, `N` = at most `N` workers. Output is
-    /// byte-identical to the serial fold; session resource ceilings still
-    /// apply to the merged state.
-    pub shards: usize,
-    /// Decode-ahead depth for trace-file ingest: `1` = serial, `0` = auto
-    /// (serial on single-core hosts), `n >= 2` = read and decode on
-    /// background threads, `n` record batches ahead of the fold. Output is
-    /// byte-identical to serial at every depth.
-    pub overlap: usize,
 }
 
 impl AnalysisJob {
@@ -102,8 +91,6 @@ impl AnalysisJob {
             max_live_records: None,
             limits: ResourceLimits::default(),
             dot: false,
-            shards: 1,
-            overlap: 1,
         }
     }
 
@@ -134,19 +121,6 @@ impl AnalysisJob {
     /// Render the contracted DDG as DOT.
     pub fn with_dot(mut self, yes: bool) -> AnalysisJob {
         self.dot = yes;
-        self
-    }
-
-    /// Shard this job's trace fold across cores (`0` = auto, `1` = serial).
-    pub fn with_shards(mut self, shards: usize) -> AnalysisJob {
-        self.shards = shards;
-        self
-    }
-
-    /// Decode the trace ahead of the fold on background threads (`0` =
-    /// auto, `1` = serial, `n >= 2` = `n` batches of lookahead).
-    pub fn with_overlap(mut self, overlap: usize) -> AnalysisJob {
-        self.overlap = overlap;
         self
     }
 }
@@ -414,46 +388,42 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
     // Every job is one run of the streaming engine. A batch job runs it
     // the way the batch front door does: the DDG is contracted for the
     // report, and the live-record bound (a streaming setting) is off.
-    let (engine, drive) = if job.stream {
+    let (engine, contraction) = if job.stream {
         let engine = StreamAnalyzer::new(job.region.clone())
             .with_config(StreamConfig {
                 collect: job.collect,
                 max_live_records: job.max_live_records,
                 contracted_dot: job.dot,
-                shards: job.shards,
-                overlap: job.overlap,
                 ..StreamConfig::default()
             })
             .with_ctx(ctx.clone());
-        let drive = engine.drive();
-        (engine, drive)
+        let contraction = engine.contraction();
+        (engine, contraction)
     } else {
         let batch = Analyzer::new(job.region.clone())
             .with_config(PipelineConfig {
                 collect: job.collect,
-                shards: job.shards,
-                overlap: job.overlap,
                 ..PipelineConfig::default()
             })
             .with_ctx(ctx.clone());
-        (batch.engine(), batch.drive())
+        (batch.engine(), Contraction::Count)
     };
     let trace_index = || job.index_vars.clone().unwrap_or_default();
 
-    // Trace jobs never materialize the trace (unless sharded): records
-    // flow from the source straight into the engine, interning every
-    // symbol into this session's space.
+    // Trace jobs never materialize the trace: records flow from the
+    // source straight into the engine, interning every symbol into this
+    // session's space.
     let (run, records) = match &job.input {
         JobInput::TracePath(path) => (
             engine
                 .with_index_vars(trace_index())
-                .run_path_with(std::path::Path::new(path), drive),
+                .run_path_with(std::path::Path::new(path), contraction),
             None,
         ),
         JobInput::TraceText(text) => (
             engine
                 .with_index_vars(trace_index())
-                .run_bytes_with(text.as_bytes(), drive),
+                .run_bytes_with(text.as_bytes(), contraction),
             None,
         ),
         JobInput::MiniLang(source) => {
@@ -473,12 +443,9 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
                 None => index_variables_of(&module, &job.region),
             };
             // The interpreter already produced the records; push them.
-            let run = engine.with_index_vars(index).run_records_with(
-                &sink.records,
-                None,
-                drive.contraction,
-                Instant::now(),
-            );
+            let run = engine
+                .with_index_vars(index)
+                .run_records_with(&sink.records, contraction);
             (run, Some(sink.records))
         }
     };
@@ -491,7 +458,6 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
             (Some(records), _) => records,
             (None, JobInput::TracePath(path)) => TraceSource::from_path(path)
                 .ctx(ctx)
-                .overlap(job.overlap)
                 .records()
                 .map_err(|e| e.to_string())?,
             (None, JobInput::TraceText(text)) => TraceSource::from_str(text)

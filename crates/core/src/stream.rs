@@ -22,20 +22,15 @@ use crate::preprocess::{CollectMode, MliVar};
 use crate::region::Region;
 use crate::report::{Report, Timings};
 use autocheck_obs::TimerId;
-use autocheck_stream::{
-    run_sharded, Engine, EngineConfig, EngineError, EngineOutcome, LiveBoundExceeded,
-};
-use autocheck_trace::{
-    resolve_overlap_depth, resolve_shard_count, AnalysisCtx, ParallelConfig, Record,
-    ResourceExceeded, TraceReadError, TraceSource,
-};
+use autocheck_stream::{Engine, EngineConfig, EngineError, LiveBoundExceeded};
+use autocheck_trace::{AnalysisCtx, Record, ResourceExceeded, TraceReadError, TraceSource};
 use std::fmt;
 use std::io;
 use std::path::Path;
 use std::time::Instant;
 
 /// Tunables for the streaming front door (defaults match the batch
-/// [`crate::PipelineConfig`] where the two overlap).
+/// [`crate::PipelineConfig`] where the two share a setting).
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
     /// Occurrence-collection strictness (see [`CollectMode`]).
@@ -48,19 +43,6 @@ pub struct StreamConfig {
     /// DOT ([`StreamRun::contracted_dot`]). The graph is bounded by the
     /// program, so this keeps the O(live window) memory story intact.
     pub contracted_dot: bool,
-    /// Iteration-aligned shards for the engine fold: `1` = serial, `0` =
-    /// one per available core, `N` = at most `N` workers. Sharded runs
-    /// produce byte-identical reports and DOT output, but materialize the
-    /// records (sharding is a wall-clock optimization for traces that fit
-    /// in memory; the O(live window) story belongs to the serial stream)
-    /// and enforce the live-record bound per shard rather than globally.
-    pub shards: usize,
-    /// Decode-ahead depth for reader/path inputs: `1` = serial (the
-    /// default), `0` = auto (serial on single-core hosts), `n >= 2` = read
-    /// and decode the trace on background threads, `n` record batches
-    /// ahead of the engine fold. Output is byte-identical to serial at
-    /// every depth; see [`autocheck_trace::resolve_overlap_depth`].
-    pub overlap: usize,
 }
 
 impl Default for StreamConfig {
@@ -70,8 +52,6 @@ impl Default for StreamConfig {
             selective: true,
             max_live_records: None,
             contracted_dot: false,
-            shards: 1,
-            overlap: 1,
         }
     }
 }
@@ -160,7 +140,8 @@ pub struct StreamRun {
     pub contracted_dot: Option<String>,
 }
 
-/// What the finish step does with the frozen DDG.
+/// What the finish step does with the frozen DDG — the one setting a
+/// front door adds to [`StreamConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Contraction {
     /// Leave it alone (a streaming run without contracted DOT).
@@ -170,14 +151,6 @@ pub(crate) enum Contraction {
     Count,
     /// Contract it and render the DOT ([`StreamConfig::contracted_dot`]).
     Render,
-}
-
-/// The per-run settings a front door adds to [`StreamConfig`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Drive {
-    /// Chunked-parse workers; above 1 the records are materialized first.
-    pub(crate) parse_threads: usize,
-    pub(crate) contraction: Contraction,
 }
 
 /// The streaming AutoCheck analyzer. Construction mirrors
@@ -224,16 +197,13 @@ impl StreamAnalyzer {
         self
     }
 
-    /// The settings [`StreamConfig`] implies for a run of this analyzer's
-    /// own entry points.
-    pub(crate) fn drive(&self) -> Drive {
-        Drive {
-            parse_threads: 1,
-            contraction: if self.config.contracted_dot {
-                Contraction::Render
-            } else {
-                Contraction::Skip
-            },
+    /// The contraction [`StreamConfig`] implies for a run of this
+    /// analyzer's own entry points.
+    pub(crate) fn contraction(&self) -> Contraction {
+        if self.config.contracted_dot {
+            Contraction::Render
+        } else {
+            Contraction::Skip
         }
     }
 
@@ -252,7 +222,7 @@ impl StreamAnalyzer {
     /// Open a push-based session: feed records in execution order, then
     /// [`StreamSession::finish`].
     pub fn session(&self) -> StreamSession {
-        self.session_with(self.drive().contraction)
+        self.session_with(self.contraction())
     }
 
     fn session_with(&self, contraction: Contraction) -> StreamSession {
@@ -269,166 +239,86 @@ impl StreamAnalyzer {
 
     /// Analyze already-materialized records through the streaming engine —
     /// the drop-in equivalent of [`crate::Analyzer::analyze`], used by the
-    /// equivalence tests. Honors [`StreamConfig::shards`].
+    /// equivalence tests.
     pub fn analyze(&self, records: &[Record]) -> Result<Report, StreamError> {
-        self.run_records(records, None).map(|run| run.report)
+        self.run_records(records).map(|run| run.report)
     }
 
-    /// Analyze materialized records, serial or sharded per
-    /// [`StreamConfig::shards`], returning the full [`StreamRun`].
-    ///
-    /// `boundaries` are iteration-start record indices when already known
-    /// (e.g. from the binary format's iteration-index footer); `None` lets
-    /// the sharded path run one region-tracker scan.
-    pub fn run_records(
-        &self,
-        records: &[Record],
-        boundaries: Option<&[u64]>,
-    ) -> Result<StreamRun, StreamError> {
-        self.run_records_with(
-            records,
-            boundaries,
-            self.drive().contraction,
-            Instant::now(),
-        )
+    /// Analyze materialized records, returning the full [`StreamRun`].
+    pub fn run_records(&self, records: &[Record]) -> Result<StreamRun, StreamError> {
+        self.run_records_with(records, self.contraction())
     }
 
-    /// [`run_records`](Self::run_records) with the report's ingest figure
-    /// counted from `started` (the start of materialization, when the
-    /// records were read for this run).
+    /// [`run_records`](Self::run_records) with the finish step's
+    /// `contraction`.
     pub(crate) fn run_records_with(
         &self,
         records: &[Record],
-        boundaries: Option<&[u64]>,
         contraction: Contraction,
-        started: Instant,
     ) -> Result<StreamRun, StreamError> {
         // The fold and the finish step resolve symbols (MLI names sort by
         // string) in the thread's current space: make it the session's.
         let _space = self.ctx.enter();
-        let shards = resolve_shard_count(self.config.shards);
-        if shards <= 1 {
-            let mut session = self.session_with(contraction);
-            session.started = Some(started);
-            for r in records {
-                session.push(r)?;
-            }
-            return Ok(session.finish());
+        let mut session = self.session_with(contraction);
+        session.started = Some(Instant::now());
+        for r in records {
+            session.push(r)?;
         }
-        let outcome = run_sharded(
-            &self.engine_config(),
-            &self.ctx,
-            records,
-            boundaries,
-            shards,
-        )?;
-        Ok(finish_outcome(
-            move || outcome,
-            &self.ctx,
-            &self.index_vars,
-            self.region.start_line,
-            self.config.max_live_records,
-            contraction,
-            started.elapsed(),
-        ))
+        Ok(session.finish())
     }
 
     /// Analyze a trace pulled from any reader (file, pipe, socket, …) with
     /// bounded buffering — the streaming equivalent of
     /// [`crate::Analyzer::analyze_text`].
-    pub fn analyze_read<R: io::Read + Send>(&self, reader: R) -> Result<Report, StreamError> {
+    pub fn analyze_read<R: io::Read>(&self, reader: R) -> Result<Report, StreamError> {
         self.run_read(reader).map(|run| run.report)
     }
 
     /// Like [`analyze_read`](Self::analyze_read), also returning the
-    /// live-window statistics. With [`StreamConfig::shards`] above 1 the
-    /// records are materialized first (see [`StreamConfig::shards`] for
-    /// the trade). With [`StreamConfig::overlap`] above 1 the trace is
-    /// read and decoded on background threads while the engine folds —
-    /// same output, decode wall overlapped away.
-    pub fn run_read<R: io::Read + Send>(&self, reader: R) -> Result<StreamRun, StreamError> {
-        self.run_source(TraceSource::from_reader(reader), None, self.drive())
+    /// live-window statistics.
+    pub fn run_read<R: io::Read>(&self, reader: R) -> Result<StreamRun, StreamError> {
+        self.run_source(TraceSource::from_reader(reader), self.contraction())
     }
 
     /// Analyze a trace file in either format, like
     /// [`run_read`](Self::run_read) over the opened file. A
     /// `trace-bytes` ceiling is checked against the file's length before
-    /// a byte is read. Sharded runs read the whole file, so a binary
-    /// trace's iteration-index footer plans the shards without a scan.
+    /// a byte is read.
     pub fn run_path(&self, path: impl AsRef<Path>) -> Result<StreamRun, StreamError> {
-        self.run_path_with(path.as_ref(), self.drive())
+        self.run_path_with(path.as_ref(), self.contraction())
     }
 
     pub(crate) fn run_path_with(
         &self,
         path: &Path,
-        drive: Drive,
+        contraction: Contraction,
     ) -> Result<StreamRun, StreamError> {
-        if resolve_shard_count(self.config.shards) > 1 {
-            let bytes = std::fs::read(path).map_err(TraceReadError::Io)?;
-            return self.run_bytes_with(&bytes, drive);
-        }
-        self.run_source(TraceSource::from_path(path), None, drive)
+        self.run_source(TraceSource::from_path(path), contraction)
     }
 
-    /// Analyze an in-memory trace in either format. Binary traces carrying
-    /// an iteration-index footer hand the shard planner its boundaries in
-    /// O(index) — no extra scan.
+    /// Analyze an in-memory trace in either format.
     pub fn run_bytes(&self, bytes: &[u8]) -> Result<StreamRun, StreamError> {
-        self.run_bytes_with(bytes, self.drive())
+        self.run_bytes_with(bytes, self.contraction())
     }
 
     pub(crate) fn run_bytes_with(
         &self,
         bytes: &[u8],
-        drive: Drive,
+        contraction: Contraction,
     ) -> Result<StreamRun, StreamError> {
-        let boundaries = if resolve_shard_count(self.config.shards) > 1 {
-            autocheck_trace::binary::iteration_index(bytes)
-                .ok()
-                .flatten()
-        } else {
-            None
-        };
-        self.run_source(TraceSource::from_bytes(bytes), boundaries.as_deref(), drive)
+        self.run_source(TraceSource::from_bytes(bytes), contraction)
     }
 
-    /// The one engine run every input funnels into. Records are
-    /// materialized only for more than one shard or parse thread; the
-    /// decode-ahead pipeline feeds the engine batch by batch; otherwise
-    /// records flow one at a time from the source into the engine.
+    /// The one engine run every input funnels into: records flow one at a
+    /// time from the source into the engine.
     fn run_source(
         &self,
         source: TraceSource<'_>,
-        boundaries: Option<&[u64]>,
-        drive: Drive,
+        contraction: Contraction,
     ) -> Result<StreamRun, StreamError> {
         let _space = self.ctx.enter();
-        // Overlap also accelerates the materialization in front of a
-        // sharded fold; the two compose.
-        let source = source.ctx(&self.ctx).overlap(self.config.overlap);
-        if resolve_shard_count(self.config.shards) > 1 || drive.parse_threads > 1 {
-            let started = Instant::now();
-            let records = source
-                .parallel(ParallelConfig {
-                    threads: drive.parse_threads,
-                })
-                .records()?;
-            return self.run_records_with(&records, boundaries, drive.contraction, started);
-        }
-        if resolve_overlap_depth(self.config.overlap) > 1 {
-            return source.overlapped(|batches| {
-                let mut session = self.session_with(drive.contraction);
-                while let Some(batch) = batches.next_batch() {
-                    for record in &batch? {
-                        session.push(record)?;
-                    }
-                }
-                Ok(session.finish())
-            })?;
-        }
-        let mut session = self.session_with(drive.contraction);
-        let mut records = source.stream()?;
+        let mut session = self.session_with(contraction);
+        let mut records = source.ctx(&self.ctx).stream()?;
         while let Some(record) = records.next_record() {
             session.push(record?)?;
         }
@@ -481,7 +371,9 @@ impl StreamSession {
         self.engine.records_seen()
     }
 
-    /// Finalize the analysis into a batch-identical [`Report`].
+    /// Finalize the analysis into a batch-identical [`Report`]:
+    /// classification, DDG contraction when the front door asks for it, and
+    /// report assembly.
     pub fn finish(self) -> StreamRun {
         // Everything up to here — parse, region partitioning, MLI
         // collection, dependency analysis — ran fused in the single online
@@ -491,108 +383,86 @@ impl StreamSession {
             .started
             .map(|t| t.elapsed())
             .unwrap_or(std::time::Duration::ZERO);
-        finish_outcome(
-            || self.engine.finish(),
-            &self.ctx,
-            &self.index_vars,
-            self.region_start,
-            self.live_bound,
-            self.contraction,
-            ingest,
-        )
-    }
-}
+        let ctx = &self.ctx;
+        // A caller-driven session may finish with no guard held.
+        let _space = ctx.enter();
+        let metrics = ctx.metrics().clone();
+        // The fused online pass is the streaming counterpart of
+        // pre-processing; the ledger books it there.
+        metrics.record_duration(TimerId::Preprocess, ingest);
+        // Finalization (retiring windows, freezing the graph) is booked
+        // inside the identify stage.
+        let t1 = Instant::now();
+        let outcome = self.engine.finish();
 
-/// The shared finish step: classification, contraction as `contraction`
-/// asks, and report assembly over an [`EngineOutcome`] — one
-/// implementation whether the outcome came from a serial [`StreamSession`]
-/// or a sharded merge. `outcome` is a closure so serial finalization
-/// (retiring windows, freezing the graph) is booked inside the identify
-/// stage, exactly as before.
-fn finish_outcome(
-    outcome: impl FnOnce() -> EngineOutcome,
-    ctx: &AnalysisCtx,
-    index_vars: &[String],
-    region_start: u32,
-    live_bound: Option<usize>,
-    contraction: Contraction,
-    ingest: std::time::Duration,
-) -> StreamRun {
-    // A caller-driven session may finish with no guard held.
-    let _space = ctx.enter();
-    let metrics = ctx.metrics().clone();
-    // The fused online pass is the streaming counterpart of
-    // pre-processing; the ledger books it there.
-    metrics.record_duration(TimerId::Preprocess, ingest);
-    let t1 = Instant::now();
-    let outcome = outcome();
+        // `MliVar` *is* the engine's entry type — no conversion, the same
+        // values flow into the report that the batch pipeline would build.
+        let mli: Vec<MliVar> = outcome.mli;
 
-    // `MliVar` *is* the engine's entry type — no conversion, the same
-    // values flow into the report that the batch pipeline would build.
-    let mli: Vec<MliVar> = outcome.mli;
+        // The exact selection the batch `classify` performs — same shared
+        // function, driven by the shared decision heuristics over the
+        // engine's folded statistics.
+        let (critical, skipped) =
+            crate::classify::select(&mli, &self.index_vars, self.region_start, ctx, |var| {
+                let stats = outcome
+                    .stats
+                    .get(&var.base_addr)
+                    .copied()
+                    .unwrap_or_default();
+                crate::classify::decide(&stats, var.size)
+            });
 
-    // The exact selection the batch `classify` performs — same shared
-    // function, driven by the shared decision heuristics over the
-    // engine's folded statistics.
-    let (critical, skipped) = crate::classify::select(&mli, index_vars, region_start, ctx, |var| {
-        let stats = outcome
-            .stats
-            .get(&var.base_addr)
-            .copied()
-            .unwrap_or_default();
-        crate::classify::decide(&stats, var.size)
-    });
+        let identify = t1.elapsed();
+        metrics.record_duration(TimerId::Identify, identify);
 
-    let identify = t1.elapsed();
-    metrics.record_duration(TimerId::Identify, identify);
-
-    // Streaming contraction (Algorithm 1 on the frozen CSR graph):
-    // available online for the first time because the engine's graph
-    // *is* the shared graph the batch pipeline contracts. Booked as the
-    // `contract` timing stage, exactly like the batch pipeline.
-    let mut ddg = crate::report::DdgSummary {
-        nodes: outcome.ddg.len(),
-        edges: outcome.ddg.edge_count(),
-        ..Default::default()
-    };
-    let mut contract = std::time::Duration::ZERO;
-    let contracted_dot = if contraction == Contraction::Skip {
-        None
-    } else {
-        let t = metrics.timed(TimerId::Contract);
-        let contracted = crate::contract::contract_for_mli_in(&outcome.ddg, &mli, &metrics);
-        contract = t.finish();
-        ddg.contracted_nodes = contracted.nodes.len();
-        ddg.contracted_edges = contracted.edges.len();
-        (contraction == Contraction::Render).then(|| contracted.to_dot())
-    };
-    if metrics.is_enabled() {
-        crate::observe::note_session_symbols(ctx);
-    }
-    StreamRun {
-        report: Report {
-            mli,
-            critical,
-            skipped,
-            iterations: outcome.iterations,
-            records: outcome.records,
-            timings: Timings {
-                preprocess: ingest,
-                dependency: std::time::Duration::ZERO,
-                identify,
-                contract,
+        // Streaming contraction (Algorithm 1 on the frozen CSR graph):
+        // available online for the first time because the engine's graph
+        // *is* the shared graph the batch pipeline contracts. Booked as the
+        // `contract` timing stage, exactly like the batch pipeline.
+        let mut ddg = crate::report::DdgSummary {
+            nodes: outcome.ddg.len(),
+            edges: outcome.ddg.edge_count(),
+            ..Default::default()
+        };
+        let mut contract = std::time::Duration::ZERO;
+        let contracted_dot = if self.contraction == Contraction::Skip {
+            None
+        } else {
+            let t = metrics.timed(TimerId::Contract);
+            let contracted = crate::contract::contract_for_mli_in(&outcome.ddg, &mli, &metrics);
+            contract = t.finish();
+            ddg.contracted_nodes = contracted.nodes.len();
+            ddg.contracted_edges = contracted.edges.len();
+            (self.contraction == Contraction::Render).then(|| contracted.to_dot())
+        };
+        if metrics.is_enabled() {
+            crate::observe::note_session_symbols(ctx);
+        }
+        StreamRun {
+            report: Report {
+                mli,
+                critical,
+                skipped,
+                iterations: outcome.iterations,
+                records: outcome.records,
+                timings: Timings {
+                    preprocess: ingest,
+                    dependency: std::time::Duration::ZERO,
+                    identify,
+                    contract,
+                },
+                ddg,
             },
-            ddg,
-        },
-        stats: StreamStats {
-            peak_live_records: outcome.peak_live_records,
-            live_bound,
-            // Derived from the one DdgSummary source so the stats can
-            // never desynchronize from the report.
-            ddg_nodes: ddg.nodes,
-            ddg_edges: ddg.edges,
-        },
-        contracted_dot,
+            stats: StreamStats {
+                peak_live_records: outcome.peak_live_records,
+                live_bound: self.live_bound,
+                // Derived from the one DdgSummary source so the stats can
+                // never desynchronize from the report.
+                ddg_nodes: ddg.nodes,
+                ddg_edges: ddg.edges,
+            },
+            contracted_dot,
+        }
     }
 }
 
@@ -745,76 +615,6 @@ int main() {
             .with_index_vars(index)
             .analyze_staged(&records);
         assert_reports_match(&batch, &stream);
-    }
-
-    #[test]
-    fn sharded_streaming_matches_serial() {
-        let (module, records) = fig4_records();
-        let region = Region::new("main", 13, 21);
-        let index = index_variables_of(&module, &region);
-        let serial = StreamAnalyzer::new(region.clone())
-            .with_index_vars(index.clone())
-            .with_config(StreamConfig {
-                contracted_dot: true,
-                ..StreamConfig::default()
-            })
-            .run_records(&records, None)
-            .expect("serial");
-        // 0 = auto, 64 exceeds the iteration count → graceful degradation.
-        for shards in [0usize, 2, 3, 4, 8, 64] {
-            let sharded = StreamAnalyzer::new(region.clone())
-                .with_index_vars(index.clone())
-                .with_config(StreamConfig {
-                    contracted_dot: true,
-                    shards,
-                    ..StreamConfig::default()
-                })
-                .run_records(&records, None)
-                .unwrap_or_else(|e| panic!("shards={shards}: {e}"));
-            assert_reports_match(&serial.report, &sharded.report);
-            assert_eq!(serial.report.ddg.nodes, sharded.report.ddg.nodes);
-            assert_eq!(serial.report.ddg.edges, sharded.report.ddg.edges);
-            assert_eq!(
-                serial.contracted_dot, sharded.contracted_dot,
-                "contracted DOT must be byte-identical at shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_run_bytes_reads_the_iteration_index_footer() {
-        let (module, records) = fig4_records();
-        let region = Region::new("main", 13, 21);
-        let index = index_variables_of(&module, &region);
-        let serial = StreamAnalyzer::new(region.clone())
-            .with_index_vars(index.clone())
-            .analyze(&records)
-            .expect("serial");
-
-        let analyzer = StreamAnalyzer::new(region)
-            .with_index_vars(index)
-            .with_config(StreamConfig {
-                shards: 4,
-                ..StreamConfig::default()
-            });
-        // Binary trace with the v2 iteration-index footer: the sharded
-        // reader plans directly from the footer, no pre-scan.
-        let bounds = {
-            use autocheck_stream::region::RegionTracker;
-            let mut tracker = RegionTracker::with_ctx(&analyzer.ctx, "main", 13, 21);
-            let annots: Vec<_> = records.iter().map(|r| tracker.annotate(r)).collect();
-            autocheck_stream::boundaries_from_annots(&annots)
-        };
-        assert!(!bounds.is_empty(), "fig4 must expose iteration boundaries");
-        let bytes = autocheck_trace::binary::to_bytes_with_index(&records, bounds, &analyzer.ctx);
-        let sharded = analyzer.run_bytes(&bytes).expect("sharded from footer");
-        assert_reports_match(&serial, &sharded.report);
-
-        // A plain v1 binary (no footer) still works: the planner falls back
-        // to an annotation pre-scan of the materialized records.
-        let plain = autocheck_trace::binary::to_bytes(&records, &analyzer.ctx);
-        let fallback = analyzer.run_bytes(&plain).expect("sharded without footer");
-        assert_reports_match(&serial, &fallback.report);
     }
 
     #[test]

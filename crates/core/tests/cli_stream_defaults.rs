@@ -1,13 +1,12 @@
-//! `autocheck` stays serial unless asked otherwise, in every mode. With
-//! `--shards` and `--overlap` unset, a run — default or `--stream`, alone
-//! or from a `--batch` manifest — books no sharded fold and no
-//! decode-ahead queue in its run ledger, and its live window peaks where
-//! an explicit `--stream --shards 1 --overlap 1` run's does. A default run
-//! is that same engine run: its report body equals the `--stream` one.
-//! Explicit values still engage both.
+//! One trace is always analyzed by one serial engine pass, in every mode.
+//! A default run and a `--stream` run, alone or from a `--batch` manifest,
+//! fold the same records and peak at the same live window, and a default
+//! run's report body equals the `--stream` one. The removed single-trace
+//! concurrency flags (`--threads`, `--shards`, `--overlap`) are usage
+//! errors that point at `--jobs`.
 
 use autocheck_obs::ledger::{BatchLedger, Ledger};
-use autocheck_obs::{CounterId, GaugeId, TimerId};
+use autocheck_obs::{CounterId, GaugeId};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -116,41 +115,24 @@ fn live_peak(l: &Ledger) -> u64 {
     l.gauge(GaugeId::LiveRecords).1
 }
 
-/// No sharded fold, no decode-ahead queue.
+/// The engine folded the trace. (Parsing the ledger already checked its
+/// schema version.)
 fn assert_serial(l: &Ledger, what: &str) {
     assert!(l.counter(CounterId::EngineRecords) > 0, "{what}: ran");
-    assert_eq!(
-        l.counter(CounterId::ShardRecords),
-        0,
-        "{what}: shard.records"
-    );
-    assert_eq!(l.timer(TimerId::ShardWall), (0, 0), "{what}: shard.wall");
-    assert_eq!(
-        l.gauge(GaugeId::IngestDepth).1,
-        0,
-        "{what}: ingest.depth peak"
-    );
 }
 
 #[test]
 fn default_stream_is_serial() {
     let (dir, trace) = setup("single");
-    let default = stream_ledger(&dir, &trace, &[]);
-    let serial = stream_ledger(&dir, &trace, &["--shards", "1", "--overlap", "1"]);
-    assert_serial(&default, "default --stream");
-    assert_serial(&serial, "--shards 1 --overlap 1");
-    assert_eq!(live_peak(&default), live_peak(&serial));
+    let stream = stream_ledger(&dir, &trace, &[]);
+    let (_, default) = single(&dir, &trace, &[], &[]);
+    assert_serial(&stream, "--stream");
+    assert_serial(&default, "default run");
+    assert_eq!(live_peak(&stream), live_peak(&default));
     assert_eq!(
-        default.counter(CounterId::EngineRecords),
-        serial.counter(CounterId::EngineRecords)
+        stream.counter(CounterId::EngineRecords),
+        default.counter(CounterId::EngineRecords)
     );
-
-    // Explicit values behave as before, so the checks above can fail.
-    let sharded = stream_ledger(&dir, &trace, &["--shards", "2"]);
-    assert!(sharded.counter(CounterId::ShardRecords) > 0);
-    assert!(sharded.timer(TimerId::ShardWall).1 > 0);
-    let overlapped = stream_ledger(&dir, &trace, &["--overlap", "2"]);
-    assert!(overlapped.gauge(GaugeId::IngestDepth).1 > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -161,7 +143,7 @@ fn default_batch_stream_manifest_is_serial() {
     let line = format!("{} main 16 24 it\n", trace.display());
     std::fs::write(&manifest, line.repeat(2)).expect("write manifest");
     let manifest = manifest.to_str().expect("utf-8 path");
-    let serial = stream_ledger(&dir, &trace, &["--shards", "1", "--overlap", "1"]);
+    let serial = stream_ledger(&dir, &trace, &[]);
     let batch = BatchLedger::from_json(&run(&dir, &["--batch", manifest, "--stream"]).1)
         .expect("batch ledger");
     assert_eq!(batch.sessions.len(), 2);
@@ -176,12 +158,7 @@ fn default_batch_stream_manifest_is_serial() {
 fn default_run_is_the_serial_engine() {
     let (dir, trace) = setup("default");
     let (default_out, default) = single(&dir, &trace, &[], &[]);
-    let (stream_out, stream) = single(
-        &dir,
-        &trace,
-        &["--stream"],
-        &["--shards", "1", "--overlap", "1"],
-    );
+    let (stream_out, stream) = single(&dir, &trace, &["--stream"], &[]);
     assert_serial(&default, "default run");
     assert_eq!(live_peak(&default), live_peak(&stream));
     assert_eq!(
@@ -200,23 +177,51 @@ fn default_batch_manifest_is_the_serial_engine() {
     let line = format!("{} main 16 24 it\n", trace.display());
     std::fs::write(&manifest, line.repeat(2)).expect("write manifest");
     let manifest = manifest.to_str().expect("utf-8 path");
-    let (stream_out, stream) = single(
-        &dir,
-        &trace,
-        &["--stream"],
-        &["--shards", "1", "--overlap", "1"],
-    );
+    let (default_out, default) = single(&dir, &trace, &[], &[]);
     let (stdout, ledger) = run(&dir, &["--batch", manifest]);
     let batch = BatchLedger::from_json(&ledger).expect("batch ledger");
     assert_eq!(batch.sessions.len(), 2);
     for (i, session) in batch.sessions.iter().enumerate() {
         assert_serial(session, &format!("--batch session {i}"));
-        assert_eq!(live_peak(session), live_peak(&stream));
+        assert_eq!(live_peak(session), live_peak(&default));
     }
     let sections = batch_sections(&stdout);
     assert_eq!(sections.len(), 2);
     for section in &sections {
-        assert_eq!(body(section), body(&stream_out));
+        assert_eq!(body(section), body(&default_out));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn removed_concurrency_flags_are_usage_errors() {
+    let (dir, trace) = setup("removed-flags");
+    let manifest = dir.join("manifest.txt");
+    std::fs::write(&manifest, format!("{} main 16 24 it\n", trace.display()))
+        .expect("write manifest");
+    let trace = trace.to_str().expect("utf-8 path");
+    let manifest = manifest.to_str().expect("utf-8 path");
+    let mut single: Vec<&str> = vec![trace];
+    single.extend(REGION);
+    let batch = ["--batch", manifest];
+    for flag in [
+        ["--threads", "2"],
+        ["-t", "2"],
+        ["--shards", "2"],
+        ["--overlap", "2"],
+    ] {
+        for base in [&single[..], &batch[..]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_autocheck"))
+                .args(base)
+                .args(flag)
+                .output()
+                .expect("autocheck runs");
+            let what = format!("{base:?} {flag:?}");
+            assert_eq!(out.status.code(), Some(2), "{what}: exit status");
+            assert!(out.stdout.is_empty(), "{what}: wrote to stdout");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("--jobs"), "{what}: {stderr}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,7 @@
 //!
 //! `SymId` values depend on first-come interning order, so ids must never
 //! leak into anything user-visible. Within one process the table is shared
-//! (serial and parallel parses of the same trace see the same ids), so the
+//! (every parse of the same trace sees the same ids), so the
 //! targeted guard is [`renamed_program_reports_are_renamed_reports`]: it
 //! interns a renamed identifier set in **reverse lexicographic order** —
 //! forcing numeric id order and string order to disagree — and asserts the
@@ -16,7 +16,7 @@ use autocheck_core::{
     contract_ddg, find_mli_vars, index_variables_of, Analyzer, CollectMode, DdgAnalysis, NodeKind,
     Phases, Region, StreamAnalyzer,
 };
-use autocheck_trace::{writer, ParallelConfig, Record, TraceSource};
+use autocheck_trace::{writer, Record, TraceSource};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -62,25 +62,21 @@ fn visible_output(records: &[Record], region: &Region, index: &[String]) -> Stri
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Serial and parallel parsing must yield identical records and
-    /// byte-identical rendered output (determinism guard; in-process the
-    /// two parses share the interner table, so the id-order property is
-    /// covered by the renaming test below).
+    /// In-memory and windowed reader parsing must yield identical records
+    /// and byte-identical rendered output (determinism guard; in-process
+    /// the two parses share the interner table, so the id-order property
+    /// is covered by the renaming test below).
     #[test]
     fn output_bytes_identical_across_parse_modes(
         stmt_idx in vec(0usize..10, 1..7),
         m in 2u32..8,
-        threads in 2usize..5,
     ) {
         let (text, region, index) = traced(&stmt_idx, m);
         let serial = parse_str(&text).unwrap();
-        let parallel = TraceSource::from_str(&text)
-            .parallel(ParallelConfig { threads })
-            .records()
-            .unwrap();
-        prop_assert_eq!(&serial, &parallel, "records must be equal");
+        let windowed = TraceSource::from_reader(text.as_bytes()).records().unwrap();
+        prop_assert_eq!(&serial, &windowed, "records must be equal");
         let a = visible_output(&serial, &region, &index);
-        let b = visible_output(&parallel, &region, &index);
+        let b = visible_output(&windowed, &region, &index);
         prop_assert_eq!(a, b, "report/DOT bytes diverged across parse modes");
     }
 

@@ -15,10 +15,11 @@
 use crate::{CounterId, GaugeId, HistId, Metrics, TimerId, HIST_BUCKETS};
 use std::fmt::Write as _;
 
-/// Schema version stamped into every ledger object. Version 3 added the
-/// overlapped-ingest keys (`ingest.queue_wait`, `ingest.depth`,
-/// `ingest.buffer_bytes`).
-pub const LEDGER_VERSION: u64 = 3;
+/// Schema version stamped into every ledger object. Version 4 removed the
+/// sharded-analysis keys (`shard.records`, `shard.wall`, `shard.merge`)
+/// and the overlapped-ingest keys (`ingest.queue_wait`, `ingest.depth`,
+/// `ingest.buffer_bytes`) along with the modes that booked them.
+pub const LEDGER_VERSION: u64 = 4;
 
 /// `"ledger"` tag of a per-session object.
 pub const SESSION_TAG: &str = "autocheck.session";

@@ -6,7 +6,7 @@
 //! handle that rides on `AnalysisCtx` exactly like the session's
 //! `SymbolSpace` does. The paper's analyses run for hours on real HPC
 //! traces; knowing where the time and memory go — per stage, per session —
-//! is the input every future scheduling/sharding decision consumes.
+//! is the input every future scheduling decision consumes.
 //!
 //! Design constraints, in priority order:
 //!
@@ -101,9 +101,6 @@ metric_ids! {
         /// its configured `ResourceLimits` ceilings and was stopped with a
         /// typed error. The tripped axis is named in the error/diagnostic.
         LimitExceeded => "session.limit_exceeded",
-        /// Records analyzed (full mode, replay excluded) across the shards
-        /// of a sharded single-trace run; sums to `engine.records`.
-        ShardRecords => "shard.records",
     }
 }
 
@@ -126,20 +123,13 @@ metric_ids! {
         ContractedEdges => "ddg.contracted_edges",
         /// Distinct symbols interned by the session's space.
         Symbols => "intern.symbols",
-        /// Process-wide interner arena footprint in bytes (the PR 4 leak,
-        /// finally measured; grows with distinct-symbols-ever-seen).
+        /// String bytes the session's symbol space owns. For the default
+        /// (global) space that is the process-lifetime table, which only
+        /// grows.
         ArenaBytes => "intern.arena_bytes",
         /// Concurrently running sessions (service layer); peak is the
         /// realized parallelism.
         JobsInFlight => "batch.jobs_in_flight",
-        /// Record batches decoded ahead but not yet consumed in an
-        /// overlapped ingest pipeline; bounded by the configured overlap
-        /// depth plus the batches held by the producer and consumer.
-        IngestDepth => "ingest.depth",
-        /// Resident ingest buffer bytes (lookahead windows + pooled chunk
-        /// buffers); the peak is what path-based ingest keeps in memory
-        /// regardless of trace size.
-        IngestBufferBytes => "ingest.buffer_bytes",
     }
 }
 
@@ -171,16 +161,6 @@ metric_ids! {
         /// Whole-session wall clock (input acquisition + analysis +
         /// rendering).
         SessionWall => "batch.session_wall",
-        /// Per-worker wall clock of a sharded single-trace run (one span
-        /// per shard: replay fast-forward + full analysis of its range).
-        ShardWall => "shard.wall",
-        /// Deterministic state merge after a sharded run (fold of the
-        /// partial MLI/DDG/statistics state, in shard order).
-        ShardMerge => "shard.merge",
-        /// Time the consumer of a decode-ahead ingest pipeline spent
-        /// blocked waiting for the next record batch (distinct from
-        /// [`TimerId::QueueWait`], which is the service layer's job queue).
-        IngestQueueWait => "ingest.queue_wait",
     }
 }
 

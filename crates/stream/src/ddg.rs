@@ -110,25 +110,6 @@ impl DdgBuilder {
     /// Advance over one record, emitting the access event (if any) for the
     /// caller to fold into its per-variable statistics.
     pub fn observe(&mut self, r: &Record, a: StreamAnnot) -> Option<AccessEvent> {
-        self.observe_impl::<true>(r, a)
-    }
-
-    /// Advance in **replay mode**: maintain the resolution state
-    /// (`reg_var` bindings and the call stack) without growing the graph
-    /// or emitting events. A sharded worker fast-forwards through the
-    /// records preceding its shard this way, arriving at its shard start
-    /// with exactly the serial builder's resolution state while its graph
-    /// holds only the (preloaded) prefix — so shard-order merging
-    /// reproduces serial node numbering.
-    pub fn observe_replay(&mut self, r: &Record, a: StreamAnnot) {
-        self.observe_impl::<false>(r, a);
-    }
-
-    fn observe_impl<const FULL: bool>(
-        &mut self,
-        r: &Record,
-        a: StreamAnnot,
-    ) -> Option<AccessEvent> {
         if self.selective && !relevant_opcode(r.opcode) {
             return None;
         }
@@ -142,19 +123,12 @@ impl DdgBuilder {
                 // paper's "Mutable-register" resolution).
                 let res_name = res.name;
                 self.bind(res_name, (name, base));
-                if !FULL {
-                    return None;
-                }
                 let vn = self.graph.var_node(name, base);
                 let rn = self.graph.reg_node(res_name);
                 self.graph.add_edge(vn, rn);
                 event(r, a, base, ptr.value.as_ptr(), false)
             }
             opcodes::STORE => {
-                if !FULL {
-                    // Stores bind nothing: nothing to replay.
-                    return None;
-                }
                 let (Some(val), Some(ptr)) = (r.op1(), r.op2()) else {
                     return None;
                 };
@@ -174,11 +148,9 @@ impl DdgBuilder {
                 {
                     let res_name = res.name;
                     self.bind(res_name, (name, base));
-                    if FULL {
-                        let vn = self.graph.var_node(name, base);
-                        let rn = self.graph.reg_node(res_name);
-                        self.graph.add_edge(vn, rn);
-                    }
+                    let vn = self.graph.var_node(name, base);
+                    let rn = self.graph.reg_node(res_name);
+                    self.graph.add_edge(vn, rn);
                 }
                 None
             }
@@ -201,10 +173,6 @@ impl DdgBuilder {
                 || op == opcodes::SITOFP
                 || op == opcodes::FPTOSI =>
             {
-                if !FULL {
-                    // Arithmetic touches only the graph's reg-reg chains.
-                    return None;
-                }
                 // reg-reg map: link inputs to the result.
                 let res = r.result.as_ref()?;
                 let rn = self.graph.reg_node(res.name);
@@ -220,10 +188,7 @@ impl DdgBuilder {
                 let params: Vec<_> = r.params().collect();
                 if params.is_empty() {
                     // Form 1 (builtin): treat as arithmetic. Graph-only —
-                    // and no call-stack push in either mode.
-                    if !FULL {
-                        return None;
-                    }
+                    // and no call-stack push.
                     if let Some(res) = &r.result {
                         let rn = self.graph.reg_node(res.name);
                         for operand in r.positional().skip(1) {
@@ -242,12 +207,10 @@ impl DdgBuilder {
                             resolve(&self.reg_var, arg.name, arg.value.as_ptr())
                         {
                             self.reg_var.insert(param.name, (name, base));
-                            if FULL {
-                                let vn = self.graph.var_node(name, base);
-                                let pn = self.graph.reg_node(param.name);
-                                self.graph.add_edge(vn, pn);
-                            }
-                        } else if FULL && arg.is_reg && arg.name != Name::None {
+                            let vn = self.graph.var_node(name, base);
+                            let pn = self.graph.reg_node(param.name);
+                            self.graph.add_edge(vn, pn);
+                        } else if arg.is_reg && arg.name != Name::None {
                             // Scalar argument from a register: alias the
                             // parameter to the same register chain.
                             let an = self.graph.reg_node(arg.name);
@@ -263,11 +226,9 @@ impl DdgBuilder {
                 if let Some(pending) = self.call_stack.pop().flatten() {
                     if let Some(op) = r.op1() {
                         if op.is_reg && op.name != Name::None {
-                            if FULL {
-                                let from = self.graph.reg_node(op.name);
-                                let to = self.graph.reg_node(pending);
-                                self.graph.add_edge(from, to);
-                            }
+                            let from = self.graph.reg_node(op.name);
+                            let to = self.graph.reg_node(pending);
+                            self.graph.add_edge(from, to);
                             // Value flow: the caller's result register now
                             // carries whatever the returned register
                             // resolved to.
@@ -281,15 +242,6 @@ impl DdgBuilder {
             }
             _ => None,
         }
-    }
-
-    /// Fold a **later shard's** builder into this one: absorb its graph
-    /// (see [`Graph::absorb`] for the node-numbering determinism
-    /// argument). The resolution maps are not merged — they only matter
-    /// mid-stream, and each worker maintained its own by replaying the
-    /// preceding records.
-    pub fn absorb(&mut self, other: &DdgBuilder) {
-        self.graph.absorb(&other.graph);
     }
 }
 

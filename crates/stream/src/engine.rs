@@ -319,20 +319,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Fast-forward one record in *replay* mode: advance the region
-    /// tracker plus the binding/provenance state of the MLI collector and
-    /// DDG builder without recording any results. After replaying records
-    /// `0..k`, this engine observes record `k` exactly as a full engine
-    /// that pushed `0..k` would — which is what lets a shard worker start
-    /// mid-trace and still produce byte-identical output. Replay bypasses
-    /// statistics, access events, live-window accounting, resource
-    /// ceilings, and metrics entirely.
-    pub fn push_replay(&mut self, r: &Record) {
-        let a = self.region.annotate(r);
-        self.mli.observe_replay(r, a);
-        self.ddg.observe_replay(r, a);
-    }
-
     /// Live window entries currently held across all variables.
     pub fn live_records(&self) -> usize {
         self.live.value() as usize
@@ -380,53 +366,6 @@ impl Engine {
             ddg,
         }
     }
-
-    /// Extract this engine's partial state for a sharded run. Unlike
-    /// [`finish`](Engine::finish), nothing is flushed to the metrics
-    /// registry — [`crate::shard::merge_shard_states`] flushes the merged
-    /// totals exactly once for the whole run.
-    pub fn into_shard_state(self) -> EngineShardState {
-        let stats = self
-            .stats
-            .into_iter()
-            .map(|(base, b)| {
-                let first_elem = b.first_elem();
-                (base, b.finish(), first_elem)
-            })
-            .collect();
-        EngineShardState {
-            iterations: self.region.iterations(),
-            header_label: self.region.header_label(),
-            mli: self.mli,
-            ddg: self.ddg,
-            stats,
-            records: self.records,
-            access_events: self.access_events,
-            live: self.live,
-        }
-    }
-}
-
-/// One worker's partial state from a sharded run — everything
-/// [`crate::shard::merge_shard_states`] needs to fold the workers back
-/// into a single [`EngineOutcome`] byte-identical to a serial run.
-/// Produced by [`Engine::into_shard_state`].
-pub struct EngineShardState {
-    pub(crate) mli: MliCollector,
-    pub(crate) ddg: DdgBuilder,
-    /// Finished per-base statistics plus the first element address each
-    /// builder observed (the cross-shard `multi_elem` anchor — see
-    /// [`VarStatsBuilder::first_elem`]).
-    pub(crate) stats: Vec<(u64, VarStats, Option<u64>)>,
-    /// Iterations this worker's tracker counted over records `0..end`
-    /// (replay included) — the *last* shard's value is the serial total.
-    pub(crate) iterations: u32,
-    pub(crate) header_label: Option<SymId>,
-    /// Records analyzed in full mode (replay excluded), so shard records
-    /// sum to the serial total.
-    pub(crate) records: u64,
-    pub(crate) access_events: u64,
-    pub(crate) live: Gauge,
 }
 
 #[cfg(test)]

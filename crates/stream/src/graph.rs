@@ -147,26 +147,6 @@ impl Graph {
         find_in(&self.index, kind)
     }
 
-    /// Absorb another graph built over a **later shard of the same
-    /// trace**: intern `other`'s nodes here in their local-id order and
-    /// union the (remapped) edges.
-    ///
-    /// Determinism: both graphs were preloaded with the same node prefix,
-    /// and `other`'s fresh nodes appear in its table in first-intern order
-    /// — which, for iteration-aligned shards merged in shard order, *is*
-    /// the order the serial run would have interned them. Re-interning in
-    /// that order therefore reproduces the serial node numbering exactly,
-    /// so frozen adjacency and DOT output stay byte-identical.
-    pub fn absorb(&mut self, other: &Graph) {
-        let mut remap = Vec::with_capacity(other.nodes.len());
-        for kind in &other.nodes {
-            remap.push(self.node(*kind) as u32);
-        }
-        for &(p, c) in &other.edges {
-            self.add_edge(remap[p as usize] as usize, remap[c as usize] as usize);
-        }
-    }
-
     /// Compact into the immutable CSR form: adjacency in both directions,
     /// each slice sorted ascending. Consumes the graph — the node table
     /// and dense index move, so compaction allocates only the CSR arrays.

@@ -54,21 +54,14 @@ pub mod graph;
 pub mod mli;
 pub mod prov;
 pub mod region;
-pub mod shard;
 pub mod stats;
 
 pub use ddg::{AccessEvent, DdgBuilder};
-pub use engine::{
-    Engine, EngineConfig, EngineError, EngineOutcome, EngineShardState, LiveBoundExceeded,
-};
+pub use engine::{Engine, EngineConfig, EngineError, EngineOutcome, LiveBoundExceeded};
 pub use graph::{CsrGraph, DotWriter, Graph, NodeKind};
 pub use mli::{Collect, MliCollector, MliEntry};
 pub use prov::{relevant_opcode, resolve_alias, Provenance};
 pub use region::{Phase, RegionTracker, StreamAnnot};
-pub use shard::{
-    boundaries_from_annots, fold_ddg_sharded, iteration_boundaries, merge_shard_states,
-    merge_var_stats, run_planned, run_sharded,
-};
 pub use stats::{VarStats, VarStatsBuilder};
 // The dense node-id interner moved next to `NameMap` in `autocheck-trace`;
 // re-exported here for continuity.

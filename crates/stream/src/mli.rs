@@ -94,41 +94,23 @@ impl MliCollector {
         self.before.len() + self.inside.len()
     }
 
-    fn collect<const FULL: bool>(&mut self, key: VarKey, line: u32, is_before: bool) {
+    fn collect(&mut self, key: VarKey, line: u32, is_before: bool) {
         if is_before {
             self.before_by_base.entry(key.base).or_insert(key);
             self.before.entry(key).or_insert(line);
-        } else if FULL {
+        } else {
             self.inside.entry(key).or_insert(line);
         }
     }
 
     /// Advance the collector over one record.
     pub fn observe(&mut self, r: &Record, a: StreamAnnot) {
-        self.observe_impl::<true>(r, a)
-    }
-
-    /// Advance the collector in **replay mode**: maintain the resolution
-    /// state a later record depends on (pointer provenance, the part-A
-    /// `before` maps, arithmetic-register and loaded-from tracking) without
-    /// contributing any in-loop evidence (`inside`, `extent`,
-    /// `alloca_size`). A sharded worker fast-forwards through the records
-    /// preceding its shard this way, so its collector starts from exactly
-    /// the serial state while attributing findings only to its own range.
-    pub fn observe_replay(&mut self, r: &Record, a: StreamAnnot) {
-        self.observe_impl::<false>(r, a)
-    }
-
-    fn observe_impl<const FULL: bool>(&mut self, r: &Record, a: StreamAnnot) {
         self.prov.observe(r);
         if !a.region_level {
             // Challenge 1: bypass function-call intervals — no *new*
             // candidates here, but an address match against a part-A
             // variable still counts as an in-loop use.
-            if FULL
-                && a.phase == Phase::Inside
-                && matches!(r.opcode, opcodes::LOAD | opcodes::STORE)
-            {
+            if a.phase == Phase::Inside && matches!(r.opcode, opcodes::LOAD | opcodes::STORE) {
                 let ptr = if r.opcode == opcodes::LOAD {
                     r.op1()
                 } else {
@@ -153,9 +135,6 @@ impl MliCollector {
         let line = if r.src_line > 0 { r.src_line as u32 } else { 0 };
         match r.opcode {
             opcodes::ALLOCA => {
-                if !FULL {
-                    return;
-                }
                 if let (Some(size), Some(res)) =
                     (r.op1().and_then(|o| o.value.as_int()), r.result.as_ref())
                 {
@@ -171,15 +150,13 @@ impl MliCollector {
                     return;
                 };
                 let key = VarKey { name, base };
-                if FULL {
-                    if let Some(elem) = ptr.value.as_ptr() {
-                        let e = self.extent.entry(key).or_insert(8);
-                        *e = (*e).max(elem.saturating_sub(base) + 8);
-                    }
+                if let Some(elem) = ptr.value.as_ptr() {
+                    let e = self.extent.entry(key).or_insert(8);
+                    *e = (*e).max(elem.saturating_sub(base) + 8);
                 }
                 match self.mode {
                     Collect::AnyAccess => {
-                        self.collect::<FULL>(key, line, is_before);
+                        self.collect(key, line, is_before);
                     }
                     Collect::Arithmetic => {
                         // Defer: collected only when the loaded temp feeds
@@ -200,11 +177,9 @@ impl MliCollector {
                     return;
                 };
                 let key = VarKey { name, base };
-                if FULL {
-                    if let Some(elem) = ptr.value.as_ptr() {
-                        let e = self.extent.entry(key).or_insert(8);
-                        *e = (*e).max(elem.saturating_sub(base) + 8);
-                    }
+                if let Some(elem) = ptr.value.as_ptr() {
+                    let e = self.extent.entry(key).or_insert(8);
+                    *e = (*e).max(elem.saturating_sub(base) + 8);
                 }
                 let collect = match self.mode {
                     Collect::AnyAccess => true,
@@ -214,7 +189,7 @@ impl MliCollector {
                         .unwrap_or(false),
                 };
                 if collect {
-                    self.collect::<FULL>(key, line, is_before);
+                    self.collect(key, line, is_before);
                 }
             }
             op if (8..=25).contains(&op) || op == opcodes::ICMP || op == opcodes::FCMP => {
@@ -224,7 +199,7 @@ impl MliCollector {
                         .filter_map(|operand| self.loaded_from.get(operand.name).copied())
                         .collect();
                     for key in hits {
-                        self.collect::<FULL>(key, line, is_before);
+                        self.collect(key, line, is_before);
                     }
                 }
                 if let Some(res) = &r.result {
@@ -232,31 +207,6 @@ impl MliCollector {
                 }
             }
             _ => {}
-        }
-    }
-
-    /// Fold a **later shard's** collector into this one. Merged in shard
-    /// (= trace) order, the result matches the serial collector exactly:
-    ///
-    /// * `inside` keeps the *first* line collected (serial `or_insert`
-    ///   semantics — the earlier shard saw the earlier record);
-    /// * `extent` takes the per-key maximum (serial folds with `max`);
-    /// * `alloca_size` lets the later shard win (serial plain-insert
-    ///   semantics — a re-allocation overwrites);
-    /// * the part-A maps (`before`/`before_by_base`) are identical on both
-    ///   sides by construction — every worker covers the complete
-    ///   before-loop phase (shard 0 in full mode, the rest in replay) — so
-    ///   this collector's copies stand.
-    pub fn absorb(&mut self, other: MliCollector) {
-        for (key, line) in other.inside {
-            self.inside.entry(key).or_insert(line);
-        }
-        for (key, extent) in other.extent {
-            let e = self.extent.entry(key).or_insert(extent);
-            *e = (*e).max(extent);
-        }
-        for (key, size) in other.alloca_size {
-            self.alloca_size.insert(key, size);
         }
     }
 

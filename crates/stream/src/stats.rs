@@ -117,15 +117,6 @@ impl VarStatsBuilder {
         self.stats.read_after_loop = true;
     }
 
-    /// The first element address this builder observed, if any — the
-    /// anchor the `multi_elem` flag compares against. Sharded analysis
-    /// reads it to detect footprints that span shards: two shards can each
-    /// see a single (different) element, and only the cross-shard
-    /// comparison of first elements reveals the multi-element footprint.
-    pub fn first_elem(&self) -> Option<u64> {
-        self.first_elem
-    }
-
     /// Retire the current iteration's window into the running booleans and
     /// release its memory.
     fn retire_window(&mut self) {

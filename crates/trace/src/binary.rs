@@ -59,10 +59,13 @@
 //!   ..  4  index magic     repeated (backward parse)
 //! ```
 //!
-//! The footer makes shard planning ([`crate::shard`]) O(index): a seekable
-//! reader parses it straight off the end of the file, and the streaming
-//! reader consumes it after the declared records. Version-1 files carry no
-//! footer and remain byte-identical to what earlier writers emitted.
+//! Earlier releases wrote the footer to plan iteration-aligned shards
+//! without a scan; nothing reads the index any more, but version-2 files
+//! stay valid input. The zero-copy reader parses the footer straight off
+//! the end of the file, the streaming reader consumes it after the
+//! declared records, and both reject a malformed one. The writer emits
+//! version 1 (no footer) — only this module's tests still build version-2
+//! files.
 //!
 //! The writer is **buffered**: record bytes and the growing string table
 //! accumulate in memory and the complete file — header, then string table,
@@ -181,6 +184,7 @@ pub struct BinaryWriter<W: Write> {
     records: Vec<u8>,
     record_count: u64,
     /// Iteration boundaries to emit as a version-2 footer, when set.
+    #[cfg(test)]
     index: Option<Vec<u64>>,
 }
 
@@ -199,6 +203,7 @@ impl<W: Write> BinaryWriter<W> {
             sym_index: FxHashMap::default(),
             records: Vec::new(),
             record_count: 0,
+            #[cfg(test)]
             index: None,
         }
     }
@@ -208,8 +213,28 @@ impl<W: Write> BinaryWriter<W> {
     /// a new region iteration starts — strictly increasing, each within
     /// the records actually written (checked at `finish`, where the final
     /// record count is known).
-    pub fn set_iteration_index(&mut self, bounds: Vec<u64>) {
+    #[cfg(test)]
+    fn set_iteration_index(&mut self, bounds: Vec<u64>) {
         self.index = Some(bounds);
+    }
+
+    /// The iteration-index footer [`finish`](Self::finish) appends, checked
+    /// against the records written.
+    #[cfg(test)]
+    fn footer(&self) -> io::Result<Option<Vec<u8>>> {
+        let Some(bounds) = &self.index else {
+            return Ok(None);
+        };
+        check_boundaries(bounds, self.record_count, 0).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidInput, format!("iteration index: {e}"))
+        })?;
+        Ok(Some(encode_footer(bounds)))
+    }
+
+    /// Outside the tests the writer emits version-1 files: no footer.
+    #[cfg(not(test))]
+    fn footer(&self) -> io::Result<Option<Vec<u8>>> {
+        Ok(None)
     }
 
     fn file_sym(&mut self, id: SymId) -> io::Result<u32> {
@@ -301,30 +326,22 @@ impl<W: Write> BinaryWriter<W> {
     }
 
     /// Size of the complete file as buffered so far (header + string table
-    /// + records + any pending iteration-index footer), in bytes.
+    /// + records), in bytes.
     pub fn bytes_written(&self) -> u64 {
         let strtab: usize = self.strings.iter().map(|s| 2 + s.len()).sum();
-        let footer = self
-            .index
-            .as_ref()
-            .map(|b| INDEX_FRAME_BYTES + b.len() * 8)
-            .unwrap_or(0);
+        let footer = self.footer().ok().flatten().map_or(0, |f| f.len());
         (HEADER_BYTES + strtab + self.records.len() + footer) as u64
     }
 
-    /// Emit header, string table, records and (when set) the
-    /// iteration-index footer; flush; return the inner writer.
+    /// Emit header, string table and records; flush; return the inner
+    /// writer.
     pub fn finish(mut self) -> io::Result<W> {
-        if let Some(bounds) = &self.index {
-            check_boundaries(bounds, self.record_count, 0).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidInput, format!("iteration index: {e}"))
-            })?;
-        }
+        let footer = self.footer()?;
         let strtab_len: usize = self.strings.iter().map(|s| 2 + s.len()).sum();
         let strtab_len = u32::try_from(strtab_len).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidInput, "string table exceeds 4 GiB")
         })?;
-        let version = if self.index.is_some() {
+        let version = if footer.is_some() {
             VERSION_INDEXED
         } else {
             VERSION
@@ -342,8 +359,8 @@ impl<W: Write> BinaryWriter<W> {
         }
         self.out.write_all(&head)?;
         self.out.write_all(&self.records)?;
-        if let Some(bounds) = &self.index {
-            self.out.write_all(&encode_footer(bounds))?;
+        if let Some(footer) = &footer {
+            self.out.write_all(footer)?;
         }
         self.out.flush()?;
         Ok(self.out)
@@ -363,9 +380,13 @@ pub fn to_bytes(records: &[Record], ctx: &AnalysisCtx) -> Vec<u8> {
 }
 
 /// Like [`to_bytes`], with an iteration-index footer (version-2 file).
-/// Panics on an invalid index — callers computing boundaries from a real
-/// record scan cannot produce one.
-pub fn to_bytes_with_index(records: &[Record], bounds: Vec<u64>, ctx: &AnalysisCtx) -> Vec<u8> {
+/// Panics on an invalid index.
+#[cfg(test)]
+pub(crate) fn to_bytes_with_index(
+    records: &[Record],
+    bounds: Vec<u64>,
+    ctx: &AnalysisCtx,
+) -> Vec<u8> {
     let mut w = BinaryWriter::with_ctx(Vec::new(), ctx);
     for r in records {
         w.write_record(r).expect("in-memory binary encode");
@@ -471,6 +492,7 @@ fn parse_footer_tail(
 }
 
 /// Encode the iteration-index footer.
+#[cfg(test)]
 fn encode_footer(bounds: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(INDEX_FRAME_BYTES + bounds.len() * 8);
     out.extend_from_slice(&INDEX_MAGIC);
@@ -486,8 +508,9 @@ fn encode_footer(bounds: &[u64]) -> Vec<u8> {
 /// Read the iteration-index footer off a complete in-memory binary trace
 /// without decoding any record: `Ok(Some(...))` for version-2 files,
 /// `Ok(None)` for version-1 files (no footer). O(footer), no symbol
-/// interning — this is what shard planning calls first.
-pub fn iteration_index(bytes: &[u8]) -> Result<Option<Vec<u64>>, TraceReadError> {
+/// interning.
+#[cfg(test)]
+fn iteration_index(bytes: &[u8]) -> Result<Option<Vec<u64>>, TraceReadError> {
     let head: &[u8; HEADER_BYTES] = bytes
         .get(..HEADER_BYTES)
         .and_then(|b| b.try_into().ok())
@@ -660,9 +683,7 @@ fn decode_operand(
 }
 
 /// Byte length of the record starting at `bytes[at..]` without decoding it
-/// (header peek only) — the record-aligned analogue of the text format's
-/// `\n0,` boundary scan, used to cut parallel chunks and to size the
-/// streaming reader's next fill.
+/// (header peek only), used to size the streaming reader's next fill.
 fn record_len(bytes: &[u8], at: usize, base: u64) -> Result<usize, TraceReadError> {
     let h = bytes
         .get(at..at + RECORD_BYTES)
@@ -753,88 +774,6 @@ impl<'a> BinaryReader<'a> {
         let mut out = Vec::with_capacity(cap);
         for item in &mut self {
             out.push(item?);
-        }
-        Ok(out)
-    }
-
-    /// Decode every record with `threads` workers over record-aligned
-    /// chunks — the binary analogue of the text format's block-aligned
-    /// parallel parse. Record order equals serial order.
-    pub fn read_all_parallel(self, threads: usize) -> Result<Vec<Record>, TraceReadError> {
-        let threads = threads.max(1);
-        if threads == 1 {
-            return self.read_all();
-        }
-        // Phase 1: a header-peek walk cuts the record section into
-        // contiguous record-aligned ranges (over-decomposed, like the text
-        // chunker, so no worker holds the join hostage).
-        let target_chunks = threads * 8;
-        let body = &self.bytes[self.at..self.body_end];
-        let base = self.at as u64;
-        let mut bounds = vec![0usize];
-        let mut at = 0usize;
-        let mut n: u64 = 0;
-        let chunk_step = (body.len() / target_chunks.max(1)).max(1);
-        while n < self.record_count {
-            at += record_len(body, at, base)?;
-            n += 1;
-            if at >= bounds.len() * chunk_step && n < self.record_count {
-                bounds.push(at);
-            }
-        }
-        if at != body.len() {
-            return Err(berr(
-                base + at as u64,
-                "trailing bytes after the last record",
-            ));
-        }
-        bounds.push(at);
-        // Phase 2: decode each range on the worker pool.
-        let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
-        let syms = &self.syms;
-        let slots = std::sync::Mutex::new({
-            let mut v = Vec::new();
-            v.resize_with(ranges.len(), || None);
-            v
-        });
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(ranges.len()) {
-                let ranges = &ranges;
-                let next = &next;
-                let slots = &slots;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= ranges.len() {
-                        break;
-                    }
-                    let (start, end) = ranges[i];
-                    let mut part = Vec::new();
-                    let mut at = start;
-                    let mut res = Ok(());
-                    while at < end {
-                        match decode_record(body, at, base, syms) {
-                            Ok((rec, next_at)) => {
-                                part.push(rec);
-                                at = next_at;
-                            }
-                            Err(e) => {
-                                res = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                    slots.lock().expect("slots poisoned")[i] = Some(res.map(|()| part));
-                });
-            }
-        });
-        // SAFETY of the expects: the mutex is only poisoned if a worker
-        // panicked (decode_record returns typed errors, it does not panic
-        // on hostile bytes), and the claim loop above visits every index in
-        // `0..ranges.len()`, so each slot was filled exactly once.
-        let mut out = Vec::with_capacity(self.record_count as usize);
-        for slot in slots.into_inner().expect("slots poisoned") {
-            out.extend(slot.expect("every chunk decoded")?);
         }
         Ok(out)
     }
@@ -1240,20 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decode_matches_serial() {
-        let ctx = AnalysisCtx::session();
-        let recs = sample_records(&ctx);
-        let bytes = to_bytes(&recs, &ctx);
-        for threads in [1, 2, 3, 7] {
-            let par = BinaryReader::open(&bytes, &ctx)
-                .unwrap()
-                .read_all_parallel(threads)
-                .unwrap();
-            assert_eq!(recs, par, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn symbols_intern_exactly_once_at_open() {
         let ctx = AnalysisCtx::session();
         let recs = sample_records(&ctx);
@@ -1408,12 +1333,6 @@ mod tests {
         let reader = BinaryReader::open(&bytes, &ctx).unwrap();
         assert_eq!(reader.iteration_index(), Some(&bounds[..]));
         assert_eq!(reader.read_all().unwrap(), recs);
-        // Parallel decode ends at the footer, not the file end.
-        let par = BinaryReader::open(&bytes, &ctx)
-            .unwrap()
-            .read_all_parallel(3)
-            .unwrap();
-        assert_eq!(par, recs);
         // Streaming reader consumes and validates the footer, then EOF.
         let streamed: Vec<Record> = BinaryStreamReader::open(&bytes[..], &ctx)
             .unwrap()

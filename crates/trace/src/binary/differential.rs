@@ -148,7 +148,7 @@ enum Drain {
     Reference,
 }
 
-fn drain(how: Drain, input: Box<dyn Read + Send + '_>, ctx: &AnalysisCtx) -> Outcome {
+fn drain(how: Drain, input: Box<dyn Read + '_>, ctx: &AnalysisCtx) -> Outcome {
     let owned = |item: Result<Record, TraceReadError>| item.map_err(shown);
     match how {
         Drain::Lending => match BinaryStreamReader::open(input, ctx) {
@@ -181,7 +181,7 @@ fn check(
 ) -> Result<(), TestCaseError> {
     let run = |how: Drain| {
         let ctx = AnalysisCtx::session().with_limits(limits);
-        let input: Box<dyn Read + Send + '_> = match plan {
+        let input: Box<dyn Read + '_> = match plan {
             Some(plan) => Box::new(plan.clone().reader(bytes)),
             None => Box::new(bytes),
         };

@@ -16,7 +16,7 @@
 //!   runs pay nothing);
 //! * a **trust flag** recording that choice.
 //!
-//! Every component of the data plane (`TraceParser`, the parallel readers,
+//! Every component of the data plane (`TraceParser`, the trace readers,
 //! the interpreter's `Machine`, the streaming `Engine`, the batch and
 //! streaming analyzers) accepts a ctx at construction and resolves symbols
 //! through it from then on. [`AnalysisCtx::default`] addresses the global

@@ -79,8 +79,8 @@
 //! because no id ever crosses a space boundary.
 //!
 //! Determinism note: the numeric value of a [`SymId`] depends on
-//! first-come interning order, which differs between serial and parallel
-//! parses of the same trace. Ids therefore must never leak into output or
+//! first-come interning order, which differs between sessions, formats and
+//! interleaved analyses of the same trace. Ids therefore must never leak into output or
 //! into orderings that reach output — [`SymId`]'s `Ord` compares the
 //! *resolved strings* so that sorting by name stays byte-identical to the
 //! pre-interning code, and the property tests assert report/DOT
@@ -260,8 +260,9 @@ static SESSION_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// Current process-wide interned-string footprint in bytes (string payload
 /// only; map/set overhead is excluded): the monotonic global-space table
 /// plus the bytes owned by live session spaces. Not monotonic — dropping a
-/// session space reclaims its contribution. Published per session as the
-/// `intern.arena_bytes` ledger gauge.
+/// session space reclaims its contribution. (A session's
+/// `intern.arena_bytes` ledger gauge books its own space's
+/// [`SymbolSpace::owned_bytes`] instead.)
 pub fn arena_bytes() -> usize {
     ARENA_BYTES.load(Ordering::Relaxed) + SESSION_BYTES.load(Ordering::Relaxed)
 }
@@ -507,8 +508,8 @@ impl SymId {
 
     /// The raw dense index (0-based interning order within the id's space).
     /// For building dense tables; never meaningful across processes or
-    /// spaces, and never ordered — interning order differs between serial
-    /// and parallel parses.
+    /// spaces, and never ordered — interning order differs between
+    /// sessions and formats.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -537,7 +538,7 @@ impl fmt::Debug for SymId {
 
 /// String order, **not** id order: sorting interned names must produce the
 /// same byte-identical reports the `Arc<str>` representation did, and id
-/// order varies with parse parallelism. Only used at the output edges.
+/// order varies with interning order. Only used at the output edges.
 impl Ord for SymId {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         if self.0 == other.0 {

@@ -5,8 +5,11 @@
 //! dynamic instruction id, and the dynamic values/names of its operands.
 //! This crate defines that format — mirroring the LLVM-Tracer output shown
 //! in the paper's Figures 1 and 6 — together with a writer, a streaming
-//! parser, a block-aligned chunk splitter, and a parallel reader (the
-//! reproduction of the paper's §V-A OpenMP trace-processing optimization).
+//! parser, a compact binary encoding, and [`TraceSource`], the one front
+//! door for reading either format. Ingest is serial: the paper's §V-A
+//! parallel pre-processing is deliberately not reproduced, because on the
+//! hosts measured every single-trace parallel mode was slower than the
+//! serial path (see the README's "Concurrency" section).
 //!
 //! # Format
 //!
@@ -21,8 +24,8 @@
 //! ```
 //!
 //! * the header always starts with `0` (operand ids start at 1, so a leading
-//!   `0,` unambiguously marks a block boundary — this is what makes parallel
-//!   chunking safe);
+//!   `0,` unambiguously marks a block boundary — the windowed reader cuts
+//!   its lookahead there);
 //! * `<opcode>` is the numeric LLVM 3.4 opcode (`Load` = 27, `Alloca` = 26,
 //!   `Call` = 49, ...);
 //! * `<line>` is `-1` for compiler-generated instructions (entry-block
@@ -34,7 +37,6 @@
 //!   the register/variable name) and `0` for immediates (empty name).
 
 pub mod binary;
-pub mod chunk;
 pub mod ctx;
 pub mod fault;
 pub mod intern;
@@ -42,18 +44,14 @@ pub mod limits;
 pub mod name;
 pub mod namemap;
 pub mod nodeindex;
-pub mod overlap;
-pub mod parallel;
 pub mod parser;
 pub mod reader;
 pub mod record;
-pub mod shard;
 pub mod source;
 pub mod stats;
 pub mod writer;
 
 pub use binary::{BinaryError, BinaryReader, BinaryStreamReader, BinaryWriter};
-pub use chunk::{chunk_boundaries, split_blocks};
 pub use ctx::AnalysisCtx;
 pub use fault::{FaultPlan, FaultReader};
 pub use intern::{SpaceGuard, SymId, SymStr, SymbolSpace};
@@ -61,17 +59,8 @@ pub use limits::{parse_limit_arg, ResourceExceeded, ResourceKind, ResourceLimits
 pub use name::Name;
 pub use namemap::{NameMap, NameSet};
 pub use nodeindex::NodeIndex;
-pub use overlap::{resolve_overlap_depth, BatchStream};
-#[allow(deprecated)]
-pub use parallel::{
-    parse_parallel, parse_parallel_in, parse_parallel_read, parse_parallel_read_in, ParallelConfig,
-};
-#[allow(deprecated)]
-pub use parser::{parse_str, parse_str_in, ParseError, TraceParser};
-#[allow(deprecated)]
-pub use reader::{parse_read, RecordReader, TraceReadError};
+pub use parser::{ParseError, TraceParser};
+pub use reader::{RecordReader, TraceReadError};
 pub use record::{OpTag, Operand, Record, TraceValue};
-pub use shard::{plan_shards, resolve_shard_count};
 pub use source::{TraceFormat, TraceSource, TraceStream};
-pub use stats::TraceStats;
 pub use writer::TraceWriter;

@@ -28,9 +28,9 @@
 //!
 //! The space's table sits behind a lock, so each parser keeps a private
 //! *memo* (`str → SymId`): symbols repeat millions of times in real traces,
-//! and the memo turns all repeat lookups into a private hash probe —
-//! parallel-parse workers touch the shared table only on first sight of a
-//! symbol, which is what keeps parallel parsing off the space's lock.
+//! and the memo turns all repeat lookups into a private hash probe — a
+//! parser touches the shared table only on first sight of a symbol, so
+//! concurrent sessions rarely contend for the space's lock.
 //!
 //! In front of the memo sits a fixed-size, direct-mapped *symbol cache*:
 //! 256 slots, each holding the last symbol seen whose length, first byte
@@ -587,24 +587,8 @@ fn find_newline(b: &[u8], mut i: usize) -> usize {
         .map_or(b.len(), |k| i + k)
 }
 
-/// Parse a complete trace held in a string (default/global symbol space).
-#[deprecated(since = "0.6.0", note = "use TraceSource::from_str(input).records()")]
-pub fn parse_str(input: &str) -> Result<Vec<Record>, ParseError> {
-    parse_str_core(input, &AnalysisCtx::current())
-}
-
-/// Parse a complete trace held in a string, interning symbols into `ctx`'s
-/// space.
-#[deprecated(
-    since = "0.6.0",
-    note = "use TraceSource::from_str(input).ctx(ctx).records()"
-)]
-pub fn parse_str_in(input: &str, ctx: &AnalysisCtx) -> Result<Vec<Record>, ParseError> {
-    parse_str_core(input, ctx)
-}
-
-/// The serial in-memory text parse behind [`crate::TraceSource`] and the
-/// parallel chunk workers.
+/// The in-memory text parse behind [`crate::TraceSource`] and each window
+/// of the reader's windowed parse.
 pub(crate) fn parse_str_core(input: &str, ctx: &AnalysisCtx) -> Result<Vec<Record>, ParseError> {
     let mut p = TraceParser::with_ctx(ctx.clone());
     let mut out = Vec::new();
@@ -625,8 +609,7 @@ mod tests {
     use crate::record::opcodes;
     use crate::writer;
 
-    /// Test shorthand for the current-space serial parse (shadows the
-    /// deprecated free function of the same name).
+    /// Test shorthand for the current-space serial parse.
     fn parse_str(input: &str) -> Result<Vec<Record>, ParseError> {
         parse_str_core(input, &AnalysisCtx::current())
     }

@@ -1,15 +1,17 @@
-//! Pull-based streaming trace reading from any [`io::Read`].
+//! Trace reading from any [`io::Read`].
 //!
-//! The batch pipeline requires the whole trace as one in-memory `String`
-//! before parsing can begin. [`RecordReader`] removes that requirement: it
-//! reads fixed-size byte chunks into a bounded carry buffer, splits them at
-//! line boundaries, and feeds complete lines through the incremental
-//! [`TraceParser`] — yielding records one at a time. Peak memory is the
-//! chunk size plus one partial line plus the records completed by the
-//! current chunk, regardless of trace length.
+//! [`RecordReader`] reads fixed-size byte chunks into a bounded carry
+//! buffer, splits them at line boundaries, and feeds complete lines through
+//! the incremental [`TraceParser`] — yielding records one at a time. Peak
+//! memory is the chunk size plus one partial line plus the records
+//! completed by the current chunk, regardless of trace length.
+//!
+//! The materializing counterpart, behind [`crate::TraceSource::records`]
+//! on reader and path inputs, parses a bounded lookahead window at a time,
+//! cut at the last block header.
 
 use crate::ctx::AnalysisCtx;
-use crate::parser::{lines, ParseError, TraceParser};
+use crate::parser::{lines, parse_str_core, ParseError, TraceParser};
 use crate::record::Record;
 use std::collections::VecDeque;
 use std::fmt;
@@ -17,6 +19,10 @@ use std::io::{self, Read};
 
 /// Default read-chunk size (bytes).
 pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
+
+/// Lookahead window of [`parse_windowed`] as [`crate::TraceSource`] runs it
+/// (bytes).
+pub(crate) const WINDOW_BYTES: usize = 8 * 1024 * 1024;
 
 /// A failure while streaming records from a reader: the underlying I/O
 /// failed, the trace text did not parse, a binary trace was malformed, or
@@ -188,10 +194,10 @@ impl<R: Read> RecordReader<R> {
 }
 
 /// Shared UTF-8 gate for streamed trace bytes — one copy of the error
-/// contract for both the serial [`RecordReader`] and the parallel windowed
-/// reader. The error's line number is the 1-based line of the first invalid
-/// byte *within `raw`*; callers add the lines already consumed before `raw`
-/// to keep the number absolute.
+/// contract for [`RecordReader`] and [`parse_windowed`]. The error's line
+/// number is the 1-based line of the first invalid byte *within `raw`*;
+/// callers add the lines already consumed before `raw` to keep the number
+/// absolute.
 pub(crate) fn utf8_text(raw: &[u8]) -> Result<&str, ParseError> {
     std::str::from_utf8(raw).map_err(|e| ParseError {
         line: raw[..e.valid_up_to()]
@@ -225,24 +231,94 @@ impl<R: Read> Iterator for RecordReader<R> {
     }
 }
 
-/// Read and parse a complete trace from `reader` (serial).
-#[deprecated(
-    since = "0.6.0",
-    note = "use TraceSource::from_reader(reader).records()"
-)]
-pub fn parse_read<R: Read>(reader: R) -> Result<Vec<Record>, TraceReadError> {
-    RecordReader::new(reader).collect()
+/// Parse a whole trace from `reader`, `window_bytes` of lookahead at a
+/// time: bytes are pulled into a window, the window is cut at the start of
+/// its last block header, and the complete-block prefix is parsed while the
+/// partial tail carries into the next window. The window grows past
+/// `window_bytes` only while one block is larger than it. Parse-error line
+/// numbers are absolute in the stream, as [`RecordReader`] reports them.
+pub(crate) fn parse_windowed<R: Read>(
+    mut reader: R,
+    window_bytes: usize,
+    ctx: &AnalysisCtx,
+) -> Result<Vec<Record>, TraceReadError> {
+    let window_bytes = window_bytes.max(64);
+    let mut out = Vec::new();
+    let mut buf: Vec<u8> = Vec::new();
+    let mut chunk = vec![0u8; window_bytes.clamp(4096, 1 << 20)];
+    let mut target = window_bytes;
+    // `buf[..scanned]` is known to contain no block-header split, so each
+    // header search only covers newly read bytes (minus the 2-byte pattern
+    // overlap). Without this, a block larger than the window would rescan
+    // the whole buffer on every refill — quadratic in the block size.
+    let mut scanned = 0usize;
+    // Lines already parsed out of earlier windows, so in-window parse-error
+    // line numbers can be reported as absolute positions in the stream.
+    let mut lines_done = 0u64;
+    let mut eof = false;
+    loop {
+        while buf.len() < target && !eof {
+            let n = reader.read(&mut chunk)?;
+            if n == 0 {
+                eof = true;
+            } else {
+                buf.extend_from_slice(&chunk[..n]);
+            }
+        }
+        if eof {
+            if !buf.is_empty() {
+                out.extend(parse_window(&buf, lines_done, ctx)?);
+            }
+            return Ok(out);
+        }
+        // Cut at the start of the last block header: everything before it
+        // is complete blocks; the tail may continue beyond the window.
+        let from = scanned.saturating_sub(2);
+        match last_block_header(&buf[from..]).map(|cut| cut + from) {
+            Some(cut) if cut > 0 => {
+                out.extend(parse_window(&buf[..cut], lines_done, ctx)?);
+                lines_done += buf[..cut].iter().filter(|&&b| b == b'\n').count() as u64;
+                buf.drain(..cut);
+                scanned = 0;
+                target = window_bytes;
+            }
+            _ => {
+                // No interior split point yet — keep reading until the next
+                // block header shows up.
+                scanned = buf.len();
+                target = buf.len() + window_bytes;
+            }
+        }
+    }
+}
+
+/// Offset just past the last `\n` that is followed by a block header.
+fn last_block_header(buf: &[u8]) -> Option<usize> {
+    buf.windows(3).rposition(|w| w == b"\n0,").map(|i| i + 1)
+}
+
+/// Parse one window of whole blocks, rebasing an error's window-relative
+/// line onto the stream.
+fn parse_window(
+    buf: &[u8],
+    lines_before: u64,
+    ctx: &AnalysisCtx,
+) -> Result<Vec<Record>, TraceReadError> {
+    utf8_text(buf)
+        .and_then(|text| parse_str_core(text, ctx))
+        .map_err(|mut e| {
+            e.line += lines_before;
+            TraceReadError::Parse(e)
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_str_core;
     use crate::record::{opcodes, OpTag, Operand, TraceValue};
     use crate::{writer, AnalysisCtx, Name, SymId};
 
-    // Test shorthands for the current-space entry points (shadowing the
-    // deprecated free functions of the same names).
+    // Test shorthands for the current-space entry points.
     fn parse_str(input: &str) -> Result<Vec<Record>, ParseError> {
         parse_str_core(input, &AnalysisCtx::current())
     }
@@ -401,5 +477,61 @@ mod tests {
         let err = parse_read(Failing).unwrap_err();
         assert!(matches!(err, TraceReadError::Io(_)));
         assert!(err.to_string().contains("disk on fire"));
+    }
+
+    fn parse_windowed_with(reader: &[u8], window: usize) -> Result<Vec<Record>, TraceReadError> {
+        parse_windowed(reader, window, &AnalysisCtx::current())
+    }
+
+    #[test]
+    fn windowed_parse_equals_serial_at_every_window() {
+        let text = synth_trace(400);
+        let serial = parse_str(&text).unwrap();
+        for window in [64, 100, 1000, 1 << 22, WINDOW_BYTES] {
+            let windowed = parse_windowed_with(text.as_bytes(), window).unwrap();
+            assert_eq!(serial, windowed, "window = {window}");
+        }
+    }
+
+    #[test]
+    fn windowed_parse_propagates_parse_errors() {
+        let mut text = synth_trace(100);
+        text.push_str("0,zz,broken,1:1,0,27,9,\n");
+        let err = parse_windowed_with(text.as_bytes(), 128).unwrap_err();
+        assert!(err.to_string().contains("src line"));
+    }
+
+    #[test]
+    fn windowed_parse_error_lines_are_absolute() {
+        // The broken line lands well past the first window, so a
+        // window-relative count would report a much smaller number than
+        // the whole-input parser does.
+        let mut text = synth_trace(100);
+        let bad_line = text.lines().count() as u64 + 1;
+        text.push_str("0,zz,broken,1:1,0,27,9,\n");
+
+        let serial = parse_str(&text).unwrap_err();
+        assert_eq!(serial.line, bad_line);
+
+        let TraceReadError::Parse(windowed) =
+            parse_windowed_with(text.as_bytes(), 256).unwrap_err()
+        else {
+            panic!("expected a parse error");
+        };
+        assert_eq!(windowed.line, bad_line);
+    }
+
+    #[test]
+    fn window_grows_when_one_block_exceeds_it() {
+        // A single block with many operand lines, far larger than the
+        // 64-byte minimum window: the reader must keep growing its
+        // lookahead instead of mis-splitting the block.
+        let mut text = String::from("0,3,foo,6:1,11,49,0,\n");
+        for i in 0..64 {
+            text.push_str(&format!("{},64,{},0,,\n", i + 1, i));
+        }
+        let recs = parse_windowed_with(text.as_bytes(), 64).unwrap();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].positional().count(), 64);
     }
 }

@@ -1,18 +1,14 @@
 //! [`TraceSource`]: the one front door for trace ingest.
 //!
-//! Ingest used to be an eight-function zoo (`parse_str[_in]`,
-//! `parse_parallel[_in]`, `parse_parallel_read[_with_window][_in]`, plus
-//! `parse_read`) — one function per (input kind × parallelism × ctx)
-//! combination, and the binary format would have doubled it again. The
-//! builder collapses every combination into one entry point:
+//! One builder covers every input kind, both formats and both output
+//! shapes:
 //!
 //! ```
-//! use autocheck_trace::{AnalysisCtx, ParallelConfig, TraceSource};
+//! use autocheck_trace::{AnalysisCtx, TraceSource};
 //!
 //! let ctx = AnalysisCtx::session();
 //! let records = TraceSource::from_str("0,3,foo,6:1,11,27,215,\n")
 //!     .ctx(&ctx)
-//!     .parallel(ParallelConfig { threads: 4 })
 //!     .records()
 //!     .unwrap();
 //! assert_eq!(records.len(), 1);
@@ -27,8 +23,8 @@
 //!   the magic's first byte is never valid UTF-8, so no text trace can
 //!   shadow it (and a `&str` source is provably text).
 //! * **Output**: [`records`](TraceSource::records) materializes the whole
-//!   trace (optionally in parallel), [`stream`](TraceSource::stream) pulls
-//!   records one at a time with bounded memory.
+//!   trace, [`stream`](TraceSource::stream) pulls records one at a time
+//!   with bounded memory. Both are serial.
 //!
 //! Symbols intern into the ctx given via [`ctx`](TraceSource::ctx), or the
 //! thread's current space when none is given — the same contract every
@@ -37,19 +33,17 @@
 use crate::binary::{self, BinaryReader, BinaryStreamReader};
 use crate::ctx::AnalysisCtx;
 use crate::limits::{ResourceExceeded, ResourceKind};
-use crate::overlap::{resolve_overlap_depth, run_pipeline, BatchStream, IngestErrorClass};
-use crate::parallel::{parse_chunks, parse_windowed_core, ParallelConfig, DEFAULT_WINDOW_BYTES};
-use crate::reader::{utf8_text, RecordReader, TraceReadError};
+use crate::parser::parse_str_core;
+use crate::reader::{parse_windowed, utf8_text, RecordReader, TraceReadError, WINDOW_BYTES};
 use crate::record::Record;
 use autocheck_obs::{CounterId, Metrics, TimerId};
+use std::cell::Cell;
 use std::io::Read;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
-/// The boxed reader every adapter in the ingest stack wraps. `Send` so the
-/// decode-ahead pipeline can move the stack onto a producer thread.
-type BoxedReader<'a> = Box<dyn Read + Send + 'a>;
+/// The boxed reader every adapter in the ingest stack wraps.
+type BoxedReader<'a> = Box<dyn Read + 'a>;
 
 /// Which on-disk trace format to expect.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -71,15 +65,12 @@ enum Input<'a> {
     Reader(BoxedReader<'a>),
 }
 
-/// Builder-style trace ingest over any input, either format, serial or
-/// parallel. See the [module docs](self).
+/// Builder-style trace ingest over any input, either format. See the
+/// [module docs](self).
 pub struct TraceSource<'a> {
     input: Input<'a>,
     ctx: AnalysisCtx,
-    parallel: Option<ParallelConfig>,
-    window: usize,
     format: TraceFormat,
-    overlap: usize,
 }
 
 impl<'a> TraceSource<'a> {
@@ -87,10 +78,7 @@ impl<'a> TraceSource<'a> {
         TraceSource {
             input,
             ctx: AnalysisCtx::current(),
-            parallel: None,
-            window: DEFAULT_WINDOW_BYTES,
             format: TraceFormat::Auto,
-            overlap: 1,
         }
     }
 
@@ -115,9 +103,8 @@ impl<'a> TraceSource<'a> {
     }
 
     /// Ingest from any [`Read`] (either format, detected by peeking the
-    /// first bytes). `Send` so ingest can be moved onto a decode-ahead
-    /// producer thread when [`overlap`](Self::overlap) asks for one.
-    pub fn from_reader(reader: impl Read + Send + 'a) -> TraceSource<'a> {
+    /// first bytes).
+    pub fn from_reader(reader: impl Read + 'a) -> TraceSource<'a> {
         TraceSource::new(Input::Reader(Box::new(reader)))
     }
 
@@ -128,20 +115,6 @@ impl<'a> TraceSource<'a> {
         self
     }
 
-    /// Parse with `cfg.threads` workers in [`records`](Self::records)
-    /// (default: serial). Streaming is unaffected.
-    pub fn parallel(mut self, cfg: ParallelConfig) -> TraceSource<'a> {
-        self.parallel = Some(cfg);
-        self
-    }
-
-    /// Bounded-lookahead window in bytes for parallel text parsing from a
-    /// reader (default: [`DEFAULT_WINDOW_BYTES`]).
-    pub fn window(mut self, bytes: usize) -> TraceSource<'a> {
-        self.window = bytes;
-        self
-    }
-
     /// Expect a specific format instead of auto-detecting (default:
     /// [`TraceFormat::Auto`]).
     pub fn format(mut self, format: TraceFormat) -> TraceSource<'a> {
@@ -149,114 +122,27 @@ impl<'a> TraceSource<'a> {
         self
     }
 
-    /// Decode-ahead depth for [`records`](Self::records) and
-    /// [`overlapped`](Self::overlapped) on path/reader inputs: `0` = auto
-    /// (serial on single-core hosts), `1` = serial (the default), `n >= 2`
-    /// = read and decode on background threads, `n` batches ahead of the
-    /// consumer. In-memory inputs and [`stream`](Self::stream) are
-    /// unaffected. See [`resolve_overlap_depth`].
-    pub fn overlap(mut self, depth: usize) -> TraceSource<'a> {
-        self.overlap = depth;
-        self
-    }
-
     /// Parse the whole trace into a `Vec<Record>`.
     ///
-    /// In-memory and file inputs parse with the configured parallelism in
-    /// both formats (block-aligned chunks for text, record-aligned chunks
-    /// for binary). Reader inputs parse text through the bounded-lookahead
-    /// windowed parser and binary through the streaming decoder.
+    /// In-memory inputs parse in one pass (text) or decode zero-copy out of
+    /// the buffer (binary). File and reader inputs parse text through the
+    /// bounded-lookahead windowed parser and binary through the streaming
+    /// decoder.
     pub fn records(self) -> Result<Vec<Record>, TraceReadError> {
-        let threads = self.parallel.map(|c| c.threads.max(1)).unwrap_or(1);
         let metrics = self.ctx.metrics().clone();
         let span = metrics.span(TimerId::Ingest);
         let result = match self.input {
-            Input::Str(s) => records_from_bytes(s.as_bytes(), self.format, threads, &self.ctx),
-            Input::Bytes(b) => records_from_bytes(b, self.format, threads, &self.ctx),
-            Input::Path(p) => open_path(&p, &self.ctx).and_then(|file| {
-                records_from_reader(
-                    file,
-                    self.format,
-                    threads,
-                    self.window,
-                    self.overlap,
-                    &self.ctx,
-                    &metrics,
-                )
-            }),
-            Input::Reader(r) => records_from_reader(
-                r,
-                self.format,
-                threads,
-                self.window,
-                self.overlap,
-                &self.ctx,
-                &metrics,
-            ),
+            Input::Str(s) => records_from_bytes(s.as_bytes(), self.format, &self.ctx),
+            Input::Bytes(b) => records_from_bytes(b, self.format, &self.ctx),
+            Input::Path(p) => open_path(&p, &self.ctx)
+                .and_then(|file| records_from_reader(file, self.format, &self.ctx)),
+            Input::Reader(r) => records_from_reader(r, self.format, &self.ctx),
         };
         drop(span);
         if let Err(e) = &result {
             note_error(&metrics, e);
         }
         result
-    }
-
-    /// Run `consume` against a decode-ahead pipeline: trace bytes are read
-    /// and decoded on background threads while `consume` pulls finished
-    /// record batches from the [`BatchStream`] — so the caller's fold runs
-    /// concurrently with ingest.
-    ///
-    /// The pipeline is always built, whatever the configured overlap depth
-    /// (the depth only sizes the bounded channel); callers that want the
-    /// serial path at depth 1 branch before calling this. Producer-side
-    /// failures — I/O errors, parse errors, resource ceilings, even worker
-    /// panics — surface through the stream as the same typed
-    /// [`TraceReadError`]s serial ingest returns. Errors the producers hit
-    /// *before* the pipeline exists (opening the file, peeking the format)
-    /// surface as this function's own `Err`.
-    pub fn overlapped<T>(
-        self,
-        consume: impl FnOnce(&mut BatchStream) -> T,
-    ) -> Result<T, TraceReadError> {
-        let threads = self.parallel.map(|c| c.threads.max(1)).unwrap_or(1);
-        let metrics = self.ctx.metrics().clone();
-        let reader: BoxedReader<'a> = match self.input {
-            Input::Str(s) => Box::new(s.as_bytes()),
-            Input::Bytes(b) => Box::new(b),
-            Input::Path(p) => open_path(&p, &self.ctx).inspect_err(|e| note_error(&metrics, e))?,
-            Input::Reader(r) => r,
-        };
-        let (format, reader) = peek_format(reader, self.format)?;
-        let (reader, read_bytes) = MeteredReader::wrap(reader);
-        let reader = ByteLimitReader::wrap(reader, &self.ctx);
-        let depth = resolve_overlap_depth(self.overlap).max(1);
-        let (out, summary) = run_pipeline(
-            reader,
-            format,
-            threads,
-            self.window,
-            depth,
-            &self.ctx,
-            &read_bytes,
-            consume,
-        );
-        // Book what the serial streaming path would have booked: ingest
-        // volume per delivered record (bytes as of the last delivery), and
-        // the error-kind counter if the consumer was handed an error.
-        if summary.records > 0 {
-            note_ingest(
-                &metrics,
-                format,
-                summary.bytes_at_last_batch,
-                summary.records,
-            );
-        }
-        match summary.error {
-            Some(IngestErrorClass::Parse) => metrics.count(CounterId::ParseErrors, 1),
-            Some(IngestErrorClass::Resource) => metrics.count(CounterId::LimitExceeded, 1),
-            Some(IngestErrorClass::Io) | None => {}
-        }
-        Ok(out)
     }
 
     /// Pull records one at a time with bounded memory (text: chunked line
@@ -329,62 +215,27 @@ fn open_path<'a>(
 }
 
 /// The reader-input body of [`TraceSource::records`]: wrap the metering
-/// and limit stack, then parse serially (overlap depth 1) or through the
-/// decode-ahead pipeline. Error *counter* bookkeeping stays with the
-/// caller, which books it off the returned `Result` either way.
-#[allow(clippy::too_many_arguments)]
+/// and limit stack, then parse. Error *counter* bookkeeping stays with the
+/// caller, which books it off the returned `Result`.
 fn records_from_reader(
     r: BoxedReader<'_>,
     format: TraceFormat,
-    threads: usize,
-    window: usize,
-    overlap: usize,
     ctx: &AnalysisCtx,
-    metrics: &Metrics,
 ) -> Result<Vec<Record>, TraceReadError> {
     let (format, reader) = peek_format(r, format)?;
     let (reader, read_bytes) = MeteredReader::wrap(reader);
     let reader = ByteLimitReader::wrap(reader, ctx);
-    let depth = resolve_overlap_depth(overlap);
-    let result = if depth > 1 {
-        let (folded, _summary) = run_pipeline(
-            reader,
-            format,
-            threads,
-            window,
-            depth,
-            ctx,
-            &read_bytes,
-            |batches| {
-                let mut out: Vec<Record> = Vec::new();
-                while let Some(batch) = batches.next_batch() {
-                    out.extend(batch?);
-                }
-                Ok(out)
-            },
-        );
-        // The batch stream already applied `unsmuggle_limit` and the
-        // per-batch ceiling checks; by the final batch they cover the
-        // whole trace, so no trailing re-check is needed.
-        folded
-    } else {
-        match format {
-            TraceFormat::Binary => BinaryStreamReader::open(reader, ctx).and_then(|r| r.collect()),
-            _ => parse_windowed_core(reader, threads, window, ctx),
-        }
-        .map_err(unsmuggle_limit)
-        .and_then(|recs| {
-            check_ingest_limits(ctx, recs.len() as u64, read_bytes.load(Ordering::Relaxed))?;
-            Ok(recs)
-        })
-    };
+    let result = match format {
+        TraceFormat::Binary => BinaryStreamReader::open(reader, ctx).and_then(|r| r.collect()),
+        _ => parse_windowed(reader, WINDOW_BYTES, ctx),
+    }
+    .map_err(unsmuggle_limit)
+    .and_then(|recs| {
+        check_ingest_limits(ctx, recs.len() as u64, read_bytes.get())?;
+        Ok(recs)
+    });
     if let Ok(recs) = &result {
-        note_ingest(
-            metrics,
-            format,
-            read_bytes.load(Ordering::Relaxed),
-            recs.len() as u64,
-        );
+        note_ingest(ctx.metrics(), format, read_bytes.get(), recs.len() as u64);
     }
     result
 }
@@ -500,16 +351,16 @@ fn note_ingest(metrics: &Metrics, format: TraceFormat, bytes: u64, records: u64)
 /// ingest byte counters.
 struct MeteredReader<'a> {
     inner: BoxedReader<'a>,
-    bytes: Arc<AtomicU64>,
+    bytes: Rc<Cell<u64>>,
 }
 
 impl<'a> MeteredReader<'a> {
-    fn wrap(inner: BoxedReader<'a>) -> (BoxedReader<'a>, Arc<AtomicU64>) {
-        let bytes = Arc::new(AtomicU64::new(0));
+    fn wrap(inner: BoxedReader<'a>) -> (BoxedReader<'a>, Rc<Cell<u64>>) {
+        let bytes = Rc::new(Cell::new(0));
         (
             Box::new(MeteredReader {
                 inner,
-                bytes: Arc::clone(&bytes),
+                bytes: Rc::clone(&bytes),
             }),
             bytes,
         )
@@ -519,7 +370,7 @@ impl<'a> MeteredReader<'a> {
 impl Read for MeteredReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
-        self.bytes.fetch_add(n as u64, Ordering::Relaxed);
+        self.bytes.set(self.bytes.get() + n as u64);
         Ok(n)
     }
 }
@@ -534,7 +385,7 @@ pub struct TraceStream<'a> {
     inner: StreamInner<'a>,
     metrics: Metrics,
     format: TraceFormat,
-    read_bytes: Arc<AtomicU64>,
+    read_bytes: Rc<Cell<u64>>,
     reported_bytes: u64,
     /// The session whose limits this stream enforces per record.
     ctx: AnalysisCtx,
@@ -584,7 +435,7 @@ impl TraceStream<'_> {
         let (step, bytes) = match &mut self.inner {
             StreamInner::Text(r, slot) => {
                 let step = r.next().map(|item| item.map(|rec| *slot = rec));
-                (step, self.read_bytes.load(Ordering::Relaxed))
+                (step, self.read_bytes.get())
             }
             // The decode offset, not the bytes the window has read ahead:
             // ingest books exactly the bytes of the records delivered.
@@ -668,7 +519,6 @@ fn peek_format<'a>(
 fn records_from_bytes(
     bytes: &[u8],
     format: TraceFormat,
-    threads: usize,
     ctx: &AnalysisCtx,
 ) -> Result<Vec<Record>, TraceReadError> {
     // The byte ceiling gates the parse up front: everything downstream
@@ -679,10 +529,10 @@ fn records_from_bytes(
         .check(ResourceKind::TraceBytes, bytes.len() as u64)?;
     let format = resolve_format(bytes, format);
     let result = match format {
-        TraceFormat::Binary => BinaryReader::open(bytes, ctx)?.read_all_parallel(threads),
+        TraceFormat::Binary => BinaryReader::open(bytes, ctx)?.read_all(),
         _ => {
             let text = utf8_text(bytes)?;
-            parse_chunks(text, threads, ctx).map_err(TraceReadError::Parse)
+            parse_str_core(text, ctx).map_err(TraceReadError::Parse)
         }
     }
     .and_then(|recs| {
@@ -798,29 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_in_both_formats() {
-        let ctx = AnalysisCtx::session();
-        let recs = synth(&ctx, 400);
-        let text = text_of(&ctx, &recs);
-        let bytes = to_bytes(&recs, &ctx);
-        for threads in [2, 4, 7] {
-            let cfg = ParallelConfig { threads };
-            let t = TraceSource::from_str(&text)
-                .ctx(&ctx)
-                .parallel(cfg)
-                .records()
-                .unwrap();
-            let b = TraceSource::from_bytes(&bytes)
-                .ctx(&ctx)
-                .parallel(cfg)
-                .records()
-                .unwrap();
-            assert_eq!(recs, t, "text, threads = {threads}");
-            assert_eq!(recs, b, "binary, threads = {threads}");
-        }
-    }
-
-    #[test]
     fn streams_detect_format_and_match_batch() {
         let ctx = AnalysisCtx::session();
         let recs = synth(&ctx, 120);
@@ -903,57 +730,6 @@ mod tests {
             .records()
             .unwrap_err();
         assert!(matches!(err, TraceReadError::Io(_)));
-    }
-
-    #[test]
-    fn window_and_threads_compose_on_readers() {
-        let ctx = AnalysisCtx::session();
-        let recs = synth(&ctx, 300);
-        let text = text_of(&ctx, &recs);
-        let parsed = TraceSource::from_reader(text.as_bytes())
-            .ctx(&ctx)
-            .parallel(ParallelConfig { threads: 4 })
-            .window(256)
-            .records()
-            .unwrap();
-        assert_eq!(recs, parsed);
-    }
-
-    /// The deprecated free functions must keep working verbatim until
-    /// removal — they are thin wrappers over the same cores.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_the_same_cores() {
-        let ctx = AnalysisCtx::session();
-        let recs = synth(&ctx, 30);
-        let text = text_of(&ctx, &recs);
-        let cfg = ParallelConfig { threads: 2 };
-        assert_eq!(crate::parser::parse_str_in(&text, &ctx).unwrap(), recs);
-        assert_eq!(
-            crate::parallel::parse_parallel_in(&text, cfg, &ctx).unwrap(),
-            recs
-        );
-        assert_eq!(
-            crate::parallel::parse_parallel_read_in(text.as_bytes(), cfg, &ctx).unwrap(),
-            recs
-        );
-        assert_eq!(
-            crate::parallel::parse_parallel_read_with_window_in(text.as_bytes(), cfg, 128, &ctx)
-                .unwrap(),
-            recs
-        );
-        let _g = ctx.enter();
-        assert_eq!(crate::parser::parse_str(&text).unwrap(), recs);
-        assert_eq!(crate::parallel::parse_parallel(&text, cfg).unwrap(), recs);
-        assert_eq!(
-            crate::parallel::parse_parallel_read(text.as_bytes(), cfg).unwrap(),
-            recs
-        );
-        assert_eq!(
-            crate::parallel::parse_parallel_read_with_window(text.as_bytes(), cfg, 128).unwrap(),
-            recs
-        );
-        assert_eq!(crate::reader::parse_read(text.as_bytes()).unwrap(), recs);
     }
 
     #[test]
@@ -1173,9 +949,7 @@ mod tests {
         text.push_str("0,zz,broken,1:1,0,27,9,\n");
         for source in [
             TraceSource::from_str(&text).ctx(&ctx),
-            TraceSource::from_reader(text.as_bytes())
-                .ctx(&ctx)
-                .window(128),
+            TraceSource::from_reader(text.as_bytes()).ctx(&ctx),
         ] {
             let err = source.records().unwrap_err();
             let TraceReadError::Parse(e) = err else {

@@ -1,43 +1,5 @@
-//! Trace statistics — the "trace size" / record-census numbers reported in
-//! the paper's Table II.
-
-use crate::record::Record;
-use std::collections::BTreeMap;
-
-/// Aggregate statistics over a trace.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TraceStats {
-    /// Number of records (dynamic instructions).
-    pub records: u64,
-    /// Total text size in bytes (as written).
-    pub bytes: u64,
-    /// Record count per opcode.
-    pub per_opcode: BTreeMap<u16, u64>,
-    /// Record count per function.
-    pub per_function: BTreeMap<String, u64>,
-}
-
-impl TraceStats {
-    /// Collect stats from parsed records plus the known byte size of the
-    /// textual form.
-    pub fn from_records(records: &[Record], bytes: u64) -> TraceStats {
-        let mut s = TraceStats {
-            records: records.len() as u64,
-            bytes,
-            ..TraceStats::default()
-        };
-        for r in records {
-            *s.per_opcode.entry(r.opcode).or_insert(0) += 1;
-            *s.per_function.entry(r.func.to_string()).or_insert(0) += 1;
-        }
-        s
-    }
-
-    /// Human-readable size, e.g. `52M`, matching the paper's Table II style.
-    pub fn human_size(&self) -> String {
-        human_bytes(self.bytes)
-    }
-}
+//! Trace-size formatting for the "trace size" column of the paper's
+//! Table II.
 
 /// Format a byte count the way the paper's tables do (`2.6M`, `1.3G`, ...).
 pub fn human_bytes(bytes: u64) -> String {
@@ -57,23 +19,6 @@ pub fn human_bytes(bytes: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_str_core;
-
-    fn parse_str(input: &str) -> Result<Vec<crate::Record>, crate::ParseError> {
-        parse_str_core(input, &crate::AnalysisCtx::current())
-    }
-
-    #[test]
-    fn counts_opcodes_and_functions() {
-        let input = "0,3,foo,6:1,11,27,0,\n0,3,foo,6:1,11,12,1,\n0,5,main,1:1,0,27,2,\n";
-        let recs = parse_str(input).unwrap();
-        let stats = TraceStats::from_records(&recs, input.len() as u64);
-        assert_eq!(stats.records, 3);
-        assert_eq!(stats.per_opcode[&27], 2);
-        assert_eq!(stats.per_opcode[&12], 1);
-        assert_eq!(stats.per_function["foo"], 2);
-        assert_eq!(stats.per_function["main"], 1);
-    }
 
     #[test]
     fn human_sizes() {

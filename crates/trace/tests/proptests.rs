@@ -1,10 +1,9 @@
 //! Property tests for the trace format: serialization round-trips (text and
-//! binary), chunking never splits blocks, and parallel parsing equals serial
-//! parsing for arbitrary traces.
+//! binary), and malformed or truncated input errors without panicking.
 
 use autocheck_trace::{
-    binary, chunk_boundaries, split_blocks, writer, AnalysisCtx, FaultPlan, Name, OpTag, Operand,
-    ParallelConfig, Record, ResourceLimits, SymId, TraceValue,
+    binary, writer, AnalysisCtx, FaultPlan, Name, OpTag, Operand, Record, ResourceLimits, SymId,
+    TraceValue,
 };
 use autocheck_trace::{ParseError, TraceSource};
 use proptest::prelude::*;
@@ -92,54 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn chunks_partition_input_and_start_at_headers(
-        records in proptest::collection::vec(arb_record(), 1..60),
-        n in 1usize..12,
-    ) {
-        let text = writer::to_string(&records);
-        let ranges = chunk_boundaries(text.as_bytes(), n);
-        // Partition: contiguous cover of the whole input.
-        prop_assert_eq!(ranges[0].start, 0);
-        prop_assert_eq!(ranges.last().unwrap().end, text.len());
-        for w in ranges.windows(2) {
-            prop_assert_eq!(w[0].end, w[1].start);
-        }
-        // Alignment: every chunk starts at a block header.
-        for part in split_blocks(&text, n) {
-            if !part.is_empty() {
-                prop_assert!(part.starts_with("0,"));
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_parse_equals_whole_parse(
-        records in proptest::collection::vec(arb_record(), 1..60),
-        n in 1usize..10,
-    ) {
-        let text = writer::to_string(&records);
-        let mut merged = Vec::new();
-        for part in split_blocks(&text, n) {
-            merged.extend(parse_str(part).unwrap());
-        }
-        prop_assert_eq!(merged, records);
-    }
-
-    #[test]
-    fn parallel_parse_equals_serial(
-        records in proptest::collection::vec(arb_record(), 0..80),
-        threads in 1usize..6,
-    ) {
-        let text = writer::to_string(&records);
-        let serial = parse_str(&text).unwrap();
-        let parallel = TraceSource::from_str(&text)
-            .parallel(ParallelConfig { threads })
-            .records()
-            .unwrap();
-        prop_assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn canonical_form_is_idempotent(records in proptest::collection::vec(arb_record(), 0..30)) {
         let once = writer::to_string(&records);
         let twice = writer::to_string(&parse_str(&once).unwrap());
@@ -164,7 +115,6 @@ proptest! {
     #[test]
     fn text_to_binary_to_text_is_byte_identical(
         records in proptest::collection::vec(arb_record(), 0..40),
-        threads in 1usize..5,
     ) {
         // The conversion contract behind `mlc convert`: render to canonical
         // text, convert to binary, decode, render again — byte-identical.
@@ -172,11 +122,7 @@ proptest! {
         let text = writer::to_string(&records);
         let parsed = parse_str(&text).unwrap();
         let bytes = binary::to_bytes(&parsed, &ctx);
-        let back = TraceSource::from_bytes(&bytes)
-            .ctx(&ctx)
-            .parallel(ParallelConfig { threads })
-            .records()
-            .unwrap();
+        let back = TraceSource::from_bytes(&bytes).ctx(&ctx).records().unwrap();
         prop_assert_eq!(writer::to_string(&back), text);
     }
 

@@ -117,42 +117,8 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing golden {path}: {e}"))
 }
 
-/// The batch dependency fold split into iteration-aligned shards and
-/// deterministically merged, rendered as (full, contracted) DOT.
-fn render_sharded(source: &str, region: &Region, shards: usize) -> (String, String) {
-    let module = autocheck_minilang::compile(source).expect("compiles");
-    let mut sink = VecSink::default();
-    Machine::new(&module, ExecOptions::default())
-        .run(&mut sink, &mut NoHook)
-        .expect("runs");
-    let records = sink.records;
-    let ctx = autocheck_trace::AnalysisCtx::current();
-    let phases = Phases::compute(&records, region);
-    let mli = find_mli_vars(&records, &phases, region, CollectMode::AnyAccess);
-    let plan = autocheck_trace::plan_shards(
-        records.len(),
-        &autocheck_stream::boundaries_from_annots(&phases.annots),
-        shards,
-    );
-    let preload: Vec<_> = mli.iter().map(|m| (m.name, m.base_addr)).collect();
-    let (builder, _stats) = autocheck_stream::fold_ddg_sharded(
-        &records,
-        &phases.annots,
-        &plan,
-        true,
-        true,
-        &preload,
-        &ctx,
-    );
-    let graph = builder.finish();
-    let bases: std::collections::HashSet<u64> = mli.iter().map(|m| m.base_addr).collect();
-    let is_mli = |n: &NodeKind| matches!(n, NodeKind::Var { base, .. } if bases.contains(base));
-    let contracted = contract_ddg(&graph, is_mli);
-    (graph.to_dot(is_mli), contracted.to_dot())
-}
-
 fn check(tag: &str, source: &str, region: Region, index: Vec<String>) {
-    let r = render(source, region.clone(), index);
+    let r = render(source, region, index);
     let golden_full = golden(&format!("{tag}_full.dot"));
     let golden_contracted = golden(&format!("{tag}_contracted.dot"));
     assert_eq!(
@@ -163,20 +129,6 @@ fn check(tag: &str, source: &str, region: Region, index: Vec<String>) {
         r.contracted, golden_contracted,
         "{tag}: contracted-DDG DOT drifted from the pre-unification bytes"
     );
-    // The sharded fold is held to the SAME golden bytes: shard merging
-    // preserves first-intern node numbering, so even historical snapshots
-    // cannot tell the shard counts apart.
-    for shards in [2, 4, 8] {
-        let (full, contracted) = render_sharded(source, &region, shards);
-        assert_eq!(
-            full, golden_full,
-            "{tag}: sharded full-DDG DOT drifted from golden at shards={shards}"
-        );
-        assert_eq!(
-            contracted, golden_contracted,
-            "{tag}: sharded contracted DOT drifted from golden at shards={shards}"
-        );
-    }
     // Streaming contraction sees the same records without the MLI preload,
     // so node *numbering* may differ — the labeled dependency skeleton must
     // not.

@@ -3,8 +3,7 @@
 //! against every intermediate result the paper states.
 
 use autocheck_core::{
-    contract_ddg, index_variables_of, Analyzer, DdgAnalysis, DepType, NodeKind, Phases,
-    PipelineConfig, Region,
+    contract_ddg, index_variables_of, Analyzer, DdgAnalysis, DepType, NodeKind, Phases, Region,
 };
 use autocheck_interp::{ExecOptions, Machine, NoHook, VecSink, WriterSink};
 
@@ -115,19 +114,14 @@ fn contracted_ddg_has_fig5d_edges() {
 #[test]
 fn analysis_is_stable_across_trace_serialization() {
     let (module, records) = trace();
-    // Serialize to text and re-analyze through the parallel text path.
+    // Serialize to text and re-analyze through the text path.
     let mut sink = WriterSink::new(Vec::new());
     for r in &records {
         use autocheck_interp::TraceSink as _;
         sink.record(r.clone()).unwrap();
     }
     let text = String::from_utf8(sink.finish().unwrap()).unwrap();
-    let analyzer = Analyzer::new(region())
-        .with_index_vars(index_variables_of(&module, &region()))
-        .with_config(PipelineConfig {
-            parse_threads: 4,
-            ..PipelineConfig::default()
-        });
+    let analyzer = Analyzer::new(region()).with_index_vars(index_variables_of(&module, &region()));
     let from_text = analyzer.analyze_text(&text).unwrap();
     let direct = Analyzer::new(region())
         .with_index_vars(index_variables_of(&module, &region()))
