@@ -65,8 +65,8 @@ fn bench_binary_ingest(c: &mut Criterion) {
         })
     });
 
-    // Streaming pull over a reader, both formats (the ingest path the
-    // streaming analyzer uses).
+    // Streaming pull over a reader, both formats, through the by-value
+    // `Iterator`.
     group.throughput(Throughput::Bytes(text.len() as u64));
     group.bench_function("text-stream", |b| {
         b.iter(|| {
@@ -93,7 +93,30 @@ fn bench_binary_ingest(c: &mut Criterion) {
             black_box(n)
         })
     });
+    // The same pull through `next_record`, which lends each record from
+    // the reader's slot: the path the engine runs.
+    group.throughput(Throughput::Bytes(text.len() as u64));
+    group.bench_function("text-stream-lend", |b| {
+        b.iter(|| black_box(lend_all(text.as_bytes())))
+    });
+    group.throughput(Throughput::Bytes(bin.len() as u64));
+    group.bench_function("binary-stream-lend", |b| {
+        b.iter(|| black_box(lend_all(&bin)))
+    });
     group.finish();
+}
+
+/// Records lent by a stream over `bytes`, drained through `next_record`.
+fn lend_all(bytes: &[u8]) -> usize {
+    let mut stream = TraceSource::from_reader(black_box(bytes))
+        .stream()
+        .expect("opens");
+    let mut n = 0;
+    while let Some(record) = stream.next_record() {
+        black_box(record.expect("decodes"));
+        n += 1;
+    }
+    n
 }
 
 criterion_group!(benches, bench_binary_ingest);

@@ -142,6 +142,10 @@ fn main() {
     ]);
     let mut rows: Vec<AppRow> = Vec::new();
     for spec in all_apps_scaled(scale) {
+        // Each app runs in its own session, entered for the whole block,
+        // so its ledger's `arena_bytes` books this app's symbols alone.
+        let ctx = AnalysisCtx::session();
+        let _space = ctx.enter();
         let module = autocheck_minilang::compile(&spec.source).expect("compiles");
         let mut sink = WriterSink::new(Vec::new());
         Machine::new(&module, ExecOptions::default())
@@ -169,7 +173,7 @@ fn main() {
         // The streaming run carries a metrics registry: schema-4 JSON
         // sources peak-live and the interner arena footprint from its
         // captured ledger, not from hand-maintained counters.
-        let sctx = AnalysisCtx::current().with_metrics(Metrics::enabled());
+        let sctx = ctx.clone().with_metrics(Metrics::enabled());
         let streaming = StreamAnalyzer::new(spec.region.clone())
             .with_index_vars(index.clone())
             .with_ctx(sctx.clone())
@@ -188,7 +192,7 @@ fn main() {
         );
         let arena_bytes = ledger.gauge(GaugeId::ArenaBytes).0;
         // Text-vs-binary ingest throughput on the identical record stream.
-        let bin = binary::to_bytes(&records, &AnalysisCtx::current());
+        let bin = binary::to_bytes(&records, &ctx);
         let ingest = vec![
             measure_ingest(text.as_bytes(), "text"),
             measure_ingest(&bin, "binary"),

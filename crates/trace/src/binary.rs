@@ -832,7 +832,7 @@ const WINDOW_BYTES: usize = 64 * 1024;
 /// error shows at the byte where a reader taking each record exactly would
 /// meet it. The input must start at the trace's first byte.
 ///
-/// The counterpart of the text format's [`RecordReader`](crate::RecordReader);
+/// The counterpart of the text format's [`TextStreamReader`](crate::TextStreamReader);
 /// [`crate::TraceSource::stream`] picks between the two by magic bytes.
 pub struct BinaryStreamReader<R: Read> {
     inner: R,
@@ -1226,7 +1226,9 @@ mod tests {
             writer::to_string(&recs)
         };
         let bytes = to_bytes(&recs, &ctx);
-        let from_text = crate::parser::parse_str_core(&text, &ctx).unwrap();
+        let from_text = crate::reader::TextStreamReader::new(text.as_bytes(), &ctx)
+            .read_all()
+            .unwrap();
         let from_bin = BinaryReader::open(&bytes, &ctx)
             .unwrap()
             .read_all()

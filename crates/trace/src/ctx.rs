@@ -16,11 +16,11 @@
 //!   runs pay nothing);
 //! * a **trust flag** recording that choice.
 //!
-//! Every component of the data plane (`TraceParser`, the trace readers,
-//! the interpreter's `Machine`, the streaming `Engine`, the batch and
-//! streaming analyzers) accepts a ctx at construction and resolves symbols
-//! through it from then on. [`AnalysisCtx::default`] addresses the global
-//! space with deterministic hashing — the exact pre-session behavior — so
+//! Every component of the data plane (the trace readers, the interpreter's
+//! `Machine`, the streaming `Engine`, the batch and streaming analyzers)
+//! accepts a ctx at construction and resolves symbols through it from then
+//! on. [`AnalysisCtx::default`] addresses the global space with
+//! deterministic hashing — the exact pre-session behavior — so
 //! single-analysis embedders never have to name a ctx at all.
 
 use crate::intern::{SpaceGuard, SymId, SymStr, SymbolSpace};
@@ -86,7 +86,7 @@ impl AnalysisCtx {
     /// A ctx over the thread's **current** space ([`SymbolSpace::current`]):
     /// the global space normally, or the session space while a
     /// [`SymbolSpace::enter`] guard is live. Default constructors across
-    /// the data plane (`TraceParser::new`, `Machine::new`, `Engine::new`,
+    /// the data plane (`TraceSource`, `Machine::new`, `Engine::new`,
     /// the analyzers) snapshot this, so legacy ctx-less call sites follow
     /// an entered session instead of silently escaping to the global
     /// space. The snapshot is taken once — handing the ctx to worker

@@ -24,8 +24,8 @@
 //! ```
 //!
 //! * the header always starts with `0` (operand ids start at 1, so a leading
-//!   `0,` unambiguously marks a block boundary — the windowed reader cuts
-//!   its lookahead there);
+//!   `0,` unambiguously marks a block boundary: a record is complete once
+//!   the next header has parsed);
 //! * `<opcode>` is the numeric LLVM 3.4 opcode (`Load` = 27, `Alloca` = 26,
 //!   `Call` = 49, ...);
 //! * `<line>` is `-1` for compiler-generated instructions (entry-block
@@ -59,8 +59,8 @@ pub use limits::{parse_limit_arg, ResourceExceeded, ResourceKind, ResourceLimits
 pub use name::Name;
 pub use namemap::{NameMap, NameSet};
 pub use nodeindex::NodeIndex;
-pub use parser::{ParseError, TraceParser};
-pub use reader::{RecordReader, TraceReadError};
+pub use parser::ParseError;
+pub use reader::{TextStreamReader, TraceReadError};
 pub use record::{OpTag, Operand, Record, TraceValue};
 pub use source::{TraceFormat, TraceSource, TraceStream};
 pub use writer::TraceWriter;

@@ -1,35 +1,42 @@
-//! Streaming parser for the textual trace format.
+//! The decode kernel for the textual trace format.
 //!
-//! The parser is written for throughput: it works line-by-line over borrowed
-//! bytes, splits fields manually (no regex), and interns every symbol
-//! (function names, block labels, operand names) through its
+//! [`TextStreamReader`](crate::TextStreamReader) splits its read window into
+//! lines and hands each one, as bytes, to the kernel here, which decodes it
+//! straight into the record the reader lends out: a header line starts the
+//! record, each operand line adds to it. Every symbol (function names,
+//! block labels, operand names) interns through the reader's
 //! [`AnalysisCtx`]'s [`SymbolSpace`](crate::SymbolSpace) — the default
-//! ctx's global space unless the parser was built for a session — so the
-//! canonical allocation per distinct symbol happens once per space, not
-//! (as the old per-parser interner did) twice per symbol for a separate
-//! `String` key and `Arc<str>` value.
+//! ctx's global space unless the reader was built for a session — so the
+//! canonical allocation per distinct symbol happens once per space.
 //!
 //! # Decode kernel
 //!
-//! [`TraceParser::feed_line`] works through each line's bytes front to
-//! back. Fields end at a byte search for `,`. The header's source line,
-//! block id, opcode and dynamic id, and each operand's tag, width, integer
-//! and `0x` values and temporary names are decoded by overflow-checked
-//! decimal and hex scanners as the scan passes over them. A scanner accepts only the
+//! The kernel works through each line's bytes front to back. Fields end at
+//! a byte search for `,`. The header's source line, block id, opcode and
+//! dynamic id, and each operand's tag, width, integer, float and `0x`
+//! values and temporary names are decoded by overflow-checked decimal and
+//! hex scanners as the scan passes over them. A scanner accepts only the
 //! plain spellings a tracer writes (an optional `-`, at most 19 decimal or
-//! 16 hex digits, then the field's end). Anything else — floats, a leading
-//! `+`, surplus leading zeros, out-of-range numbers, malformed fields —
-//! goes to `str::parse` and [`parse_value`] with the field's text, which
-//! decide the value or word the error exactly as a plain `str::parse` of
-//! every field would. Fields are read, and symbols interned, in line
-//! order, so a space's symbol ids come out in the same order too.
+//! 16 hex digits, then the field's end; a float as digits, `.` and digits,
+//! at most 15 digits in all). Anything else — a leading `+`, surplus
+//! leading zeros, out-of-range numbers, exponents, malformed fields — goes
+//! to `str::parse` and [`parse_value`] with the field's text, which decide
+//! the value or word the error exactly as a plain `str::parse` of every
+//! field would. Fields are read, and symbols interned, in line order, so a
+//! space's symbol ids come out in the same order too.
+//!
+//! A float field of `n` digits, `k` of them after the point, spells the
+//! exact value `N / 10^k` for the integer `N` its digits make. With at most
+//! 15 digits, `N` and `10^k` are exact `f64`s, so one IEEE division rounds
+//! that value correctly: the same `f64` `str::parse` returns, `-0.0`
+//! included. Every `%.6f` value below 10⁹ takes this path.
 //!
 //! # Symbol memo and cache
 //!
-//! The space's table sits behind a lock, so each parser keeps a private
+//! The space's table sits behind a lock, so each decoder keeps a private
 //! *memo* (`str → SymId`): symbols repeat millions of times in real traces,
 //! and the memo turns all repeat lookups into a private hash probe — a
-//! parser touches the shared table only on first sight of a symbol, so
+//! decoder touches the shared table only on first sight of a symbol, so
 //! concurrent sessions rarely contend for the space's lock.
 //!
 //! In front of the memo sits a fixed-size, direct-mapped *symbol cache*:
@@ -45,7 +52,7 @@
 //! untrusted input and a predictable hash lets a crafted trace flood one
 //! bucket. The cache can afford a predictable slot function because it is
 //! bounded and direct-mapped: it never holds more than 256 entries (6 KiB
-//! per parser), never probes or chains, and never grows. The worst a
+//! per decoder), never probes or chains, and never grows. The worst a
 //! crafted trace can do is make every lookup miss, and a miss costs one
 //! failed comparison plus the SipHash memo lookup every lookup cost before
 //! the cache existed.
@@ -84,7 +91,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Slots in each parser's symbol cache (see the module docs). A power of
+/// The message of a line that is not valid UTF-8.
+const NOT_UTF8: &str = "trace is not valid UTF-8";
+
+/// Slots in each decoder's symbol cache (see the module docs). A power of
 /// two; each slot takes 24 bytes.
 const CACHE_SLOTS: usize = 256;
 
@@ -102,65 +112,91 @@ fn slot_of(s: &[u8]) -> usize {
     (key.wrapping_mul(0x9e37_79b1) >> (32 - CACHE_SLOTS.trailing_zeros())) as usize
 }
 
-/// Incremental trace parser. Feed it lines; finished records come out.
-pub struct TraceParser {
-    /// The session this parser interns into (default: the thread's
-    /// current space — the global one unless a session guard is live).
+/// A parsed block header: every field of a record but its operands.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Header {
+    src_line: i32,
+    func: SymId,
+    bb: (u32, u32),
+    bb_label: SymId,
+    opcode: u16,
+    dyn_id: u64,
+}
+
+impl Header {
+    /// Start this header's record in `slot`, keeping the slot's operand
+    /// buffer for its operands.
+    #[inline]
+    pub(crate) fn start(self, slot: &mut Record) {
+        slot.src_line = self.src_line;
+        slot.func = self.func;
+        slot.bb = self.bb;
+        slot.bb_label = self.bb_label;
+        slot.opcode = self.opcode;
+        slot.dyn_id = self.dyn_id;
+        slot.operands.clear();
+        slot.result = None;
+    }
+}
+
+/// What one decoded line held.
+pub(crate) enum Line {
+    /// Nothing: the line is empty once its line-end bytes are trimmed.
+    Blank,
+    /// A block header. It is not applied yet: the record in flight is
+    /// complete only now that its successor's header has parsed.
+    Header(Header),
+    /// An operand or result line, already added to the record in flight.
+    Operand,
+}
+
+/// The decode kernel's state: the session, the symbol memo and cache, and
+/// the number of lines decoded so far.
+pub(crate) struct TextDecoder {
+    /// The session this decoder interns into.
     ctx: AnalysisCtx,
-    /// Parser-private memo onto the ctx's space (see module docs). Keyed by
-    /// the refcounted [`SymStr`] the space hands back, so the memo shares
-    /// the space's allocation per symbol instead of copying. SipHash (std
-    /// default), not FxHash: these are untrusted strings straight from the
-    /// trace, the same reason the space's table avoids Fx (see `intern.rs`).
+    /// Decoder-private memo onto the ctx's space (see module docs). Keyed
+    /// by the refcounted [`SymStr`] the space hands back, so the memo
+    /// shares the space's allocation per symbol instead of copying. SipHash
+    /// (std default), not FxHash: these are untrusted strings straight
+    /// from the trace, the same reason the space's table avoids Fx (see
+    /// `intern.rs`).
     memo: HashMap<SymStr, SymId>,
     /// The direct-mapped cache in front of `memo` (see module docs):
     /// `CACHE_SLOTS` slots, slot `slot_of(s)` holding the last symbol
     /// looked up there.
     cache: [Option<(SymStr, SymId)>; CACHE_SLOTS],
-    current: Option<Record>,
-    /// The in-flight record's operands. They move into an exactly sized
-    /// `Vec` when the record completes, so each record makes one
-    /// allocation and carries no spare slots: a materialized trace, and the
-    /// memory its ingest touches, stay small.
-    operands: Vec<Operand>,
     line_no: u64,
 }
 
-impl Default for TraceParser {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceParser {
-    /// A fresh parser interning into the thread's current space.
-    pub fn new() -> Self {
-        Self::with_ctx(AnalysisCtx::current())
-    }
-
-    /// A parser interning into `ctx`'s symbol space.
-    pub fn with_ctx(ctx: AnalysisCtx) -> Self {
-        TraceParser {
+impl TextDecoder {
+    /// A decoder interning into `ctx`'s symbol space.
+    pub(crate) fn with_ctx(ctx: AnalysisCtx) -> Self {
+        TextDecoder {
             ctx,
             memo: HashMap::new(),
             cache: [const { None }; CACHE_SLOTS],
-            current: None,
-            // Room for every record the bundled apps trace (at most 15
-            // operands), so this buffer is allocated once per parser.
-            operands: Vec::with_capacity(16),
             line_no: 0,
         }
     }
 
+    /// Count a line that is not valid UTF-8, and the error it fails with.
+    pub(crate) fn not_utf8(&mut self) -> ParseError {
+        self.line_no += 1;
+        self.err(NOT_UTF8)
+    }
+
     /// Intern through the cache, then the memo: repeat symbols never touch
     /// the space lock, and most are never hashed.
-    fn intern(&mut self, s: &str) -> SymId {
-        let slot = &mut self.cache[slot_of(s.as_bytes())];
-        if let Some((cached, id)) = slot {
-            if cached.as_bytes() == s.as_bytes() {
-                return *id;
+    #[inline(always)]
+    fn intern(&mut self, s: &[u8]) -> Result<SymId, ParseError> {
+        let slot = slot_of(s);
+        if let Some((cached, id)) = &self.cache[slot] {
+            if cached.as_bytes() == s {
+                return Ok(*id);
             }
         }
+        let s = self.text(s)?;
         let (sym, id) = match self.memo.get_key_value(s) {
             Some((sym, &id)) => (sym.clone(), id),
             None => {
@@ -170,22 +206,22 @@ impl TraceParser {
                 (sym, id)
             }
         };
-        *slot = Some((sym, id));
-        id
+        self.cache[slot] = Some((sym, id));
+        Ok(id)
     }
 
-    /// Like [`Name::parse`], but interning through the parser's cache.
-    fn parse_name(&mut self, s: &str) -> Name {
-        if s.is_empty() || s == " " {
+    /// Like [`Name::parse`], but interning through the decoder's cache.
+    fn parse_name(&mut self, s: &[u8]) -> Result<Name, ParseError> {
+        Ok(if s.is_empty() || s == b" " {
             Name::None
-        } else if s.bytes().all(|b| b.is_ascii_digit()) {
-            match s.parse::<u32>() {
+        } else if s.iter().all(u8::is_ascii_digit) {
+            match self.text(s)?.parse::<u32>() {
                 Ok(n) => Name::Temp(n),
-                Err(_) => Name::Sym(self.intern(s)),
+                Err(_) => Name::Sym(self.intern(s)?),
             }
         } else {
-            Name::Sym(self.intern(s))
-        }
+            Name::Sym(self.intern(s)?)
+        })
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -195,60 +231,65 @@ impl TraceParser {
         }
     }
 
-    /// Feed one line. Returns a completed record when the line *starts a new
-    /// block* and a previous block was in flight.
-    pub fn feed_line(&mut self, line: &str) -> Result<Option<Record>, ParseError> {
+    /// A field's text, for `str::parse` and messages. The reader checked
+    /// the line's UTF-8 already, so this never fails on its bytes.
+    fn text<'b>(&self, b: &'b [u8]) -> Result<&'b str, ParseError> {
+        std::str::from_utf8(b).map_err(|_| self.err(NOT_UTF8))
+    }
+
+    /// Decode one line (without its `\n`). An operand line goes straight
+    /// into `slot`, which holds the record in flight when `open` is set; a
+    /// header comes back unapplied.
+    // This and the per-field helpers it calls (`parse_header`,
+    // `parse_operand`, `intern`) are forced inline: the calls cost about 5%
+    // of decoding the cg-text benchmark trace.
+    #[inline(always)]
+    pub(crate) fn decode_line(
+        &mut self,
+        line: &[u8],
+        slot: &mut Record,
+        open: bool,
+    ) -> Result<Line, ParseError> {
         self.line_no += 1;
-        let line = line.trim_end_matches(['\n', '\r']);
-        if line.is_empty() {
-            return Ok(None);
+        let trimmed = line
+            .iter()
+            .rposition(|&b| b != b'\r' && b != b'\n')
+            .map_or(0, |i| i + 1);
+        if trimmed == 0 {
+            return Ok(Line::Blank);
         }
-        let mut fields = Fields::new(line);
+        let mut fields = Fields::new(&line[..trimmed]);
         let tag = fields.next().ok_or_else(|| self.err("empty line"))?;
-        if tag == "0" {
-            let done = self.finish();
-            let rec = self.parse_header(&mut fields)?;
-            self.current = Some(rec);
-            Ok(done)
-        } else {
-            let op = self.parse_operand(tag, &mut fields)?;
-            if self.current.is_none() {
-                return Err(self.err("operand line before any header"));
-            }
-            if op.tag == OpTag::Result && self.current.as_ref().is_some_and(|c| c.result.is_some())
-            {
+        if tag == b"0" {
+            return self.parse_header(&mut fields).map(Line::Header);
+        }
+        let op = self.parse_operand(tag, &mut fields)?;
+        if !open {
+            return Err(self.err("operand line before any header"));
+        }
+        if op.tag == OpTag::Result {
+            if slot.result.is_some() {
                 return Err(self.err("duplicate result line"));
             }
-            // The is_none check above returned already, so a record is in
-            // flight — no unwrap on the hostile-input path.
-            if let Some(current) = self.current.as_mut() {
-                if op.tag == OpTag::Result {
-                    current.result = Some(op);
-                } else {
-                    self.operands.push(op);
-                }
-            }
-            Ok(None)
+            slot.result = Some(op);
+        } else {
+            slot.operands.push(op);
         }
+        Ok(Line::Operand)
     }
 
-    /// Flush the final in-flight record at end of input.
-    pub fn finish(&mut self) -> Option<Record> {
-        let mut done = self.current.take()?;
-        done.operands = self.operands.drain(..).collect();
-        Some(done)
-    }
-
-    fn parse_header(&mut self, fields: &mut Fields<'_>) -> Result<Record, ParseError> {
+    #[inline(always)]
+    fn parse_header(&mut self, fields: &mut Fields<'_>) -> Result<Header, ParseError> {
         let src_line = self.number(fields.decimal(), "src line")?;
         let func = {
             let f = fields.next().ok_or_else(|| self.err("missing function"))?;
-            self.intern(f)
+            self.intern(f)?
         };
         let bb = match fields.block_id() {
             Scan::Hit(bb) => bb,
             Scan::Missing => return Err(self.err("missing bb id")),
             Scan::Miss(bb_str) => {
+                let bb_str = self.text(bb_str)?;
                 let (l, c) = bb_str
                     .split_once(':')
                     .ok_or_else(|| self.err(format!("malformed bb id `{bb_str}`")))?;
@@ -262,19 +303,17 @@ impl TraceParser {
         };
         let bb_label = {
             let l = fields.next().ok_or_else(|| self.err("missing bb label"))?;
-            self.intern(l)
+            self.intern(l)?
         };
         let opcode = self.number(fields.decimal(), "opcode")?;
         let dyn_id = self.number(fields.decimal(), "dyn id")?;
-        Ok(Record {
+        Ok(Header {
             src_line,
             func,
             bb,
             bb_label,
             opcode,
             dyn_id,
-            operands: Vec::new(),
-            result: None,
         })
     }
 
@@ -283,18 +322,26 @@ impl TraceParser {
         match scan {
             Scan::Hit(v) => Ok(v),
             Scan::Missing => Err(self.err(format!("missing {what}"))),
-            Scan::Miss(f) => f
-                .parse::<T>()
-                .map_err(|_| self.err(format!("bad {what} `{f}`"))),
+            Scan::Miss(f) => {
+                let f = self.text(f)?;
+                f.parse::<T>()
+                    .map_err(|_| self.err(format!("bad {what} `{f}`")))
+            }
         }
     }
 
-    fn parse_operand(&mut self, tag: &str, fields: &mut Fields<'_>) -> Result<Operand, ParseError> {
-        let tag = match tag.as_bytes() {
+    #[inline(always)]
+    fn parse_operand(
+        &mut self,
+        tag: &[u8],
+        fields: &mut Fields<'_>,
+    ) -> Result<Operand, ParseError> {
+        let tag = match tag {
             b"r" => OpTag::Result,
             b"f" => OpTag::Param,
             &[d @ b'1'..=b'9'] => OpTag::Pos(d - b'0'),
             _ => {
+                let tag = self.text(tag)?;
                 let i: u8 = tag
                     .parse()
                     .map_err(|_| self.err(format!("bad operand tag `{tag}`")))?;
@@ -309,19 +356,23 @@ impl TraceParser {
             Scan::Hit(v) => v,
             Scan::Missing => return Err(self.err("missing operand value")),
             Scan::Miss(f) => {
+                let f = self.text(f)?;
                 parse_value(f).ok_or_else(|| self.err(format!("bad operand value `{f}`")))?
             }
         };
         let is_reg = match fields.next() {
-            Some("1") => true,
-            Some("0") => false,
-            Some(other) => return Err(self.err(format!("bad is_reg `{other}`"))),
+            Some(b"1") => true,
+            Some(b"0") => false,
+            Some(other) => {
+                let other = self.text(other)?;
+                return Err(self.err(format!("bad is_reg `{other}`")));
+            }
             None => return Err(self.err("missing is_reg")),
         };
         let name = match fields.decimal() {
             Scan::Hit(n) => Name::Temp(n),
             Scan::Missing => Name::None,
-            Scan::Miss(f) => self.parse_name(f),
+            Scan::Miss(f) => self.parse_name(f)?,
         };
         Ok(Operand {
             tag,
@@ -339,8 +390,8 @@ enum Scan<'a, T> {
     Missing,
     /// The scanner decoded the field.
     Hit(T),
-    /// The scanner refused the field: its text, for `str::parse`.
-    Miss(&'a str),
+    /// The scanner refused the field: its bytes, for `str::parse`.
+    Miss(&'a [u8]),
 }
 
 /// The integer types the decimal scanner decodes.
@@ -418,11 +469,21 @@ fn hex_run(b: &[u8], mut i: usize, end: usize) -> (usize, u64) {
     (i, v)
 }
 
+/// Most digits a float field may have for the scanner to divide it out
+/// exactly (see the module docs): below 2⁵³, every integer of 15 digits is
+/// an exact `f64`.
+const FLOAT_DIGITS: usize = 15;
+
+/// `10^k` for every fraction length the float scanner takes; all exact.
+const POW10: [f64; FLOAT_DIGITS] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14,
+];
+
 /// Cursor over one line's comma-separated fields. A single trailing comma
 /// is ignored and an empty rest of the line holds no field, so `a,,b,`
 /// splits into `a`, an empty field and `b`.
 struct Fields<'a> {
-    line: &'a str,
+    line: &'a [u8],
     /// Start of the next field.
     pos: usize,
     /// End of the last field: the line's length, less a trailing comma.
@@ -430,22 +491,24 @@ struct Fields<'a> {
 }
 
 impl<'a> Fields<'a> {
-    fn new(line: &'a str) -> Self {
+    fn new(line: &'a [u8]) -> Self {
         Fields {
             line,
             pos: 0,
-            end: line.len() - usize::from(line.ends_with(',')),
+            end: line.len() - usize::from(line.ends_with(b",")),
         }
     }
 
     /// The next raw field, or `None` when the line has none left.
-    fn next(&mut self) -> Option<&'a str> {
+    #[inline]
+    fn next(&mut self) -> Option<&'a [u8]> {
         (self.pos < self.end).then(|| self.take_from(self.pos))
     }
 
     /// The field starting at `start`; moves the cursor past it.
-    fn take_from(&mut self, start: usize) -> &'a str {
-        let stop = self.line.as_bytes()[start..self.end]
+    #[inline]
+    fn take_from(&mut self, start: usize) -> &'a [u8] {
+        let stop = self.line[start..self.end]
             .iter()
             .position(|&b| b == b',')
             .map_or(self.end, |i| start + i);
@@ -457,7 +520,7 @@ impl<'a> Fields<'a> {
     /// cursor past it.
     #[inline]
     fn ends_field(&mut self, i: usize) -> bool {
-        if i == self.end || self.line.as_bytes()[i] == b',' {
+        if i == self.end || self.line[i] == b',' {
             self.pos = (i + 1).min(self.end);
             true
         } else {
@@ -473,7 +536,7 @@ impl<'a> Fields<'a> {
         if start >= self.end {
             return Scan::Missing;
         }
-        let b = self.line.as_bytes();
+        let b = self.line;
         let negative = T::NEG_MAX > 0 && b[start] == b'-';
         let first = start + usize::from(negative);
         let (i, magnitude) = digit_run(b, first, self.end);
@@ -492,7 +555,7 @@ impl<'a> Fields<'a> {
         if start >= self.end {
             return Scan::Missing;
         }
-        let b = self.line.as_bytes();
+        let b = self.line;
         let (colon, line) = digit_run(b, start, self.end);
         if colon > start && colon < self.end && b[colon] == b':' {
             let (i, col) = digit_run(b, colon + 1, self.end);
@@ -504,29 +567,47 @@ impl<'a> Fields<'a> {
         Scan::Miss(self.take_from(start))
     }
 
-    /// The next field as an operand value: `0x` then 1 to 16 hex digits, or
-    /// a decimal `i64`. Floats and empty values are refused, for
-    /// [`parse_value`].
+    /// The next field as an operand value: `0x` then 1 to 16 hex digits, a
+    /// decimal `i64`, or a float of digits, `.` and digits (at most
+    /// [`FLOAT_DIGITS`] in all) after an optional `-`. Everything else,
+    /// empty values included, is refused, for [`parse_value`].
     #[inline]
     fn value(&mut self) -> Scan<'a, TraceValue> {
         let start = self.pos;
         if start >= self.end {
             return Scan::Missing;
         }
-        let b = self.line.as_bytes();
-        if !b[start..self.end].starts_with(b"0x") {
-            return match self.decimal() {
-                Scan::Hit(v) => Scan::Hit(TraceValue::I(v)),
-                Scan::Miss(f) => Scan::Miss(f),
-                Scan::Missing => Scan::Missing,
+        let b = self.line;
+        if b[start..self.end].starts_with(b"0x") {
+            let (i, v) = hex_run(b, start + 2, self.end);
+            if i > start + 2 && self.ends_field(i) {
+                return Scan::Hit(TraceValue::Ptr(v));
+            }
+            return Scan::Miss(self.take_from(start));
+        }
+        let negative = b[start] == b'-';
+        let first = start + usize::from(negative);
+        let (i, int) = digit_run(b, first, self.end);
+        if i > first {
+            let max = if negative {
+                <i64 as Decimal>::NEG_MAX
+            } else {
+                <i64 as Decimal>::MAX
             };
+            if int <= max && self.ends_field(i) {
+                return Scan::Hit(TraceValue::I(i64::from_scan(negative, int)));
+            }
+            if i < self.end && b[i] == b'.' {
+                let (j, frac) = digit_run(b, i + 1, self.end);
+                let k = j - (i + 1);
+                if k > 0 && (i - first) + k <= FLOAT_DIGITS && self.ends_field(j) {
+                    let n = int * 10u64.pow(k as u32) + frac;
+                    let v = n as f64 / POW10[k];
+                    return Scan::Hit(TraceValue::F(if negative { -v } else { v }));
+                }
+            }
         }
-        let (i, v) = hex_run(b, start + 2, self.end);
-        if i > start + 2 && self.ends_field(i) {
-            Scan::Hit(TraceValue::Ptr(v))
-        } else {
-            Scan::Miss(self.take_from(start))
-        }
+        Scan::Miss(self.take_from(start))
     }
 }
 
@@ -548,28 +629,12 @@ pub fn parse_value(s: &str) -> Option<TraceValue> {
     s.parse::<f64>().ok().map(TraceValue::F)
 }
 
-/// The lines of `text`, split at each `\n` as [`str::lines`] splits them
-/// (no final empty line after a closing `\n`), but keeping any `\r` before
-/// it, which [`TraceParser::feed_line`] trims. Line ends are found eight
-/// bytes at a time.
-pub(crate) fn lines(text: &str) -> impl Iterator<Item = &str> {
-    let mut start = 0;
-    std::iter::from_fn(move || {
-        if start >= text.len() {
-            return None;
-        }
-        let end = find_newline(text.as_bytes(), start);
-        let line = &text[start..end];
-        start = end + 1;
-        Some(line)
-    })
-}
-
 /// Index of the first `\n` in `b` at or after `i`, or `b.len()`. Tests a
 /// word at a time: `(w - 0x01..) & !w & 0x80..` flags the zero bytes of `w`
 /// (the newline bytes, once `w` is XORed with a word of them), and its
 /// lowest flag is always exact.
-fn find_newline(b: &[u8], mut i: usize) -> usize {
+#[inline]
+pub(crate) fn find_newline(b: &[u8], mut i: usize) -> usize {
     const ONES: u64 = u64::from_le_bytes([0x01; 8]);
     const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
     const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
@@ -587,31 +652,21 @@ fn find_newline(b: &[u8], mut i: usize) -> usize {
         .map_or(b.len(), |k| i + k)
 }
 
-/// The in-memory text parse behind [`crate::TraceSource`] and each window
-/// of the reader's windowed parse.
-pub(crate) fn parse_str_core(input: &str, ctx: &AnalysisCtx) -> Result<Vec<Record>, ParseError> {
-    let mut p = TraceParser::with_ctx(ctx.clone());
-    let mut out = Vec::new();
-    for line in lines(input) {
-        if let Some(r) = p.feed_line(line)? {
-            out.push(r);
-        }
-    }
-    if let Some(r) = p.finish() {
-        out.push(r);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::{TextStreamReader, TraceReadError};
     use crate::record::opcodes;
     use crate::writer;
 
-    /// Test shorthand for the current-space serial parse.
+    /// Test shorthand: decode `input` whole into the current space.
     fn parse_str(input: &str) -> Result<Vec<Record>, ParseError> {
-        parse_str_core(input, &AnalysisCtx::current())
+        TextStreamReader::new(input.as_bytes(), &AnalysisCtx::current())
+            .read_all()
+            .map_err(|e| match e {
+                TraceReadError::Parse(e) => e,
+                other => panic!("not a parse error: {other}"),
+            })
     }
 
     const FIG1: &str = "0,3,foo,6:1,11,27,215,\n1,64,0x7ffcf3f25a70,1,p,\nr,32,1,1,8,\n0,3,foo,6:1,12,12,216,\n1,32,2,1,8,\n2,32,2,0,,\nr,32,4,1,9,\n";

@@ -1,45 +1,44 @@
-//! Differential tests: the decode kernel against the reference parser.
+//! Differential tests: the windowed text reader against the reference
+//! line parser.
 //!
-//! Both parsers read the same lines, each into a fresh session space. Every
-//! line's outcome (nothing, a finished record, or a [`ParseError`]), the
-//! final flush, and the space's symbols in id order must be equal. Equal
-//! ids in fresh spaces mean equal interning order. Parsing goes on past
-//! errors, so the parsers' state after a failed line is compared too.
+//! The reference side reads the same input stack as the reader (the
+//! `trace-bytes` guard the trace source puts in front of it, and any fault
+//! plan) the way the reader reads: one read of the window size at a time.
+//! It feeds each complete line, one at a time, to `reference.rs`, which
+//! checks no UTF-8 of its own, so a line that is not valid UTF-8 fails
+//! there instead of being fed. A record is delivered when the reference
+//! returns it, once its successor's header has parsed, or at the final
+//! flush; the first error ends the stream. The reader, drained through its
+//! lending step and through its `Iterator`, must deliver the same records,
+//! then the same error (kind, line and message), and leave the same
+//! symbols, in the same order, in its fresh session space. Equal ids in
+//! fresh spaces mean equal interning order.
+//!
+//! Every property runs at windows of 1, 7, 64, 4096 and 65536 bytes. The
+//! property tests take their case count from `PROPTEST_CASES` (at least
+//! 256).
 
 use super::reference::Reference;
-use super::{find_newline, lines, parse_str_core, slot_of, ParseError, TraceParser};
+use super::{find_newline, slot_of, ParseError};
 use crate::ctx::AnalysisCtx;
+use crate::fault::FaultPlan;
 use crate::intern::SymId;
+use crate::limits::ResourceLimits;
 use crate::name::Name;
+use crate::reader::{split_lines, TextStreamReader, TraceReadError, DEFAULT_CHUNK_BYTES};
 use crate::record::{OpTag, Operand, Record, TraceValue};
+use crate::source::{unsmuggle_limit, ByteLimitReader};
 use crate::writer;
 use proptest::prelude::*;
 use proptest::strategy::fn_strategy;
 use proptest::TestRng;
+use std::io::Read;
 
-/// The two parsers, behind one interface.
-trait LineParser {
-    fn feed(&mut self, line: &str) -> Result<Option<Record>, ParseError>;
-    fn flush(&mut self) -> Option<Record>;
-}
+/// The windows every check reads through.
+const WINDOWS: [usize; 5] = [1, 7, 64, 4096, DEFAULT_CHUNK_BYTES];
 
-impl LineParser for TraceParser {
-    fn feed(&mut self, line: &str) -> Result<Option<Record>, ParseError> {
-        self.feed_line(line)
-    }
-    fn flush(&mut self) -> Option<Record> {
-        self.finish()
-    }
-}
-
-impl LineParser for Reference {
-    fn feed(&mut self, line: &str) -> Result<Option<Record>, ParseError> {
-        self.feed_line(line)
-    }
-    fn flush(&mut self) -> Option<Record> {
-        self.finish()
-    }
-}
+/// The `trace-bytes` ceilings the corpus runs under.
+const CEILINGS: [u64; 7] = [1, 24, 1000, 1983, 4096, 65536, 65537];
 
 /// A record with ids as indices and floats as bits: comparable across
 /// spaces, and NaN equals itself.
@@ -80,19 +79,57 @@ fn canon(r: &Record) -> String {
     )
 }
 
-/// Every line's outcome, the final flush, then the space's symbols.
-fn outcome<P: LineParser>(text: &str, make: impl FnOnce(AnalysisCtx) -> P) -> Vec<String> {
-    let ctx = AnalysisCtx::session();
-    let mut parser = make(ctx.clone());
+fn shown(e: TraceReadError) -> String {
+    let e = unsmuggle_limit(e);
+    let kind = match &e {
+        TraceReadError::Io(_) => "io",
+        TraceReadError::Parse(_) => "parse",
+        TraceReadError::Binary(_) => "binary",
+        TraceReadError::Resource(_) => "resource",
+    };
+    format!("{kind}: {e}")
+}
+
+/// The ways to drain a trace: the reader's lending step (what
+/// `TraceStream::next_record` lends), its `Iterator` impl, and the
+/// reference.
+#[derive(Clone, Copy, Debug)]
+enum Drain {
+    Lending,
+    Owned,
+    Reference,
+}
+
+/// Each delivered record, then how the stream ended, then the session's
+/// symbols in id order.
+fn drain(how: Drain, input: Box<dyn Read + '_>, ctx: &AnalysisCtx, chunk: usize) -> Vec<String> {
     let mut out = Vec::new();
-    for line in text.lines() {
-        out.push(match parser.feed(line) {
-            Ok(None) => String::new(),
-            Ok(Some(r)) => canon(&r),
-            Err(e) => format!("error {e}"),
-        });
-    }
-    out.push(format!("flush {:?}", parser.flush().as_ref().map(canon)));
+    let end = match how {
+        Drain::Lending => {
+            let mut r = TextStreamReader::with_chunk_size(input, ctx, chunk);
+            let end = loop {
+                match r.advance() {
+                    Some(Ok(())) => out.push(canon(r.slot())),
+                    Some(Err(e)) => break Some(e),
+                    None => break None,
+                }
+            };
+            assert!(r.advance().is_none(), "the stream fuses");
+            end
+        }
+        Drain::Owned => {
+            let mut end = None;
+            for item in TextStreamReader::with_chunk_size(input, ctx, chunk) {
+                match item {
+                    Ok(r) => out.push(canon(&r)),
+                    Err(e) => end = Some(e),
+                }
+            }
+            end
+        }
+        Drain::Reference => reference(input, ctx, chunk, &mut out),
+    };
+    out.push(end.map_or_else(|| "end".to_string(), |e| format!("error {}", shown(e))));
     out.extend(
         ctx.space()
             .symbols()
@@ -102,49 +139,129 @@ fn outcome<P: LineParser>(text: &str, make: impl FnOnce(AnalysisCtx) -> P) -> Ve
     out
 }
 
-fn kernel(text: &str) -> Vec<String> {
-    outcome(text, TraceParser::with_ctx)
-}
-
-fn reference(text: &str) -> Vec<String> {
-    outcome(text, Reference::with_ctx)
-}
-
-/// Panic with the first differing line unless the parsers agree on `text`.
-fn assert_agree(text: &str) {
-    let (k, r) = (kernel(text), reference(text));
-    if let Some(i) = (0..k.len().max(r.len())).find(|&i| k.get(i) != r.get(i)) {
-        panic!(
-            "kernel and reference differ at entry {i} for input {text:?}:\n kernel: {:?}\n    ref: {:?}",
-            k.get(i),
-            r.get(i)
-        );
-    }
-}
-
-/// The first error the kernel reports for `text` when parsed whole.
-fn first_error(text: &str) -> ParseError {
-    let mut p = TraceParser::with_ctx(AnalysisCtx::session());
-    for line in text.lines() {
-        if let Err(e) = p.feed_line(line) {
-            return e;
+/// The reference drain: `chunk`-byte reads, each complete line fed to the
+/// reference parser in turn, the final unterminated line at the end of
+/// input. Pushes each record onto `out`; returns the error that ended it.
+fn reference(
+    mut input: impl Read,
+    ctx: &AnalysisCtx,
+    chunk: usize,
+    out: &mut Vec<String>,
+) -> Option<TraceReadError> {
+    let mut parser = Reference::with_ctx(ctx.clone());
+    let mut fed = 0u64;
+    let mut feed = |line: &[u8], out: &mut Vec<String>| -> Result<(), ParseError> {
+        fed += 1;
+        let line = std::str::from_utf8(line).map_err(|_| ParseError {
+            line: fed,
+            message: "trace is not valid UTF-8".into(),
+        })?;
+        out.extend(parser.feed_line(line)?.as_ref().map(canon));
+        Ok(())
+    };
+    let mut buf: Vec<u8> = Vec::new();
+    let mut start = 0;
+    loop {
+        buf.drain(..start);
+        start = 0;
+        let end = buf.len();
+        buf.resize(end + chunk, 0);
+        let n = match input.read(&mut buf[end..]) {
+            Ok(n) => n,
+            Err(e) => return Some(TraceReadError::Io(e)),
+        };
+        buf.truncate(end + n);
+        if n == 0 {
+            if !buf.is_empty() {
+                if let Err(e) = feed(&buf, out) {
+                    return Some(e.into());
+                }
+            }
+            break;
+        }
+        let mut from = end;
+        while let Some(nl) = buf[from..].iter().position(|&b| b == b'\n') {
+            if let Err(e) = feed(&buf[start..from + nl], out) {
+                return Some(e.into());
+            }
+            start = from + nl + 1;
+            from = start;
         }
     }
-    panic!("{text:?} parsed without error")
+    out.extend(parser.finish().as_ref().map(canon));
+    None
 }
 
-/// Parse `text` with the kernel, which must accept it, resolving symbols
+/// Drain `bytes` every way at window `chunk`, under `limits` and each
+/// through its own copy of `plan`, and require one outcome.
+fn check(
+    bytes: &[u8],
+    limits: ResourceLimits,
+    plan: Option<&FaultPlan>,
+    chunk: usize,
+) -> Result<(), TestCaseError> {
+    let run = |how: Drain| {
+        let ctx = AnalysisCtx::session().with_limits(limits);
+        let input: Box<dyn Read + '_> = match plan {
+            Some(plan) => Box::new(plan.clone().reader(bytes)),
+            None => Box::new(bytes),
+        };
+        drain(how, ByteLimitReader::wrap(input, &ctx), &ctx, chunk)
+    };
+    let expected = run(Drain::Reference);
+    for how in [Drain::Lending, Drain::Owned] {
+        let got = run(how);
+        if let Some(i) = (0..got.len().max(expected.len())).find(|&i| got.get(i) != expected.get(i))
+        {
+            prop_assert!(
+                false,
+                "{how:?} reader differs at entry {i} at window {chunk} under {limits:?}, {plan:?}, input {:?}:\n got {:?}\nwant {:?}",
+                String::from_utf8_lossy(bytes),
+                got.get(i),
+                expected.get(i)
+            );
+        }
+    }
+    Ok(())
+}
+
+/// [`check`] at every window.
+fn check_windows(
+    bytes: &[u8],
+    limits: ResourceLimits,
+    plan: Option<&FaultPlan>,
+) -> Result<(), TestCaseError> {
+    for chunk in WINDOWS {
+        check(bytes, limits, plan, chunk)?;
+    }
+    Ok(())
+}
+
+fn unlimited() -> ResourceLimits {
+    ResourceLimits::new()
+}
+
+/// Panic with the first difference unless the reader and the reference
+/// agree on `text` at every window.
+fn assert_agree(text: &str) {
+    check_windows(text.as_bytes(), unlimited(), None).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// The first error the reader reports for `text`.
+fn first_error(text: &str) -> ParseError {
+    match TextStreamReader::new(text.as_bytes(), &AnalysisCtx::session()).read_all() {
+        Err(TraceReadError::Parse(e)) => e,
+        other => panic!("{text:?} gave {other:?}, not a parse error"),
+    }
+}
+
+/// Decode `text` with the reader, which must accept it, resolving symbols
 /// inside its session.
 fn parse_ok(text: &str) -> (Vec<Record>, AnalysisCtx) {
     let ctx = AnalysisCtx::session();
-    let mut p = TraceParser::with_ctx(ctx.clone());
-    let mut recs = Vec::new();
-    for line in text.lines() {
-        if let Some(r) = p.feed_line(line).unwrap() {
-            recs.push(r);
-        }
-    }
-    recs.extend(p.finish());
+    let recs = TextStreamReader::new(text.as_bytes(), &ctx)
+        .read_all()
+        .unwrap();
     (recs, ctx)
 }
 
@@ -193,11 +310,17 @@ fn arb_i64(rng: &mut TestRng) -> i64 {
 }
 
 fn arb_value(rng: &mut TestRng) -> TraceValue {
-    match rng.below(6) {
+    match rng.below(7) {
         0 => TraceValue::I(arb_i64(rng)),
         1 => TraceValue::Ptr(rng.next_u64() >> rng.below(64)),
         2 => TraceValue::None,
         3 => TraceValue::F(-0.0),
+        // Around the float scanner's 15-digit bound: `%.6f` of values
+        // below and above 10⁹, either sign.
+        4 => {
+            let v = (rng.next_u64() >> rng.below(64)) as f64 / 1e6;
+            TraceValue::F(if rng.flip() { -v } else { v })
+        }
         _ => TraceValue::F(<f64 as Arbitrary>::arbitrary(rng)),
     }
 }
@@ -279,13 +402,28 @@ fn mutate(text: &str, rng: &mut TestRng) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// `text` with 1 to 3 bytes that break UTF-8 (a lone continuation byte,
+/// a cut-off lead byte, `0xff`) put anywhere, as raw bytes.
+fn break_utf8(text: &str, rng: &mut TestRng) -> Vec<u8> {
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..=rng.below(3) {
+        let at = rng.below(bytes.len() as u64 + 1) as usize;
+        bytes.insert(at, [0x80, 0xc3, 0xe2, 0xff][rng.below(4) as usize]);
+    }
+    bytes
+}
+
+/// The case count: `PROPTEST_CASES`, but never fewer than 256.
+fn cases() -> ProptestConfig {
+    ProptestConfig::with_cases(ProptestConfig::default().cases.max(256))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(cases())]
 
     #[test]
     fn kernel_matches_reference_on_writer_traces(text in arb_trace()) {
-        let (k, r) = (kernel(&text), reference(&text));
-        prop_assert_eq!(k, r, "input: {:?}", text);
+        check_windows(text.as_bytes(), unlimited(), None)?;
     }
 
     #[test]
@@ -296,28 +434,65 @@ proptest! {
         let mut rng = TestRng::new(seed);
         for _ in 0..8 {
             let mutated = mutate(&text, &mut rng);
-            let (k, r) = (kernel(&mutated), reference(&mutated));
-            prop_assert_eq!(k, r, "input: {:?}", mutated);
+            check_windows(mutated.as_bytes(), unlimited(), None)?;
         }
+        check_windows(&break_utf8(&text, &mut rng), unlimited(), None)?;
+    }
+
+    #[test]
+    fn reader_matches_reference_under_byte_ceilings(
+        text in arb_trace(),
+        seed in any::<u64>(),
+        at in any::<u64>(),
+        short_reads in any::<bool>(),
+    ) {
+        let mut rng = TestRng::new(seed);
+        let bytes = match rng.below(3) {
+            0 => text.into_bytes(),
+            1 => mutate(&text, &mut rng).into_bytes(),
+            _ => break_utf8(&text, &mut rng),
+        };
+        let ceiling = at % (bytes.len() as u64 + 2);
+        let plan = FaultPlan { seed, short_reads, ..FaultPlan::default() };
+        check_windows(&bytes, ResourceLimits::new().max_trace_bytes(ceiling), Some(&plan))?;
+    }
+
+    #[test]
+    fn reader_matches_reference_under_fault_plans(
+        text in arb_trace(),
+        seed in any::<u64>(),
+        plan in any::<u64>(),
+    ) {
+        let mut rng = TestRng::new(seed);
+        let bytes = if rng.flip() { text.into_bytes() } else { mutate(&text, &mut rng).into_bytes() };
+        let plan = FaultPlan::from_seed(plan, bytes.len() as u64);
+        check_windows(&bytes, unlimited(), Some(&plan))?;
     }
 
     #[test]
     fn line_splitter_matches_str_lines(text in arb_trace(), seed in any::<u64>()) {
-        // Equal up to the trailing `\r`s that `feed_line` trims.
+        // Equal up to the trailing `\r`s that the kernel trims.
         let mut rng = TestRng::new(seed);
         let mutated = mutate(&text, &mut rng).replace(',', "\r");
         for t in [text.as_str(), mutated.as_str()] {
-            let ours: Vec<&str> = lines(t).map(|l| l.trim_end_matches('\r')).collect();
             let std: Vec<&str> = t.lines().map(|l| l.trim_end_matches('\r')).collect();
-            prop_assert_eq!(ours, std, "input: {:?}", t);
+            for chunk in WINDOWS {
+                let ours: Vec<String> = split_lines(t.as_bytes(), chunk)
+                    .into_iter()
+                    .map(|l| String::from_utf8(l).unwrap().trim_end_matches('\r').to_string())
+                    .collect();
+                prop_assert_eq!(&ours, &std, "input: {:?}", t);
+            }
         }
     }
 
     #[test]
     fn whole_text_parse_matches_line_by_line(text in arb_trace(), seed in any::<u64>()) {
+        // `records()` on in-memory text, against the reference fed the
+        // whole input's lines.
         let mutated = mutate(&text, &mut TestRng::new(seed));
         let ctx = AnalysisCtx::session();
-        let mut p = TraceParser::with_ctx(ctx.clone());
+        let mut p = Reference::with_ctx(ctx.clone());
         let by_line = mutated
             .lines()
             .filter_map(|l| p.feed_line(l).transpose())
@@ -326,7 +501,13 @@ proptest! {
                 v.extend(p.finish());
                 v
             });
-        let whole = parse_str_core(&mutated, &ctx);
+        let whole = crate::TraceSource::from_str(&mutated)
+            .ctx(&AnalysisCtx::session())
+            .records()
+            .map_err(|e| match e {
+                TraceReadError::Parse(e) => e,
+                other => panic!("not a parse error: {other}"),
+            });
         prop_assert_eq!(
             whole.map(|v| v.iter().map(canon).collect::<Vec<_>>()),
             by_line.map(|v| v.iter().map(canon).collect::<Vec<_>>()),
@@ -363,20 +544,86 @@ fn newline_search_at_every_offset() {
     }
 }
 
-#[test]
-fn kernel_matches_reference_on_the_hostile_corpus() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/hostile");
+/// The checked-in hostile corpus, and fig4's trace as text (from its
+/// checked-in binary golden).
+fn corpus() -> Vec<(String, Vec<u8>)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = root.join("tests/hostile");
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .map(|e| e.unwrap().path())
         .collect();
     files.sort();
     assert!(files.len() >= 10, "hostile corpus went missing: {files:?}");
-    for path in files {
-        let bytes = std::fs::read(&path).unwrap();
-        let text = String::from_utf8_lossy(&bytes);
-        let (k, r) = (kernel(&text), reference(&text));
-        assert!(k == r, "kernel and reference differ on {}", path.display());
+    let mut corpus: Vec<_> = files
+        .into_iter()
+        .map(|p| (p.display().to_string(), std::fs::read(&p).unwrap()))
+        .collect();
+    let ctx = AnalysisCtx::session();
+    let fig4 = std::fs::read(root.join("tests/golden/fig4_v2.bin")).unwrap();
+    let records = crate::binary::BinaryReader::open(&fig4, &ctx)
+        .and_then(|r| r.read_all())
+        .unwrap();
+    let _space = ctx.enter();
+    corpus.push(("fig4".into(), writer::to_string(&records).into_bytes()));
+    corpus
+}
+
+#[test]
+fn kernel_matches_reference_on_the_hostile_corpus() {
+    for (name, bytes) in corpus() {
+        check_windows(&bytes, unlimited(), None).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for ceiling in CEILINGS {
+            let limits = ResourceLimits::new().max_trace_bytes(ceiling);
+            check_windows(&bytes, limits, None).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn the_corpus_matches_reference_under_64_fault_seeds() {
+    for (name, bytes) in corpus() {
+        let len = bytes.len() as u64;
+        for seed in 0..64 {
+            let plan = FaultPlan::from_seed(seed, len);
+            check(&bytes, unlimited(), Some(&plan), DEFAULT_CHUNK_BYTES)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+    }
+}
+
+/// Cuts, ceilings and flips at every byte around the end of the first
+/// read, where the line that straddles it makes the first refill.
+#[test]
+fn the_first_refill_matches_reference() {
+    let mut rng = TestRng::new(3);
+    let records: Vec<Record> = (0..2000).map(|_| arb_record(&mut rng)).collect();
+    let text = writer::to_string(&records);
+    let bytes = text.as_bytes();
+    let w = DEFAULT_CHUNK_BYTES;
+    assert!(bytes.len() > 2 * w, "{} bytes", bytes.len());
+    for at in (w - 40..=w + 40).chain(2 * w - 3..=2 * w + 3) {
+        check(&bytes[..at], unlimited(), None, w).unwrap();
+        check(
+            bytes,
+            ResourceLimits::new().max_trace_bytes(at as u64),
+            None,
+            w,
+        )
+        .unwrap();
+        check(
+            bytes,
+            unlimited(),
+            Some(&FaultPlan::clean().error_at(at as u64)),
+            w,
+        )
+        .unwrap();
+        let mut flipped = bytes.to_vec();
+        flipped[at] ^= 0x04;
+        check(&flipped, unlimited(), None, w).unwrap();
+        let mut broken = bytes.to_vec();
+        broken[at] = 0xff;
+        check(&broken, unlimited(), None, w).unwrap();
     }
 }
 
@@ -490,6 +737,48 @@ fn negative_zero_and_extremes() {
         first_error("0,-2147483649,foo,6:1,11,27,1,\n").message,
         "bad src line `-2147483649`"
     );
+}
+
+#[test]
+fn float_fast_path_edges() {
+    let values = [
+        "0.000000",
+        "-0.000000",
+        "44.000000",
+        "-1.500000",
+        "999999999.999999",
+        "-999999999.999999",
+        "1000000000.000000",
+        "123456789012345.6",
+        "1234567890123456.7",
+        "0.1",
+        "00.500000",
+        "1.",
+        ".5",
+        "-.5",
+        "+1.5",
+        "1.5e3",
+        "1.5.5",
+        "0.30000000000000004",
+        "NaN",
+        "inf",
+        "-",
+        "-0",
+        "1e5",
+    ];
+    for v in values {
+        assert_agree(&format!("{HEADER}\n1,64,{v},0,,\n"));
+    }
+    let (recs, _ctx) = parse_ok(&format!(
+        "{HEADER}\n1,64,-0.000000,0,,\n2,64,999999999.999999,0,,\n3,64,0.1,0,,\n"
+    ));
+    let values: Vec<_> = recs[0].operands.iter().map(|o| o.value).collect();
+    let TraceValue::F(neg_zero) = values[0] else {
+        panic!("{values:?}");
+    };
+    assert_eq!(neg_zero.to_bits(), (-0.0f64).to_bits());
+    assert_eq!(values[1], TraceValue::F(999_999_999.999_999));
+    assert_eq!(values[2], TraceValue::F(0.1));
 }
 
 #[test]

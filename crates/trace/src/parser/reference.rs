@@ -1,8 +1,9 @@
 //! The reference line parser the decode kernel is tested against: `&str`
 //! fields from [`FieldIter`], `str::parse` for every number, and the symbol
 //! memo alone in front of the space. Test-only; `differential.rs` holds
-//! [`TraceParser::feed_line`](super::TraceParser::feed_line) to this
-//! parser's records, errors and interning order.
+//! the windowed [`TextStreamReader`](crate::TextStreamReader) to this
+//! parser, fed one line at a time: its records, errors and interning
+//! order.
 
 use super::{parse_value, ParseError};
 use crate::ctx::AnalysisCtx;

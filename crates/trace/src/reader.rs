@@ -1,28 +1,27 @@
-//! Trace reading from any [`io::Read`].
+//! Text trace reading from any [`io::Read`].
 //!
-//! [`RecordReader`] reads fixed-size byte chunks into a bounded carry
-//! buffer, splits them at line boundaries, and feeds complete lines through
-//! the incremental [`TraceParser`] — yielding records one at a time. Peak
-//! memory is the chunk size plus one partial line plus the records
-//! completed by the current chunk, regardless of trace length.
-//!
-//! The materializing counterpart, behind [`crate::TraceSource::records`]
-//! on reader and path inputs, parses a bounded lookahead window at a time,
-//! cut at the last block header.
+//! [`TextStreamReader`] is the one text decode path: every front door of
+//! [`crate::TraceSource`] reads a text trace through it, whether it
+//! streams ([`stream`](crate::TraceSource::stream)) or materializes
+//! ([`records`](crate::TraceSource::records)) the records, and whether the
+//! input is in memory, a file or a reader. It reads its input 64 KiB at a
+//! time into one window, finds each line there, and decodes it straight
+//! into one reused record slot (see [`crate::parser`] for the kernel).
+//! Peak memory is the window plus the symbol cache, whatever the trace's
+//! length.
 
 use crate::ctx::AnalysisCtx;
-use crate::parser::{lines, parse_str_core, ParseError, TraceParser};
+use crate::parser::{find_newline, Header, Line, ParseError, TextDecoder};
 use crate::record::Record;
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read};
 
-/// Default read-chunk size (bytes).
+/// Bytes the text reader asks its input for at once.
 pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
 
-/// Lookahead window of [`parse_windowed`] as [`crate::TraceSource`] runs it
-/// (bytes).
-pub(crate) const WINDOW_BYTES: usize = 8 * 1024 * 1024;
+/// Room the window keeps for the partial line a read leaves at its end, on
+/// top of one read's bytes. Only a line longer than this grows the window.
+const LINE_ROOM: usize = 4 * 1024;
 
 /// A failure while streaming records from a reader: the underlying I/O
 /// failed, the trace text did not parse, a binary trace was malformed, or
@@ -85,249 +84,246 @@ impl From<crate::limits::ResourceExceeded> for TraceReadError {
     }
 }
 
-/// Streaming record iterator over any [`Read`] with bounded buffering.
-pub struct RecordReader<R: Read> {
+/// Streaming text trace reader over any [`Read`], with bounded memory: one
+/// read window (64 KiB plus room for a partial line, or the longest line
+/// when that is bigger) and the decoder's symbol cache.
+///
+/// Each read asks for exactly [`DEFAULT_CHUNK_BYTES`], and the next read
+/// happens only once every complete line in the window has decoded, so a
+/// `trace-bytes` ceiling, an I/O error or the end of input shows after the
+/// same records whatever the window holds. UTF-8 is checked once per read,
+/// over the lines that read completed; an invalid byte fails at its own
+/// line, after every earlier line has decoded.
+///
+/// Records decode in place into one reused slot, which
+/// [`TraceStream::next_record`](crate::TraceStream::next_record) lends; the
+/// [`Iterator`] impl hands over a copy. A record is complete once the next
+/// block's header has parsed, or at the end of input: a header that fails
+/// to parse therefore also loses the record before it, as it always has.
+/// The stream fuses after its first error.
+///
+/// The counterpart of the binary format's
+/// [`BinaryStreamReader`](crate::BinaryStreamReader);
+/// [`crate::TraceSource`] picks between the two by magic bytes.
+pub struct TextStreamReader<R: Read> {
     inner: R,
-    parser: TraceParser,
-    /// Bytes read but not yet consumed (at most one partial line after each
-    /// refill).
-    carry: Vec<u8>,
+    decoder: TextDecoder,
+    /// The read window: `window[start..lines]` holds whole lines not yet
+    /// decoded, `window[lines..end]` the partial line after them.
+    window: Vec<u8>,
+    start: usize,
+    lines: usize,
+    end: usize,
+    /// Start of the first line in `window[start..lines]` that is not valid
+    /// UTF-8.
+    bad_line: Option<usize>,
     chunk: usize,
-    ready: VecDeque<Record>,
-    /// Lines already fed to the parser, so a UTF-8 failure can be reported
-    /// at its absolute line like any parse error.
-    lines_fed: u64,
     eof: bool,
+    /// The record in flight, or the last one delivered.
+    slot: Record,
+    /// The slot holds a record whose successor's header has not parsed.
+    open: bool,
+    /// The next record's header, parsed while the slot still held the
+    /// record before it.
+    pending: Option<Header>,
     failed: bool,
 }
 
-impl<R: Read> RecordReader<R> {
-    /// Stream records from `inner` with the default chunk size.
-    pub fn new(inner: R) -> RecordReader<R> {
-        RecordReader::with_chunk_size(inner, DEFAULT_CHUNK_BYTES)
+impl<R: Read> TextStreamReader<R> {
+    /// Read a text trace from `inner`, interning symbols into `ctx`'s
+    /// space.
+    pub fn new(inner: R, ctx: &AnalysisCtx) -> TextStreamReader<R> {
+        TextStreamReader::with_chunk_size(inner, ctx, DEFAULT_CHUNK_BYTES)
     }
 
-    /// Stream records from `inner`, interning symbols into `ctx`'s space.
-    pub fn with_ctx(inner: R, ctx: &AnalysisCtx) -> RecordReader<R> {
-        let mut r = RecordReader::with_chunk_size(inner, DEFAULT_CHUNK_BYTES);
-        r.parser = TraceParser::with_ctx(ctx.clone());
-        r
-    }
-
-    /// Stream records from `inner`, reading `chunk` bytes at a time.
-    pub fn with_chunk_size(inner: R, chunk: usize) -> RecordReader<R> {
-        RecordReader {
+    /// Like [`new`](Self::new), asking `inner` for `chunk` bytes at a time.
+    pub(crate) fn with_chunk_size(
+        inner: R,
+        ctx: &AnalysisCtx,
+        chunk: usize,
+    ) -> TextStreamReader<R> {
+        let chunk = chunk.max(1);
+        TextStreamReader {
             inner,
-            parser: TraceParser::new(),
-            carry: Vec::new(),
-            chunk: chunk.max(1),
-            ready: VecDeque::new(),
-            lines_fed: 0,
+            decoder: TextDecoder::with_ctx(ctx.clone()),
+            window: vec![0; chunk + LINE_ROOM],
+            start: 0,
+            lines: 0,
+            end: 0,
+            bad_line: None,
+            chunk,
             eof: false,
+            slot: Record::blank(),
+            open: false,
+            pending: None,
             failed: false,
         }
     }
 
-    /// Validate one line's bytes, rebasing a UTF-8 failure onto the stream.
-    fn line_str<'a>(&self, raw: &'a [u8]) -> Result<&'a str, ParseError> {
-        utf8_text(raw).map_err(|mut e| {
-            e.line += self.lines_fed;
-            e
-        })
+    /// The record the last step delivered.
+    pub(crate) fn slot(&mut self) -> &mut Record {
+        &mut self.slot
     }
 
-    /// Read one more chunk and feed every complete line through the parser.
-    fn refill(&mut self) -> Result<(), TraceReadError> {
-        let start = self.carry.len();
-        self.carry.resize(start + self.chunk, 0);
-        let n = self.inner.read(&mut self.carry[start..])?;
-        self.carry.truncate(start + n);
-        if n == 0 {
-            self.eof = true;
-            // Flush: the carry holds at most one final unterminated line.
-            let tail = std::mem::take(&mut self.carry);
-            if !tail.is_empty() {
-                let line = self.line_str(&tail)?;
-                self.lines_fed += 1;
-                if let Some(rec) = self.parser.feed_line(line)? {
-                    self.ready.push_back(rec);
-                }
-            }
-            if let Some(rec) = self.parser.finish() {
-                self.ready.push_back(rec);
-            }
-            return Ok(());
-        }
-        // Consume every complete line; keep the trailing partial line.
-        let Some(last_nl) = self.carry.iter().rposition(|&b| b == b'\n') else {
-            return Ok(());
-        };
-        let rest = self.carry.split_off(last_nl + 1);
-        let complete = std::mem::replace(&mut self.carry, rest);
-        // `complete` ends with '\n', so it splits into whole lines exactly
-        // as `str::lines` splits the batch parser's input (including
-        // interior blank lines), keeping parse-error line numbers identical.
-        let valid = match std::str::from_utf8(&complete) {
-            Ok(text) => return self.feed_lines(text),
-            // Every line before the one holding the first invalid byte.
-            Err(e) => complete[..e.valid_up_to()]
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |i| i + 1),
-        };
-        self.feed_lines(utf8_text(&complete[..valid])?)?;
-        // The invalid line fails its own check, at its own line number.
-        self.line_str(&complete[valid..])?;
-        Ok(())
-    }
-
-    /// Feed every line of `text` through the parser.
-    fn feed_lines(&mut self, text: &str) -> Result<(), TraceReadError> {
-        for line in lines(text) {
-            self.lines_fed += 1;
-            if let Some(rec) = self.parser.feed_line(line)? {
-                self.ready.push_back(rec);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Shared UTF-8 gate for streamed trace bytes — one copy of the error
-/// contract for [`RecordReader`] and [`parse_windowed`]. The error's line
-/// number is the 1-based line of the first invalid byte *within `raw`*;
-/// callers add the lines already consumed before `raw` to keep the number
-/// absolute.
-pub(crate) fn utf8_text(raw: &[u8]) -> Result<&str, ParseError> {
-    std::str::from_utf8(raw).map_err(|e| ParseError {
-        line: raw[..e.valid_up_to()]
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count() as u64
-            + 1,
-        message: "trace is not valid UTF-8".into(),
-    })
-}
-
-impl<R: Read> Iterator for RecordReader<R> {
-    type Item = Result<Record, TraceReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// The one decode step behind the [`Iterator`] impl and
+    /// [`TraceStream::next_record`](crate::TraceStream::next_record): the
+    /// next record into the slot. `None` at the end of input, and after an
+    /// error.
+    pub(crate) fn advance(&mut self) -> Option<Result<(), TraceReadError>> {
         if self.failed {
             return None;
         }
-        loop {
-            if let Some(rec) = self.ready.pop_front() {
-                return Some(Ok(rec));
-            }
-            if self.eof {
-                return None;
-            }
-            if let Err(e) = self.refill() {
+        match self.decode_next() {
+            Ok(true) => Some(Ok(())),
+            Ok(false) => None,
+            Err(e) => {
                 self.failed = true;
-                return Some(Err(e));
+                Some(Err(e))
             }
         }
     }
-}
 
-/// Parse a whole trace from `reader`, `window_bytes` of lookahead at a
-/// time: bytes are pulled into a window, the window is cut at the start of
-/// its last block header, and the complete-block prefix is parsed while the
-/// partial tail carries into the next window. The window grows past
-/// `window_bytes` only while one block is larger than it. Parse-error line
-/// numbers are absolute in the stream, as [`RecordReader`] reports them.
-pub(crate) fn parse_windowed<R: Read>(
-    mut reader: R,
-    window_bytes: usize,
-    ctx: &AnalysisCtx,
-) -> Result<Vec<Record>, TraceReadError> {
-    let window_bytes = window_bytes.max(64);
-    let mut out = Vec::new();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = vec![0u8; window_bytes.clamp(4096, 1 << 20)];
-    let mut target = window_bytes;
-    // `buf[..scanned]` is known to contain no block-header split, so each
-    // header search only covers newly read bytes (minus the 2-byte pattern
-    // overlap). Without this, a block larger than the window would rescan
-    // the whole buffer on every refill — quadratic in the block size.
-    let mut scanned = 0usize;
-    // Lines already parsed out of earlier windows, so in-window parse-error
-    // line numbers can be reported as absolute positions in the stream.
-    let mut lines_done = 0u64;
-    let mut eof = false;
-    loop {
-        while buf.len() < target && !eof {
-            let n = reader.read(&mut chunk)?;
-            if n == 0 {
-                eof = true;
-            } else {
-                buf.extend_from_slice(&chunk[..n]);
+    /// Every record, each a copy of the slot, so materialized records carry
+    /// no spare operand capacity.
+    pub(crate) fn read_all(mut self) -> Result<Vec<Record>, TraceReadError> {
+        let mut out = Vec::new();
+        while let Some(step) = self.advance() {
+            step?;
+            out.push(self.slot.clone());
+        }
+        Ok(out)
+    }
+
+    /// Decode lines until the slot holds a complete record: true once the
+    /// next header has parsed, or at the end of input with a record open.
+    fn decode_next(&mut self) -> Result<bool, TraceReadError> {
+        if let Some(header) = self.pending.take() {
+            header.start(&mut self.slot);
+            self.open = true;
+        }
+        while let Some((from, to)) = self.next_line()? {
+            if self.bad_line == Some(from) {
+                return Err(self.decoder.not_utf8().into());
+            }
+            let line = &self.window[from..to];
+            match self.decoder.decode_line(line, &mut self.slot, self.open)? {
+                Line::Header(header) if self.open => {
+                    self.pending = Some(header);
+                    return Ok(true);
+                }
+                Line::Header(header) => {
+                    header.start(&mut self.slot);
+                    self.open = true;
+                }
+                Line::Blank | Line::Operand => {}
             }
         }
-        if eof {
-            if !buf.is_empty() {
-                out.extend(parse_window(&buf, lines_done, ctx)?);
+        Ok(std::mem::take(&mut self.open))
+    }
+
+    /// The window range of the next line, without its `\n`, reading more
+    /// input when no whole line is left; `None` at the end of input.
+    #[inline]
+    fn next_line(&mut self) -> Result<Option<(usize, usize)>, TraceReadError> {
+        while self.start == self.lines {
+            if self.eof {
+                return Ok(None);
             }
-            return Ok(out);
+            self.refill()?;
         }
-        // Cut at the start of the last block header: everything before it
-        // is complete blocks; the tail may continue beyond the window.
-        let from = scanned.saturating_sub(2);
-        match last_block_header(&buf[from..]).map(|cut| cut + from) {
-            Some(cut) if cut > 0 => {
-                out.extend(parse_window(&buf[..cut], lines_done, ctx)?);
-                lines_done += buf[..cut].iter().filter(|&&b| b == b'\n').count() as u64;
-                buf.drain(..cut);
-                scanned = 0;
-                target = window_bytes;
+        let from = self.start;
+        let to = find_newline(&self.window[..self.lines], from);
+        self.start = (to + 1).min(self.lines);
+        Ok(Some((from, to)))
+    }
+
+    /// One read of `chunk` bytes after the partial line, which moves to the
+    /// window's front first. At the end of input the partial line becomes
+    /// the last line.
+    fn refill(&mut self) -> Result<(), TraceReadError> {
+        if self.start > 0 {
+            self.window.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.lines -= self.start;
+            self.start = 0;
+        }
+        let want = self.end + self.chunk;
+        if self.window.len() < want {
+            self.window.resize(want, 0);
+        }
+        let read = self.end;
+        let n = self.inner.read(&mut self.window[read..want])?;
+        self.end += n;
+        let lines = if n == 0 {
+            self.eof = true;
+            self.end
+        } else {
+            match self.window[read..self.end]
+                .iter()
+                .rposition(|&b| b == b'\n')
+            {
+                Some(i) => read + i + 1,
+                None => return Ok(()),
             }
-            _ => {
-                // No interior split point yet — keep reading until the next
-                // block header shows up.
-                scanned = buf.len();
-                target = buf.len() + window_bytes;
+        };
+        // Check each byte once: the lines this read completed. ASCII, the
+        // common case, is a cheaper scan than full UTF-8 validation.
+        let fresh = &self.window[self.lines..lines];
+        if !fresh.is_ascii() {
+            if let Err(e) = std::str::from_utf8(fresh) {
+                let line_start = fresh[..e.valid_up_to()]
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |i| i + 1);
+                self.bad_line = Some(self.lines + line_start);
             }
         }
+        self.lines = lines;
+        Ok(())
     }
 }
 
-/// Offset just past the last `\n` that is followed by a block header.
-fn last_block_header(buf: &[u8]) -> Option<usize> {
-    buf.windows(3).rposition(|w| w == b"\n0,").map(|i| i + 1)
+/// The lines the reader finds in `input`, each without its `\n`, read
+/// `chunk` bytes at a time.
+#[cfg(test)]
+pub(crate) fn split_lines(input: &[u8], chunk: usize) -> Vec<Vec<u8>> {
+    let mut r = TextStreamReader::with_chunk_size(input, &AnalysisCtx::current(), chunk);
+    let mut lines = Vec::new();
+    while let Some((from, to)) = r.next_line().expect("in-memory reads cannot fail") {
+        lines.push(r.window[from..to].to_vec());
+    }
+    lines
 }
 
-/// Parse one window of whole blocks, rebasing an error's window-relative
-/// line onto the stream.
-fn parse_window(
-    buf: &[u8],
-    lines_before: u64,
-    ctx: &AnalysisCtx,
-) -> Result<Vec<Record>, TraceReadError> {
-    utf8_text(buf)
-        .and_then(|text| parse_str_core(text, ctx))
-        .map_err(|mut e| {
-            e.line += lines_before;
-            TraceReadError::Parse(e)
-        })
+impl<R: Read> Iterator for TextStreamReader<R> {
+    type Item = Result<Record, TraceReadError>;
+
+    /// The lending step, handing over a copy of the decoded record (the
+    /// slot keeps its operand buffer for the next one).
+    fn next(&mut self) -> Option<Self::Item> {
+        Some(self.advance()?.map(|()| self.slot.clone()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::{opcodes, OpTag, Operand, TraceValue};
-    use crate::{writer, AnalysisCtx, Name, SymId};
+    use crate::{writer, Name, SymId};
 
-    // Test shorthands for the current-space entry points.
-    fn parse_str(input: &str) -> Result<Vec<Record>, ParseError> {
-        parse_str_core(input, &AnalysisCtx::current())
+    /// The windows the tests read through: one byte, odd sizes, and the
+    /// default.
+    const CHUNKS: [usize; 5] = [1, 7, 64, 4096, DEFAULT_CHUNK_BYTES];
+
+    fn read_with(input: &[u8], chunk: usize) -> Result<Vec<Record>, TraceReadError> {
+        TextStreamReader::with_chunk_size(input, &AnalysisCtx::current(), chunk).read_all()
     }
 
     fn parse_read<R: Read>(reader: R) -> Result<Vec<Record>, TraceReadError> {
-        RecordReader::new(reader).collect()
+        TextStreamReader::new(reader, &AnalysisCtx::current()).read_all()
     }
 
-    fn synth_trace(blocks: usize) -> String {
+    fn synth_records(blocks: usize) -> Vec<Record> {
         let mut recs = Vec::with_capacity(blocks);
         for i in 0..blocks {
             recs.push(Record {
@@ -355,18 +351,42 @@ mod tests {
                 )),
             });
         }
-        writer::to_string(&recs)
+        recs
+    }
+
+    fn synth_trace(blocks: usize) -> String {
+        writer::to_string(&synth_records(blocks))
+    }
+
+    /// Drain through the lending step: the records delivered, then the
+    /// error, if any.
+    fn lend(input: &[u8], chunk: usize) -> (usize, Option<TraceReadError>) {
+        let mut r = TextStreamReader::with_chunk_size(input, &AnalysisCtx::current(), chunk);
+        let mut delivered = 0;
+        while let Some(step) = r.advance() {
+            match step {
+                Ok(()) => delivered += 1,
+                Err(e) => return (delivered, Some(e)),
+            }
+        }
+        (delivered, None)
     }
 
     #[test]
     fn reader_equals_parse_str_at_every_chunk_size() {
-        let text = synth_trace(200);
-        let whole = parse_str(&text).unwrap();
-        for chunk in [1, 7, 64, 4096, 1 << 20] {
-            let streamed: Vec<Record> = RecordReader::with_chunk_size(text.as_bytes(), chunk)
-                .collect::<Result<_, _>>()
-                .unwrap();
-            assert_eq!(whole, streamed, "chunk = {chunk}");
+        let recs = synth_records(200);
+        let text = writer::to_string(&recs);
+        for chunk in CHUNKS.into_iter().chain([1 << 20]) {
+            assert_eq!(
+                read_with(text.as_bytes(), chunk).unwrap(),
+                recs,
+                "chunk = {chunk}"
+            );
+            let owned: Vec<Record> =
+                TextStreamReader::with_chunk_size(text.as_bytes(), &AnalysisCtx::current(), chunk)
+                    .collect::<Result<_, _>>()
+                    .unwrap();
+            assert_eq!(owned, recs, "chunk = {chunk}");
         }
     }
 
@@ -375,27 +395,28 @@ mod tests {
         let mut text = synth_trace(3);
         text.pop(); // drop the final newline
         let streamed = parse_read(text.as_bytes()).unwrap();
-        assert_eq!(streamed, parse_str(&text).unwrap());
-        assert_eq!(streamed.len(), 3);
+        assert_eq!(streamed, synth_records(3));
+        for chunk in CHUNKS {
+            assert_eq!(read_with(text.as_bytes(), chunk).unwrap(), streamed);
+        }
     }
 
     #[test]
     fn crlf_traces_match_the_batch_parser() {
-        // The reader splits on raw b'\n' and hands the parser lines with a
-        // trailing '\r'; feed_line trims both, so CRLF files must parse
-        // identically to LF files in every mode (batch uses str::lines,
-        // which strips the '\r' itself).
+        // Lines split on raw b'\n' and keep a trailing '\r', which the
+        // kernel trims, so CRLF files decode exactly like LF files.
         let lf = synth_trace(20);
         let crlf = lf.replace('\n', "\r\n");
-        let want = parse_str(&lf).unwrap();
-        assert_eq!(parse_str(&crlf).unwrap(), want);
-        for chunk in [1, 7, 4096] {
-            let streamed: Vec<Record> = RecordReader::with_chunk_size(crlf.as_bytes(), chunk)
-                .collect::<Result<_, _>>()
-                .unwrap();
-            assert_eq!(streamed, want, "chunk = {chunk}");
+        let want = synth_records(20);
+        for chunk in CHUNKS {
+            assert_eq!(read_with(lf.as_bytes(), chunk).unwrap(), want);
+            assert_eq!(
+                read_with(crlf.as_bytes(), chunk).unwrap(),
+                want,
+                "chunk = {chunk}"
+            );
         }
-        // EOF-flush path: final CRLF line without its '\n'.
+        // End of input right after a final '\r', without its '\n'.
         let mut cut = crlf.clone();
         cut.pop();
         assert_eq!(parse_read(cut.as_bytes()).unwrap(), want);
@@ -405,7 +426,7 @@ mod tests {
     fn parse_errors_surface_once_then_stop() {
         let mut text = synth_trace(5);
         text.push_str("0,zz,broken,1:1,0,27,9,\n");
-        let mut reader = RecordReader::new(text.as_bytes());
+        let mut reader = TextStreamReader::new(text.as_bytes(), &AnalysisCtx::current());
         let mut seen_err = false;
         let mut after_err = 0;
         for item in &mut reader {
@@ -428,40 +449,67 @@ mod tests {
     }
 
     #[test]
+    fn records_before_a_bad_header_are_delivered_at_every_window() {
+        // 200 records of three lines each, then a header that fails to
+        // parse on line 601. Every record whose successor's header parsed
+        // is delivered, whatever the window: all but the last good one.
+        let mut text = synth_trace(200);
+        text.push_str("0,zz,broken,1:1,0,27,9,\n");
+        for chunk in CHUNKS {
+            let (delivered, err) = lend(text.as_bytes(), chunk);
+            let Some(TraceReadError::Parse(e)) = err else {
+                panic!("chunk {chunk}: expected a parse error, got {err:?}");
+            };
+            assert_eq!(delivered, 199, "chunk = {chunk}");
+            assert_eq!((e.line, e.message.as_str()), (601, "bad src line `zz`"));
+        }
+    }
+
+    #[test]
     fn empty_reader_is_empty_trace() {
         assert_eq!(parse_read(&b""[..]).unwrap(), vec![]);
+        assert_eq!(parse_read(&b"\n\r\n\n"[..]).unwrap(), vec![]);
     }
 
     #[test]
     fn invalid_utf8_is_a_parse_error_at_the_right_line() {
         let bytes: &[u8] = b"0,3,foo,6:1,11,27,215,\n1,64,\xff\xfe,1,p,\n";
-        let err = parse_read(bytes).unwrap_err();
-        assert!(err.to_string().contains("UTF-8"));
-        let TraceReadError::Parse(e) = err else {
-            panic!("expected a parse error");
-        };
-        assert_eq!(e.line, 2, "the invalid byte sits on line 2");
+        for chunk in CHUNKS {
+            let err = read_with(bytes, chunk).unwrap_err();
+            assert!(err.to_string().contains("UTF-8"));
+            let TraceReadError::Parse(e) = err else {
+                panic!("expected a parse error");
+            };
+            assert_eq!(e.line, 2, "the invalid byte sits on line 2");
+        }
+        // In a final line without its '\n', and cut inside a character.
+        let err = parse_read(&b"0,3,foo,6:1,11,27,215,\n\n1,64,\xc3"[..]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "trace parse error at line 3: trace is not valid UTF-8"
+        );
     }
 
     #[test]
     fn utf8_errors_keep_their_place_among_parse_errors() {
-        // A parse error on an earlier line of the same chunk wins...
+        // A parse error on an earlier line wins...
         let bytes: &[u8] = b"0,3,foo,6:1,11,27,215,\n0,zz,foo,6:1,11,27,216,\n1,64,\xff,1,p,\n";
-        let TraceReadError::Parse(e) = parse_read(bytes).unwrap_err() else {
-            panic!("expected a parse error");
-        };
-        assert_eq!((e.line, e.message.contains("src line")), (2, true));
-        // ...and an invalid byte further down is reported at its own line,
-        // whatever the chunk size.
-        let bytes: &[u8] = b"0,3,foo,6:1,11,27,215,\n1,64,5,1,p,\n\n1,64,\xff,1,p,\n2,64,1,1,q,\n";
-        for chunk in [1, 7, 4096] {
-            let err = RecordReader::with_chunk_size(bytes, chunk)
-                .collect::<Result<Vec<_>, _>>()
-                .unwrap_err();
-            let TraceReadError::Parse(e) = err else {
+        for chunk in CHUNKS {
+            let TraceReadError::Parse(e) = read_with(bytes, chunk).unwrap_err() else {
                 panic!("expected a parse error");
             };
-            assert_eq!(e.line, 4, "chunk = {chunk}");
+            assert_eq!((e.line, e.message.contains("src line")), (2, true));
+        }
+        // ...and an invalid byte further down is reported at its own line,
+        // after the records before it, whatever the chunk size.
+        let bytes: &[u8] =
+            b"0,3,foo,6:1,11,27,215,\n1,64,5,1,p,\n0,3,foo,6:1,11,27,216,\n\n1,64,\xff,1,p,\n2,64,1,1,q,\n";
+        for chunk in CHUNKS {
+            let (delivered, err) = lend(bytes, chunk);
+            let Some(TraceReadError::Parse(e)) = err else {
+                panic!("expected a parse error");
+            };
+            assert_eq!((delivered, e.line), (1, 5), "chunk = {chunk}");
             assert!(e.message.contains("UTF-8"));
         }
     }
@@ -479,17 +527,53 @@ mod tests {
         assert!(err.to_string().contains("disk on fire"));
     }
 
-    fn parse_windowed_with(reader: &[u8], window: usize) -> Result<Vec<Record>, TraceReadError> {
-        parse_windowed(reader, window, &AnalysisCtx::current())
+    #[test]
+    fn every_read_asks_for_one_chunk() {
+        // The reader asks for exactly one chunk per read, however much of
+        // a partial line it carries, so a byte ceiling trips on the same
+        // read as it always has.
+        struct Recording<'a>(&'a [u8], Vec<usize>);
+        impl Read for Recording<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1.push(buf.len());
+                self.0.read(buf)
+            }
+        }
+        let text = synth_trace(3000);
+        for chunk in [7, 4096, DEFAULT_CHUNK_BYTES] {
+            let mut input = Recording(text.as_bytes(), Vec::new());
+            let mut r =
+                TextStreamReader::with_chunk_size(&mut input, &AnalysisCtx::current(), chunk);
+            while let Some(step) = r.advance() {
+                step.unwrap();
+            }
+            drop(r);
+            assert!(input.1.iter().all(|&n| n == chunk), "chunk = {chunk}");
+            assert_eq!(
+                input.1.len(),
+                text.len().div_ceil(chunk) + 1,
+                "chunk = {chunk}"
+            );
+        }
     }
 
     #[test]
     fn windowed_parse_equals_serial_at_every_window() {
+        // Every front door reads through the same reader: in memory, from
+        // a reader, and at any window.
         let text = synth_trace(400);
-        let serial = parse_str(&text).unwrap();
-        for window in [64, 100, 1000, 1 << 22, WINDOW_BYTES] {
-            let windowed = parse_windowed_with(text.as_bytes(), window).unwrap();
-            assert_eq!(serial, windowed, "window = {window}");
+        let serial = crate::TraceSource::from_str(&text).records().unwrap();
+        assert_eq!(serial, synth_records(400));
+        let from_reader = crate::TraceSource::from_reader(text.as_bytes())
+            .records()
+            .unwrap();
+        assert_eq!(from_reader, serial);
+        for window in [64, 100, 1000, 1 << 22] {
+            assert_eq!(
+                read_with(text.as_bytes(), window).unwrap(),
+                serial,
+                "window = {window}"
+            );
         }
     }
 
@@ -497,41 +581,54 @@ mod tests {
     fn windowed_parse_propagates_parse_errors() {
         let mut text = synth_trace(100);
         text.push_str("0,zz,broken,1:1,0,27,9,\n");
-        let err = parse_windowed_with(text.as_bytes(), 128).unwrap_err();
+        let err = read_with(text.as_bytes(), 128).unwrap_err();
+        assert!(err.to_string().contains("src line"));
+        let err = crate::TraceSource::from_reader(text.as_bytes())
+            .records()
+            .unwrap_err();
         assert!(err.to_string().contains("src line"));
     }
 
     #[test]
     fn windowed_parse_error_lines_are_absolute() {
         // The broken line lands well past the first window, so a
-        // window-relative count would report a much smaller number than
-        // the whole-input parser does.
+        // window-relative count would report a much smaller number.
         let mut text = synth_trace(100);
         let bad_line = text.lines().count() as u64 + 1;
         text.push_str("0,zz,broken,1:1,0,27,9,\n");
-
-        let serial = parse_str(&text).unwrap_err();
-        assert_eq!(serial.line, bad_line);
-
-        let TraceReadError::Parse(windowed) =
-            parse_windowed_with(text.as_bytes(), 256).unwrap_err()
-        else {
-            panic!("expected a parse error");
-        };
-        assert_eq!(windowed.line, bad_line);
+        for window in [1, 256, DEFAULT_CHUNK_BYTES] {
+            let TraceReadError::Parse(e) = read_with(text.as_bytes(), window).unwrap_err() else {
+                panic!("expected a parse error");
+            };
+            assert_eq!(e.line, bad_line, "window = {window}");
+        }
     }
 
     #[test]
     fn window_grows_when_one_block_exceeds_it() {
-        // A single block with many operand lines, far larger than the
-        // 64-byte minimum window: the reader must keep growing its
-        // lookahead instead of mis-splitting the block.
+        // A block of many operand lines and a line far longer than the
+        // window: the window grows to hold the line, and nothing splits.
         let mut text = String::from("0,3,foo,6:1,11,49,0,\n");
         for i in 0..64 {
             text.push_str(&format!("{},64,{},0,,\n", i + 1, i));
         }
-        let recs = parse_windowed_with(text.as_bytes(), 64).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].positional().count(), 64);
+        let long = "x".repeat(3 * LINE_ROOM);
+        text.push_str(&format!("0,3,{long},6:1,11,49,1,\n1,64,5,1,{long},\n"));
+        for chunk in [1, 64, 4096] {
+            let mut r =
+                TextStreamReader::with_chunk_size(text.as_bytes(), &AnalysisCtx::current(), chunk);
+            let recs: Vec<Record> = (&mut r).collect::<Result<_, _>>().unwrap();
+            assert_eq!(recs.len(), 2);
+            assert_eq!(recs[0].positional().count(), 64);
+            assert_eq!(recs[1].func.as_str().len(), long.len());
+            assert!(r.window.len() > long.len(), "chunk = {chunk}");
+        }
+        // A window that holds every line never grows.
+        let text = synth_trace(5000);
+        let mut r = TextStreamReader::new(text.as_bytes(), &AnalysisCtx::current());
+        while let Some(step) = r.advance() {
+            step.unwrap();
+        }
+        assert_eq!(r.window.len(), DEFAULT_CHUNK_BYTES + LINE_ROOM);
     }
 }

@@ -24,7 +24,11 @@
 //!   shadow it (and a `&str` source is provably text).
 //! * **Output**: [`records`](TraceSource::records) materializes the whole
 //!   trace, [`stream`](TraceSource::stream) pulls records one at a time
-//!   with bounded memory. Both are serial.
+//!   with bounded memory. Both are serial, and both decode through the
+//!   format's one windowed reader: [`TextStreamReader`] or
+//!   [`BinaryStreamReader`] (in-memory binary decodes zero-copy through
+//!   [`BinaryReader`]). On text every front door therefore decodes the
+//!   same records and reports a malformed trace at the same line.
 //!
 //! Symbols intern into the ctx given via [`ctx`](TraceSource::ctx), or the
 //! thread's current space when none is given — the same contract every
@@ -33,8 +37,7 @@
 use crate::binary::{self, BinaryReader, BinaryStreamReader};
 use crate::ctx::AnalysisCtx;
 use crate::limits::{ResourceExceeded, ResourceKind};
-use crate::parser::parse_str_core;
-use crate::reader::{parse_windowed, utf8_text, RecordReader, TraceReadError, WINDOW_BYTES};
+use crate::reader::{TextStreamReader, TraceReadError};
 use crate::record::Record;
 use autocheck_obs::{CounterId, Metrics, TimerId};
 use std::cell::Cell;
@@ -124,10 +127,10 @@ impl<'a> TraceSource<'a> {
 
     /// Parse the whole trace into a `Vec<Record>`.
     ///
-    /// In-memory inputs parse in one pass (text) or decode zero-copy out of
-    /// the buffer (binary). File and reader inputs parse text through the
-    /// bounded-lookahead windowed parser and binary through the streaming
-    /// decoder.
+    /// Text drains the windowed [`TextStreamReader`] whatever the input,
+    /// copying each record out of its slot. Binary decodes zero-copy out of
+    /// an in-memory buffer, and through [`BinaryStreamReader`] from a file
+    /// or reader.
     pub fn records(self) -> Result<Vec<Record>, TraceReadError> {
         let metrics = self.ctx.metrics().clone();
         let span = metrics.span(TimerId::Ingest);
@@ -145,8 +148,8 @@ impl<'a> TraceSource<'a> {
         result
     }
 
-    /// Pull records one at a time with bounded memory (text: chunked line
-    /// reader; binary: string table plus one read window). A path input is
+    /// Pull records one at a time with bounded memory (text: one read
+    /// window; binary: string table plus one read window). A path input is
     /// opened as [`records`](Self::records) opens it: a `trace-bytes`
     /// ceiling is checked against the file's length first.
     pub fn stream(self) -> Result<TraceStream<'a>, TraceReadError> {
@@ -177,10 +180,7 @@ impl<'a> TraceSource<'a> {
                     return Err(e);
                 }
             },
-            _ => StreamInner::Text(
-                Box::new(RecordReader::with_ctx(reader, &ctx)),
-                Record::blank(),
-            ),
+            _ => StreamInner::Text(Box::new(TextStreamReader::new(reader, &ctx))),
         };
         Ok(TraceStream {
             inner,
@@ -199,8 +199,8 @@ impl<'a> TraceSource<'a> {
 /// its length so an oversized file is rejected without reading a byte.
 ///
 /// Path ingest is O(window) resident by construction: the file feeds the
-/// same bounded-lookahead machinery as reader inputs, so the whole trace
-/// is never materialized in memory.
+/// same windowed readers as reader inputs, so the whole trace is never
+/// held in memory (unless [`TraceSource::records`] materializes it).
 fn open_path<'a>(
     path: &std::path::Path,
     ctx: &AnalysisCtx,
@@ -227,7 +227,7 @@ fn records_from_reader(
     let reader = ByteLimitReader::wrap(reader, ctx);
     let result = match format {
         TraceFormat::Binary => BinaryStreamReader::open(reader, ctx).and_then(|r| r.collect()),
-        _ => parse_windowed(reader, WINDOW_BYTES, ctx),
+        _ => TextStreamReader::new(reader, ctx).read_all(),
     }
     .map_err(unsmuggle_limit)
     .and_then(|recs| {
@@ -378,9 +378,9 @@ impl Read for MeteredReader<'_> {
 /// The pull stream behind [`TraceSource::stream`]. Yields records until
 /// the first error, then fuses.
 ///
-/// [`next_record`](Self::next_record) lends each record from one reused
-/// slot (a binary trace decodes into it in place); the [`Iterator`] impl
-/// runs the same step and hands the record over by value.
+/// [`next_record`](Self::next_record) lends each record from the reader's
+/// one reused slot, which both formats decode into in place; the
+/// [`Iterator`] impl runs the same step and hands the record over by value.
 pub struct TraceStream<'a> {
     inner: StreamInner<'a>,
     metrics: Metrics,
@@ -397,10 +397,8 @@ pub struct TraceStream<'a> {
 }
 
 enum StreamInner<'a> {
-    // Boxed: the text reader's line-carry buffers dwarf the binary variant.
-    // The slot holds the last record the text reader parsed.
-    Text(Box<RecordReader<BoxedReader<'a>>>, Record),
-    // The binary reader keeps its own slot.
+    // Boxed: the text decoder's symbol cache dwarfs the binary variant.
+    Text(Box<TextStreamReader<BoxedReader<'a>>>),
     Binary(BinaryStreamReader<BoxedReader<'a>>),
 }
 
@@ -421,7 +419,7 @@ impl TraceStream<'_> {
     /// The record the last step delivered.
     fn slot(&mut self) -> &mut Record {
         match &mut self.inner {
-            StreamInner::Text(_, slot) => slot,
+            StreamInner::Text(r) => r.slot(),
             StreamInner::Binary(r) => r.slot(),
         }
     }
@@ -433,10 +431,7 @@ impl TraceStream<'_> {
             return None;
         }
         let (step, bytes) = match &mut self.inner {
-            StreamInner::Text(r, slot) => {
-                let step = r.next().map(|item| item.map(|rec| *slot = rec));
-                (step, self.read_bytes.get())
-            }
+            StreamInner::Text(r) => (r.advance(), self.read_bytes.get()),
             // The decode offset, not the bytes the window has read ahead:
             // ingest books exactly the bytes of the records delivered.
             StreamInner::Binary(r) => (r.advance(), r.offset()),
@@ -530,10 +525,7 @@ fn records_from_bytes(
     let format = resolve_format(bytes, format);
     let result = match format {
         TraceFormat::Binary => BinaryReader::open(bytes, ctx)?.read_all(),
-        _ => {
-            let text = utf8_text(bytes)?;
-            parse_str_core(text, ctx).map_err(TraceReadError::Parse)
-        }
+        _ => TextStreamReader::new(bytes, ctx).read_all(),
     }
     .and_then(|recs| {
         check_ingest_limits(ctx, recs.len() as u64, bytes.len() as u64)?;
@@ -938,6 +930,66 @@ mod tests {
             matches!(last, Err(TraceReadError::Resource(r)) if r.kind == ResourceKind::TraceBytes),
             "expected a trace-bytes violation, got {last:?}"
         );
+    }
+
+    #[test]
+    fn every_front_door_reports_the_first_bad_line() {
+        // A bad header on line 2 and an invalid byte on line 4: the first
+        // bad line wins, through every input kind and both output shapes.
+        let bytes: &[u8] =
+            b"0,3,foo,6:1,11,27,215,\n0,zz,foo,6:1,11,27,216,\n1,64,5,1,p,\n1,64,\xff,1,p,\n";
+        let dir = std::env::temp_dir().join(format!("autocheck-first-bad-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.txt");
+        std::fs::write(&path, bytes).unwrap();
+        let ctx = AnalysisCtx::session();
+        let sources = || {
+            [
+                ("bytes", TraceSource::from_bytes(bytes)),
+                ("reader", TraceSource::from_reader(bytes)),
+                ("path", TraceSource::from_path(&path)),
+            ]
+        };
+        let errors = sources()
+            .into_iter()
+            .map(|(name, s)| (name, "records", s.ctx(&ctx).records().unwrap_err()))
+            .chain(sources().into_iter().map(|(name, s)| {
+                let mut stream = s.ctx(&ctx).stream().unwrap();
+                (name, "stream", stream.find_map(Result::err).unwrap())
+            }));
+        for (input, output, err) in errors {
+            assert_eq!(
+                err.to_string(),
+                "trace parse error at line 2: bad src line `zz`",
+                "{output} from {input}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn streams_deliver_every_record_before_a_bad_header() {
+        // Record k is delivered once header k + 1 parses: all 199 records
+        // before the last good one, then the error, not 0 records because
+        // the failing line shares their read.
+        let ctx = AnalysisCtx::session();
+        let mut text = text_of(&ctx, &synth(&ctx, 200));
+        text.push_str("0,zz,broken,1:1,0,27,9,\n");
+        let metrics = AnalysisCtx::session().with_metrics(Metrics::enabled());
+        let items: Vec<_> = TraceSource::from_str(&text)
+            .ctx(&metrics)
+            .stream()
+            .unwrap()
+            .collect();
+        assert_eq!(items.len(), 200);
+        assert!(items[..199].iter().all(Result::is_ok));
+        let Err(TraceReadError::Parse(e)) = &items[199] else {
+            panic!("expected a parse error, got {:?}", items[199]);
+        };
+        assert_eq!((e.line, e.message.as_str()), (601, "bad src line `zz`"));
+        let m = metrics.metrics();
+        assert_eq!(m.counter(CounterId::IngestRecordsText), 199);
+        assert_eq!(m.counter(CounterId::ParseErrors), 1);
     }
 
     #[test]
