@@ -86,8 +86,9 @@ impl<W: Write> FileSink<W> {
         }
     }
 
-    /// Bytes on the wire (text) or the projected file size (binary, which
-    /// buffers until finish).
+    /// Bytes written so far (text), or the size the file would have if
+    /// finished now (binary: header, string table, spilled and buffered
+    /// records).
     fn bytes_written(&self) -> u64 {
         match self {
             FileSink::Text(s) => s.bytes_written(),
@@ -104,7 +105,7 @@ impl<W: Write> FileSink<W> {
 }
 
 impl<W: Write> TraceSink for FileSink<W> {
-    fn record(&mut self, rec: Record) -> Result<(), ExecError> {
+    fn record(&mut self, rec: &Record) -> Result<(), ExecError> {
         match self {
             FileSink::Text(s) => s.record(rec),
             FileSink::Binary(s) => s.record(rec),
@@ -335,8 +336,8 @@ fn main() -> ExitCode {
                 // Interpreter → analyzer directly: every emitted record is
                 // pushed into the session and dropped; nothing touches disk.
                 let mut session = analyzer.session();
-                let mut sink = FnSink::new(|rec| {
-                    session.push(&rec).map_err(|e| ExecError::Sink {
+                let mut sink = FnSink::new(|rec: &Record| {
+                    session.push(rec).map_err(|e| ExecError::Sink {
                         message: e.to_string(),
                     })
                 });

@@ -16,7 +16,9 @@ use autocheck_core::{
     AnalysisJob, Analyzer, JobInput, MultiAnalyzer, Region, StreamAnalyzer, StreamConfig,
     StreamError,
 };
-use autocheck_trace::{AnalysisCtx, FaultPlan, ResourceKind, ResourceLimits, TraceSource};
+use autocheck_interp::{BinarySink, ExecOptions, Machine, NoHook, WriterSink};
+use autocheck_trace::reader::TraceReadError;
+use autocheck_trace::{AnalysisCtx, FaultPlan, Record, ResourceKind, ResourceLimits, TraceSource};
 use std::path::{Path, PathBuf};
 
 fn corpus_dir() -> PathBuf {
@@ -223,6 +225,70 @@ fn batch_and_stream_reach_the_same_outcome_under_tight_ceilings() {
             );
         }
     }
+}
+
+/// Fig. 4's trace in both formats, written by the interpreter's sinks.
+fn fig4_traces() -> [(&'static str, Vec<u8>); 2] {
+    let src = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/fig4.mc"
+    ))
+    .expect("examples/fig4.mc exists");
+    let module = autocheck_minilang::compile(&src).expect("compiles");
+    let run = |binary: bool| {
+        let ctx = AnalysisCtx::session();
+        let _guard = ctx.enter();
+        let mut machine = Machine::with_ctx(&module, ExecOptions::default(), ctx.clone());
+        if binary {
+            let mut sink = BinarySink::with_ctx(Vec::new(), &ctx);
+            machine.run(&mut sink, &mut NoHook).expect("runs");
+            sink.finish().expect("binary trace")
+        } else {
+            let mut sink = WriterSink::new(Vec::new());
+            machine.run(&mut sink, &mut NoHook).expect("runs");
+            sink.finish().expect("text trace")
+        }
+    };
+    [("fig4 text", run(false)), ("fig4 binary", run(true))]
+}
+
+#[test]
+fn in_memory_records_and_stream_reach_the_same_outcome() {
+    // Every corpus file and fig4 in both formats, with no ceiling and
+    // under `trace-bytes` ceilings around the header, the string tables
+    // and the 64 KiB read window: `records()` and `stream()` over the same
+    // bytes deliver the same records or fail with the same error.
+    let mut inputs: Vec<(String, Vec<u8>)> = corpus_files()
+        .into_iter()
+        .map(|p| (p.display().to_string(), std::fs::read(&p).unwrap()))
+        .collect();
+    inputs.extend(fig4_traces().map(|(name, bytes)| (name.to_string(), bytes)));
+    let ceilings = [1, 24, 1000, 1983, 4096, 65536, 65537].map(Some);
+    let mut cases = 0;
+    for (name, bytes) in &inputs {
+        for ceiling in [None].into_iter().chain(ceilings) {
+            let ctx = || {
+                let limits = ceiling.map_or(ResourceLimits::new(), |c| {
+                    ResourceLimits::new().max_trace_bytes(c)
+                });
+                AnalysisCtx::session().untrusted().with_limits(limits)
+            };
+            let outcome = |r: Result<Vec<Record>, TraceReadError>| match r {
+                Ok(records) => format!("ok:{}", records.len()),
+                Err(e) => format!("err:{e}"),
+            };
+            let records = outcome(TraceSource::from_bytes(bytes).ctx(&ctx()).records());
+            let stream = outcome(
+                TraceSource::from_bytes(bytes)
+                    .ctx(&ctx())
+                    .stream()
+                    .and_then(|s| s.collect()),
+            );
+            assert_eq!(records, stream, "{name} under trace-bytes {ceiling:?}");
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 8 * inputs.len());
 }
 
 #[test]

@@ -160,9 +160,9 @@ fn interpreter_to_analyzer_direct_mode_needs_no_trace_file() {
 
     let analyzer = StreamAnalyzer::new(spec.region.clone()).with_index_vars(index);
     let mut session = analyzer.session();
-    let mut sink = FnSink::new(|rec| {
+    let mut sink = FnSink::new(|rec: &Record| {
         session
-            .push(&rec)
+            .push(rec)
             .map_err(|e| autocheck_interp::ExecError::Sink {
                 message: e.to_string(),
             })

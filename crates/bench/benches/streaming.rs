@@ -25,7 +25,7 @@ fn bench_streaming(c: &mut Criterion) {
         let mut text_sink = WriterSink::new(Vec::new());
         for r in &records {
             use autocheck_interp::TraceSink as _;
-            text_sink.record(r.clone()).expect("sink");
+            text_sink.record(r).expect("sink");
         }
         let text = text_sink.finish().expect("trace bytes");
         let index = index_variables_of(&module, &spec.region);

@@ -567,7 +567,7 @@ int main() {
         let mut sink = autocheck_interp::WriterSink::new(Vec::new());
         for r in &records {
             use autocheck_interp::TraceSink as _;
-            sink.record(r.clone()).unwrap();
+            sink.record(r).unwrap();
         }
         let text = sink.finish().unwrap();
 

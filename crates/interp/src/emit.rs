@@ -57,13 +57,17 @@ impl DynOperand {
     }
 }
 
-/// Assemble one trace record.
+/// Fill `rec` with one executed instruction, in place: every field is
+/// overwritten and the operand buffer is cleared and refilled, so a slot
+/// reused across instructions allocates only when an instruction has more
+/// operands than any before it.
 ///
-/// `params` carries the `f`-tagged parameter lines of Call form 2 (empty
-/// otherwise); `label` is the basic-block label except for `Alloca`, where
-/// the caller passes the variable name.
+/// `params` and `args` pair up into the `f`-tagged parameter lines of Call
+/// form 2 (both empty otherwise); `label` is the basic-block label except
+/// for `Alloca`, where the caller passes the variable name.
 #[allow(clippy::too_many_arguments)]
-pub fn build_record(
+pub fn fill_record(
+    rec: &mut Record,
     func: SymId,
     bb_loc: SrcLoc,
     label: SymId,
@@ -71,15 +75,22 @@ pub fn build_record(
     loc: SrcLoc,
     dyn_id: u64,
     operands: &[DynOperand],
-    params: &[(SymId, RtValue)],
+    params: &[SymId],
+    args: &[RtValue],
     result: Option<DynOperand>,
-) -> Record {
-    let mut ops: Vec<Operand> = Vec::with_capacity(operands.len() + params.len());
+) {
+    rec.src_line = loc.trace_line();
+    rec.func = func;
+    rec.bb = (bb_loc.line, bb_loc.col);
+    rec.bb_label = label;
+    rec.opcode = opcode;
+    rec.dyn_id = dyn_id;
+    rec.operands.clear();
     for (i, op) in operands.iter().enumerate() {
-        ops.push(op.to_operand(OpTag::Pos((i + 1) as u8)));
+        rec.operands.push(op.to_operand(OpTag::Pos((i + 1) as u8)));
     }
-    for &(pname, ref pval) in params {
-        ops.push(Operand {
+    for (&pname, pval) in params.iter().zip(args) {
+        rec.operands.push(Operand {
             tag: OpTag::Param,
             bits: pval.bit_size(),
             value: pval.to_trace(),
@@ -87,22 +98,34 @@ pub fn build_record(
             name: Name::Sym(pname),
         });
     }
-    Record {
-        src_line: loc.trace_line(),
-        func,
-        bb: (bb_loc.line, bb_loc.col),
-        bb_label: label,
-        opcode,
-        dyn_id,
-        operands: ops,
-        result: result.map(|r| r.to_operand(OpTag::Result)),
-    }
+    rec.result = result.map(|r| r.to_operand(OpTag::Result));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use autocheck_trace::{writer, TraceValue};
+
+    /// [`fill_record`] into a fresh slot.
+    #[allow(clippy::too_many_arguments)]
+    fn build_record(
+        func: SymId,
+        bb_loc: SrcLoc,
+        label: SymId,
+        opcode: u16,
+        loc: SrcLoc,
+        dyn_id: u64,
+        operands: &[DynOperand],
+        params: &[(SymId, RtValue)],
+        result: Option<DynOperand>,
+    ) -> Record {
+        let (names, args): (Vec<SymId>, Vec<RtValue>) = params.iter().copied().unzip();
+        let mut rec = Record::blank();
+        fill_record(
+            &mut rec, func, bb_loc, label, opcode, loc, dyn_id, operands, &names, &args, result,
+        );
+        rec
+    }
 
     #[test]
     fn load_record_matches_fig1_shape() {
@@ -153,6 +176,48 @@ mod tests {
         assert_eq!(params[0].name, Name::sym("p"));
         assert_eq!(params[0].value, TraceValue::Ptr(0x7ffe_c14b_0db0));
         assert!(r.result.is_none());
+    }
+
+    #[test]
+    fn refilling_a_slot_overwrites_every_field() {
+        let call = build_record(
+            SymId::intern("main"),
+            SrcLoc::new(21, 1),
+            SymId::intern("49"),
+            49,
+            SrcLoc::new(17, 1),
+            199,
+            &[DynOperand::reg(Name::sym("foo"), RtValue::P(0x4009e0))],
+            &[(SymId::intern("p"), RtValue::I(3))],
+            Some(DynOperand::reg(Name::Temp(2), RtValue::I(0))),
+        );
+        let mut slot = call.clone();
+        let ops = [DynOperand::imm(RtValue::F(0.5))];
+        fill_record(
+            &mut slot,
+            SymId::intern("foo"),
+            SrcLoc::new(6, 1),
+            SymId::intern("11"),
+            2,
+            SrcLoc::new(3, 1),
+            200,
+            &ops,
+            &[],
+            &[],
+            None,
+        );
+        let fresh = build_record(
+            SymId::intern("foo"),
+            SrcLoc::new(6, 1),
+            SymId::intern("11"),
+            2,
+            SrcLoc::new(3, 1),
+            200,
+            &ops,
+            &[],
+            None,
+        );
+        assert_eq!(slot, fresh);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The interpreter proper.
 
-use crate::emit::{build_record, DynOperand};
+use crate::emit::{fill_record, DynOperand};
 use crate::error::ExecError;
 use crate::hooks::{ExecHook, HookAction, HookCtx};
 use crate::memory::{Memory, SymbolInfo, SymbolScope, GLOBAL_BASE};
@@ -10,7 +10,7 @@ use autocheck_ir::{
     BinOp, BlockId, Builtin, Callee, CastOp, CmpPred, FuncId, Function, GlobalInit, Inst, InstId,
     InstKind, Module, RegName, SrcLoc, Type, Value,
 };
-use autocheck_trace::{AnalysisCtx, Name, SymId};
+use autocheck_trace::{AnalysisCtx, Name, Record, SymId};
 
 /// Synthetic "code addresses" given to functions so Call records carry a
 /// pointer value like real traces do.
@@ -81,6 +81,11 @@ pub struct Machine<'m> {
     opts: ExecOptions,
     /// The analysis session this machine emits symbols into.
     ctx: AnalysisCtx,
+    /// The one record every traced instruction is filled into and lent to
+    /// the sink from, so emission builds no `Record` per instruction.
+    rec: Record,
+    /// A call's callee and argument operands, reused from call to call.
+    call_ops: Vec<DynOperand>,
 }
 
 impl<'m> Machine<'m> {
@@ -158,6 +163,8 @@ impl<'m> Machine<'m> {
             last_line: None,
             opts,
             ctx,
+            rec: Record::blank(),
+            call_ops: Vec::new(),
         }
     }
 
@@ -254,6 +261,9 @@ impl<'m> Machine<'m> {
         })
     }
 
+    /// Fill the record slot with `inst` and lend it to `sink`. `call` names
+    /// the callee and argument values of Call form 2, whose parameters
+    /// become the `f` lines.
     #[allow(clippy::too_many_arguments)]
     fn emit(
         &mut self,
@@ -262,14 +272,19 @@ impl<'m> Machine<'m> {
         block: BlockId,
         inst: &Inst,
         operands: &[DynOperand],
-        params: &[(SymId, RtValue)],
+        call: Option<(FuncId, &[RtValue])>,
         result: Option<DynOperand>,
         label_override: Option<SymId>,
     ) -> Result<(), ExecError> {
         let f = self.module.function(frame.func);
         let label =
             label_override.unwrap_or_else(|| self.block_labels[frame.func.index()][block.index()]);
-        let rec = build_record(
+        let (params, args): (&[SymId], &[RtValue]) = match call {
+            Some((callee, args)) => (&self.param_names[callee.index()], args),
+            None => (&[], &[]),
+        };
+        fill_record(
+            &mut self.rec,
             self.func_names[frame.func.index()],
             f.blocks[block.index()].loc,
             label,
@@ -278,9 +293,10 @@ impl<'m> Machine<'m> {
             self.dyn_id,
             operands,
             params,
+            args,
             result,
         );
-        sink.record(rec)
+        sink.record(&self.rec)
     }
 
     fn check_budget(&self) -> Result<(), ExecError> {
@@ -370,7 +386,7 @@ impl<'m> Machine<'m> {
                         let ops = [DynOperand::imm(RtValue::I(ty.byte_size() as i64))];
                         let sym = self.ctx.intern(var);
                         let res = DynOperand::reg(Name::Sym(sym), RtValue::P(addr));
-                        self.emit(sink, &frame, block, inst, &ops, &[], Some(res), Some(sym))?;
+                        self.emit(sink, &frame, block, inst, &ops, None, Some(res), Some(sym))?;
                     }
                 }
                 InstKind::Load { ptr, ty } => {
@@ -387,7 +403,7 @@ impl<'m> Machine<'m> {
                             value: loaded,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, inst, &[pv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[pv], None, Some(res), None)?;
                     }
                 }
                 InstKind::Store { value, ptr, ty } => {
@@ -406,7 +422,7 @@ impl<'m> Machine<'m> {
                             .write_i64(addr, vv.value.as_i().unwrap_or_default())?,
                     }
                     if trace_on {
-                        self.emit(sink, &frame, block, inst, &[vv, pv], &[], None, None)?;
+                        self.emit(sink, &frame, block, inst, &[vv, pv], None, None, None)?;
                     }
                 }
                 InstKind::Gep { base, index, elem } => {
@@ -423,7 +439,7 @@ impl<'m> Machine<'m> {
                             value: res_v,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, inst, &[bv, iv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[bv, iv], None, Some(res), None)?;
                     }
                 }
                 InstKind::BitCast { value, .. } => {
@@ -435,7 +451,7 @@ impl<'m> Machine<'m> {
                             value: vv.value,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, inst, &[vv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[vv], None, Some(res), None)?;
                     }
                 }
                 InstKind::Binary { op, lhs, rhs } => {
@@ -449,7 +465,7 @@ impl<'m> Machine<'m> {
                             value: out,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, inst, &[lv, rv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[lv, rv], None, Some(res), None)?;
                     }
                 }
                 InstKind::Cmp {
@@ -468,7 +484,7 @@ impl<'m> Machine<'m> {
                             value: out,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, inst, &[lv, rv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[lv, rv], None, Some(res), None)?;
                     }
                 }
                 InstKind::Cast { op, value } => {
@@ -485,11 +501,14 @@ impl<'m> Machine<'m> {
                             value: out,
                             is_reg: true,
                         };
-                        self.emit(sink, &frame, block, inst, &[vv], &[], Some(res), None)?;
+                        self.emit(sink, &frame, block, inst, &[vv], None, Some(res), None)?;
                     }
                 }
                 InstKind::Call { callee, args } => {
-                    let mut arg_ops = Vec::with_capacity(args.len() + 1);
+                    // Taken out of the machine while it is filled and lent;
+                    // an error on the way only costs a fresh buffer later.
+                    let mut arg_ops = std::mem::take(&mut self.call_ops);
+                    arg_ops.clear();
                     match callee {
                         Callee::Builtin(b) => {
                             // Call form 1: one record including the result.
@@ -497,13 +516,10 @@ impl<'m> Machine<'m> {
                                 Name::Sym(self.ctx.intern(b.name())),
                                 RtValue::P(CODE_BASE - 0x1000 + *b as u64 * 0x10),
                             ));
-                            let mut vals = Vec::with_capacity(args.len());
                             for a in args {
-                                let op = self.dyn_operand(&frame, *a)?;
-                                vals.push(op.value);
-                                arg_ops.push(op);
+                                arg_ops.push(self.dyn_operand(&frame, *a)?);
                             }
-                            let out = self.eval_builtin(*b, &vals);
+                            let out = self.eval_builtin(*b, &arg_ops[1..]);
                             if let Some(v) = out {
                                 frame.regs[inst_id.index()] = Some(v);
                             }
@@ -513,8 +529,9 @@ impl<'m> Machine<'m> {
                                     value: v,
                                     is_reg: true,
                                 });
-                                self.emit(sink, &frame, block, inst, &arg_ops, &[], res, None)?;
+                                self.emit(sink, &frame, block, inst, &arg_ops, None, res, None)?;
                             }
+                            self.call_ops = arg_ops;
                             self.dyn_id += 1;
                             idx += 1;
                             continue;
@@ -533,12 +550,6 @@ impl<'m> Machine<'m> {
                                 arg_ops.push(op);
                             }
                             if trace_on {
-                                let params: Vec<(SymId, RtValue)> = self.param_names
-                                    [callee_id.index()]
-                                .iter()
-                                .copied()
-                                .zip(vals.iter().copied())
-                                .collect();
                                 // Unlike paper Fig. 6(b) we add a result line
                                 // carrying only the call's register *name*
                                 // (placeholder value): it lets the analysis
@@ -553,8 +564,10 @@ impl<'m> Machine<'m> {
                                 } else {
                                     None
                                 };
-                                self.emit(sink, &frame, block, inst, &arg_ops, &params, res, None)?;
+                                let call = Some((*callee_id, &vals[..]));
+                                self.emit(sink, &frame, block, inst, &arg_ops, call, res, None)?;
                             }
+                            self.call_ops = arg_ops;
                             self.dyn_id += 1;
                             let ret =
                                 self.call_function(*callee_id, vals, sink, hook, depth + 1)?;
@@ -567,26 +580,21 @@ impl<'m> Machine<'m> {
                     }
                 }
                 InstKind::Ret { value } => {
-                    let mut ops = Vec::new();
-                    let ret_v = match value {
-                        Some(v) => {
-                            let op = self.dyn_operand(&frame, *v)?;
-                            let val = op.value;
-                            ops.push(op);
-                            Some(val)
-                        }
+                    let op = match value {
+                        Some(v) => Some(self.dyn_operand(&frame, *v)?),
                         None => None,
                     };
                     if trace_on {
-                        self.emit(sink, &frame, block, inst, &ops, &[], None, None)?;
+                        self.emit(sink, &frame, block, inst, op.as_slice(), None, None, None)?;
                     }
+                    let ret_v = op.map(|op| op.value);
                     self.dyn_id += 1;
                     self.mem.stack_release(frame.sp_base);
                     return Ok(ret_v);
                 }
                 InstKind::Br { target } => {
                     if trace_on {
-                        self.emit(sink, &frame, block, inst, &[], &[], None, None)?;
+                        self.emit(sink, &frame, block, inst, &[], None, None, None)?;
                     }
                     self.dyn_id += 1;
                     block = *target;
@@ -601,7 +609,7 @@ impl<'m> Machine<'m> {
                     let cv = self.dyn_operand(&frame, *cond)?;
                     let taken = cv.value.as_b().unwrap_or(false);
                     if trace_on {
-                        self.emit(sink, &frame, block, inst, &[cv], &[], None, None)?;
+                        self.emit(sink, &frame, block, inst, &[cv], None, None, None)?;
                     }
                     self.dyn_id += 1;
                     block = if taken { *then_bb } else { *else_bb };
@@ -614,18 +622,23 @@ impl<'m> Machine<'m> {
         }
     }
 
-    fn eval_builtin(&mut self, b: Builtin, args: &[RtValue]) -> Option<RtValue> {
-        let f = |i: usize| args.get(i).and_then(|v| v.as_f()).unwrap_or(0.0);
+    fn eval_builtin(&mut self, b: Builtin, args: &[DynOperand]) -> Option<RtValue> {
+        let f = |i: usize| args.get(i).and_then(|v| v.value.as_f()).unwrap_or(0.0);
         Some(match b {
             Builtin::Print => {
-                let line = args.first().map(|v| v.display_exact()).unwrap_or_default();
+                let line = args
+                    .first()
+                    .map(|v| v.value.display_exact())
+                    .unwrap_or_default();
                 self.output.push(line);
                 return None;
             }
             Builtin::Sqrt => RtValue::F(f(0).sqrt()),
             Builtin::Pow => RtValue::F(f(0).powf(f(1))),
             Builtin::FAbs => RtValue::F(f(0).abs()),
-            Builtin::IAbs => RtValue::I(args.first().and_then(|v| v.as_i()).unwrap_or(0).abs()),
+            Builtin::IAbs => {
+                RtValue::I(args.first().and_then(|v| v.value.as_i()).unwrap_or(0).abs())
+            }
             Builtin::Exp => RtValue::F(f(0).exp()),
             Builtin::Log => RtValue::F(f(0).ln()),
             Builtin::Cos => RtValue::F(f(0).cos()),

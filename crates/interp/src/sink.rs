@@ -6,8 +6,9 @@ use std::io::Write;
 
 /// Consumer of emitted trace records.
 pub trait TraceSink {
-    /// Receive one record.
-    fn record(&mut self, rec: Record) -> Result<(), ExecError>;
+    /// Receive one record, borrowed from the interpreter's one record slot
+    /// until the call returns. A sink that keeps records clones them.
+    fn record(&mut self, rec: &Record) -> Result<(), ExecError>;
 
     /// True when the sink wants records at all. The interpreter skips record
     /// *construction* entirely when this is false, so untraced runs (the
@@ -22,7 +23,7 @@ pub trait TraceSink {
 pub struct NullSink;
 
 impl TraceSink for NullSink {
-    fn record(&mut self, _rec: Record) -> Result<(), ExecError> {
+    fn record(&mut self, _rec: &Record) -> Result<(), ExecError> {
         Ok(())
     }
 
@@ -32,6 +33,7 @@ impl TraceSink for NullSink {
 }
 
 /// Collects records in memory — used by tests and the in-process pipeline.
+/// Each record is cloned out of the interpreter's slot.
 #[derive(Default)]
 pub struct VecSink {
     /// The collected records.
@@ -39,8 +41,8 @@ pub struct VecSink {
 }
 
 impl TraceSink for VecSink {
-    fn record(&mut self, rec: Record) -> Result<(), ExecError> {
-        self.records.push(rec);
+    fn record(&mut self, rec: &Record) -> Result<(), ExecError> {
+        self.records.push(rec.clone());
         Ok(())
     }
 }
@@ -53,38 +55,38 @@ pub struct CountSink {
 }
 
 impl TraceSink for CountSink {
-    fn record(&mut self, _rec: Record) -> Result<(), ExecError> {
+    fn record(&mut self, _rec: &Record) -> Result<(), ExecError> {
         self.count += 1;
         Ok(())
     }
 }
 
-/// Push-based adapter: forwards every record to a closure. This is the
+/// Push-based adapter: lends every record to a closure. This is the
 /// interpreter→analyzer direct path — a streaming analysis session can sit
 /// on the other side of the closure, so a program is traced and analyzed
 /// with **no intermediate trace file or record buffer at all**.
 ///
 /// ```ignore
 /// let mut session = analyzer.session();
-/// let mut sink = FnSink::new(|rec| {
-///     session.push(&rec).map_err(|e| ExecError::Sink { message: e.to_string() })
+/// let mut sink = FnSink::new(|rec: &Record| {
+///     session.push(rec).map_err(|e| ExecError::Sink { message: e.to_string() })
 /// });
 /// machine.run(&mut sink, &mut NoHook)?;
 /// let report = session.finish();
 /// ```
-pub struct FnSink<F: FnMut(Record) -> Result<(), ExecError>> {
+pub struct FnSink<F: FnMut(&Record) -> Result<(), ExecError>> {
     f: F,
 }
 
-impl<F: FnMut(Record) -> Result<(), ExecError>> FnSink<F> {
+impl<F: FnMut(&Record) -> Result<(), ExecError>> FnSink<F> {
     /// Wrap `f`.
     pub fn new(f: F) -> FnSink<F> {
         FnSink { f }
     }
 }
 
-impl<F: FnMut(Record) -> Result<(), ExecError>> TraceSink for FnSink<F> {
-    fn record(&mut self, rec: Record) -> Result<(), ExecError> {
+impl<F: FnMut(&Record) -> Result<(), ExecError>> TraceSink for FnSink<F> {
+    fn record(&mut self, rec: &Record) -> Result<(), ExecError> {
         (self.f)(rec)
     }
 }
@@ -123,18 +125,20 @@ impl<W: Write> WriterSink<W> {
 }
 
 impl<W: Write> TraceSink for WriterSink<W> {
-    fn record(&mut self, rec: Record) -> Result<(), ExecError> {
-        self.writer.write_record(&rec).map_err(|e| ExecError::Sink {
+    fn record(&mut self, rec: &Record) -> Result<(), ExecError> {
+        self.writer.write_record(rec).map_err(|e| ExecError::Sink {
             message: e.to_string(),
         })
     }
 }
 
 /// Streams the **binary** trace format into any [`Write`] — the compact
-/// counterpart of [`WriterSink`]. Records and the symbol string table are
-/// buffered and emitted on [`finish`](Self::finish) (the header carries the
-/// record count and string table, so the format cannot be written
-/// incrementally).
+/// counterpart of [`WriterSink`]. Memory stays bounded whatever the trace
+/// length: records go through one 64 KiB buffer into an unlinked temporary
+/// file, and [`finish`](Self::finish) writes the header and string table,
+/// then copies the records in (see [`BinaryWriter`]). Nothing reaches
+/// `out` before `finish`: the header carries the record count and the
+/// string table, which are known only at the end.
 pub struct BinarySink<W: Write> {
     writer: BinaryWriter<W>,
 }
@@ -154,13 +158,13 @@ impl<W: Write> BinarySink<W> {
         }
     }
 
-    /// Records accepted so far (buffered; nothing is on the wire yet).
+    /// Records accepted so far (none is in `out` before `finish`).
     pub fn records_written(&self) -> u64 {
         self.writer.records_written()
     }
 
-    /// Bytes the finished trace will occupy (header + string table so far +
-    /// records).
+    /// Bytes the trace would occupy if finished now (header, string table
+    /// so far, spilled and buffered records).
     pub fn bytes_written(&self) -> u64 {
         self.writer.bytes_written()
     }
@@ -174,8 +178,8 @@ impl<W: Write> BinarySink<W> {
 }
 
 impl<W: Write> TraceSink for BinarySink<W> {
-    fn record(&mut self, rec: Record) -> Result<(), ExecError> {
-        self.writer.write_record(&rec).map_err(|e| ExecError::Sink {
+    fn record(&mut self, rec: &Record) -> Result<(), ExecError> {
+        self.writer.write_record(rec).map_err(|e| ExecError::Sink {
             message: e.to_string(),
         })
     }
@@ -208,8 +212,8 @@ mod tests {
     #[test]
     fn vec_sink_collects() {
         let mut s = VecSink::default();
-        s.record(rec(0)).unwrap();
-        s.record(rec(1)).unwrap();
+        s.record(&rec(0)).unwrap();
+        s.record(&rec(1)).unwrap();
         assert_eq!(s.records.len(), 2);
         assert!(s.enabled());
     }
@@ -218,7 +222,7 @@ mod tests {
     fn count_sink_counts() {
         let mut s = CountSink::default();
         for i in 0..5 {
-            s.record(rec(i)).unwrap();
+            s.record(&rec(i)).unwrap();
         }
         assert_eq!(s.count, 5);
     }
@@ -226,7 +230,7 @@ mod tests {
     #[test]
     fn fn_sink_forwards_records_and_errors() {
         let mut ids = Vec::new();
-        let mut s = FnSink::new(|r: Record| {
+        let mut s = FnSink::new(|r: &Record| {
             if r.dyn_id >= 2 {
                 return Err(ExecError::Sink {
                     message: "full".into(),
@@ -235,9 +239,9 @@ mod tests {
             ids.push(r.dyn_id);
             Ok(())
         });
-        s.record(rec(0)).unwrap();
-        s.record(rec(1)).unwrap();
-        assert!(s.record(rec(2)).is_err());
+        s.record(&rec(0)).unwrap();
+        s.record(&rec(1)).unwrap();
+        assert!(s.record(&rec(2)).is_err());
         assert_eq!(ids, vec![0, 1]);
         assert!(FnSink::new(|_| Ok(())).enabled());
     }
@@ -245,8 +249,8 @@ mod tests {
     #[test]
     fn binary_sink_produces_parsable_binary() {
         let mut s = BinarySink::new(Vec::new());
-        s.record(rec(0)).unwrap();
-        s.record(rec(1)).unwrap();
+        s.record(&rec(0)).unwrap();
+        s.record(&rec(1)).unwrap();
         assert_eq!(s.records_written(), 2);
         let bytes = s.finish().unwrap();
         assert!(autocheck_trace::binary::is_binary(&bytes));
@@ -262,8 +266,8 @@ mod tests {
         let mut text = WriterSink::new(Vec::new());
         let mut bin = BinarySink::new(Vec::new());
         for i in 0..4 {
-            text.record(rec(i)).unwrap();
-            bin.record(rec(i)).unwrap();
+            text.record(&rec(i)).unwrap();
+            bin.record(&rec(i)).unwrap();
         }
         let from_text = autocheck_trace::TraceSource::from_bytes(&text.finish().unwrap())
             .records()
@@ -277,8 +281,8 @@ mod tests {
     #[test]
     fn writer_sink_produces_parsable_text() {
         let mut s = WriterSink::new(Vec::new());
-        s.record(rec(0)).unwrap();
-        s.record(rec(1)).unwrap();
+        s.record(&rec(0)).unwrap();
+        s.record(&rec(1)).unwrap();
         assert_eq!(s.records_written(), 2);
         let bytes = s.finish().unwrap();
         let text = String::from_utf8(bytes).unwrap();

@@ -185,8 +185,7 @@ impl DdgBuilder {
                 None
             }
             opcodes::CALL => {
-                let params: Vec<_> = r.params().collect();
-                if params.is_empty() {
+                if r.params().next().is_none() {
                     // Form 1 (builtin): treat as arithmetic. Graph-only —
                     // and no call-stack push.
                     if let Some(res) = &r.result {
@@ -202,7 +201,7 @@ impl DdgBuilder {
                     // Form 2: argument/parameter triplets. Positional
                     // operand 1 is the callee; arguments follow, pairing
                     // with the `f` lines in order.
-                    for (arg, param) in r.positional().skip(1).zip(params.iter()) {
+                    for (arg, param) in r.positional().skip(1).zip(r.params()) {
                         if let Some((name, base)) =
                             resolve(&self.reg_var, arg.name, arg.value.as_ptr())
                         {

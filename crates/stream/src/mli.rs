@@ -194,12 +194,10 @@ impl MliCollector {
             }
             op if (8..=25).contains(&op) || op == opcodes::ICMP || op == opcodes::FCMP => {
                 if self.mode == Collect::Arithmetic {
-                    let hits: Vec<VarKey> = r
-                        .positional()
-                        .filter_map(|operand| self.loaded_from.get(operand.name).copied())
-                        .collect();
-                    for key in hits {
-                        self.collect(key, line, is_before);
+                    for operand in r.positional() {
+                        if let Some(&key) = self.loaded_from.get(operand.name) {
+                            self.collect(key, line, is_before);
+                        }
                     }
                 }
                 if let Some(res) = &r.result {

@@ -11,7 +11,7 @@
 //!   symbols by dense file-local index, resolved with an array lookup;
 //! * **records are fixed-width** (a 32-byte header plus 19 bytes per
 //!   operand), so decoding is a handful of `from_le_bytes` copies straight
-//!   out of the input buffer — no per-record string materialization at all.
+//!   out of the read window — no per-record string materialization at all.
 //!
 //! # Layout
 //!
@@ -61,18 +61,24 @@
 //!
 //! Earlier releases wrote the footer to plan iteration-aligned shards
 //! without a scan; nothing reads the index any more, but version-2 files
-//! stay valid input. The zero-copy reader parses the footer straight off
-//! the end of the file, the streaming reader consumes it after the
-//! declared records, and both reject a malformed one. The writer emits
-//! version 1 (no footer) — only this module's tests still build version-2
-//! files.
+//! stay valid input. The reader consumes the footer after the declared
+//! records and rejects a malformed one. The writer emits version 1 (no
+//! footer) — only this module's tests still build version-2 files.
 //!
-//! The writer is **buffered**: record bytes and the growing string table
-//! accumulate in memory and the complete file — header, then string table,
-//! then records — is emitted at [`BinaryWriter::finish`]. That is what lets
-//! the string table live *ahead* of the records (so readers, including
-//! purely streaming ones, intern everything once up front) while symbols
-//! are still discovered on the fly during writing.
+//! # Writing in bounded memory
+//!
+//! The string table lives *ahead* of the records, so a reader interns
+//! every symbol once up front, but a writer discovers symbols as it goes.
+//! [`BinaryWriter`] therefore writes nothing to its output until
+//! [`BinaryWriter::finish`], without holding the records in memory: each
+//! record is encoded at its fixed size into one 64 KiB buffer, and a full
+//! buffer is appended to a spill file in [`std::env::temp_dir`], created
+//! with `create_new` and unlinked at once, so no file is left behind
+//! however the writer ends. `finish` writes the header and the string
+//! table, copies the spill file in (with a `BufWriter<File>` output, Linux
+//! copies in the kernel), then the buffered tail. A trace under 64 KiB
+//! never touches disk. The writer holds the buffer, the string table and
+//! a table of 4 bytes per session symbol, whatever the trace's length.
 //!
 //! Readers validate everything before trusting it: magic, version, that
 //! the declared string table fits its section, that every symbol index is
@@ -87,13 +93,19 @@ use crate::limits::ResourceKind;
 use crate::name::Name;
 use crate::reader::TraceReadError;
 use crate::record::{OpTag, Operand, Record, TraceValue};
-use fxhash::FxHashMap;
-use std::io::{self, Read, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Seek, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 #[cfg(test)]
 mod differential;
 #[cfg(test)]
 mod reference;
+#[cfg(test)]
+mod writer_differential;
+#[cfg(test)]
+mod writer_reference;
 
 /// The four magic bytes opening every binary trace file.
 pub const MAGIC: [u8; 4] = [0xB7, b'A', b'C', b'T'];
@@ -113,6 +125,7 @@ pub const VERSION_INDEXED: u16 = 2;
 pub const INDEX_MAGIC: [u8; 4] = *b"AIX1";
 
 /// Fixed footer overhead: leading magic + count, trailing count + magic.
+#[cfg(test)]
 const INDEX_FRAME_BYTES: usize = 16;
 
 /// Header size in bytes.
@@ -165,23 +178,103 @@ pub fn is_binary(bytes: &[u8]) -> bool {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Buffered binary trace writer over any [`Write`].
+/// Record bytes the writer holds before it spills them to its temporary
+/// file (see the module docs).
+const SPILL_AT: usize = 64 * 1024;
+
+/// Attempts at a fresh spill-file name before giving up.
+const SPILL_NAME_TRIES: u32 = 64;
+
+/// The string table a [`BinaryWriter`] builds as records name symbols.
+struct StringTable {
+    ctx: AnalysisCtx,
+    /// Entries in first-use order (= file-local index order). Owned
+    /// handles — the writer stays valid even if the session space that
+    /// interned them drops first.
+    strings: Vec<SymStr>,
+    /// Bytes the entries take in the file: a 2-byte length and the text
+    /// each.
+    bytes: usize,
+    /// Slot `i` holds the file-local index of session symbol `i`, or
+    /// [`NO_INDEX`]. Ids are dense per space, so the table is bounded by
+    /// the session's symbol count.
+    index: Vec<u32>,
+}
+
+/// A [`StringTable::index`] slot whose symbol has no entry yet.
+const NO_INDEX: u32 = u32::MAX;
+
+impl StringTable {
+    /// The file-local index of `id`, adding its entry on first use.
+    #[inline]
+    fn file_sym(&mut self, id: SymId) -> io::Result<u32> {
+        match self.index.get(id.index()) {
+            Some(&ix) if ix != NO_INDEX => Ok(ix),
+            _ => self.add(id),
+        }
+    }
+
+    #[cold]
+    fn add(&mut self, id: SymId) -> io::Result<u32> {
+        let s = self.ctx.resolve(id);
+        if s.len() > u16::MAX as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "symbol of {} bytes exceeds the format's 64 KiB cap",
+                    s.len()
+                ),
+            ));
+        }
+        let ix = u32::try_from(self.strings.len())
+            .ok()
+            .filter(|&ix| ix != NO_INDEX)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "too many symbols"))?;
+        if self.index.len() <= id.index() {
+            self.index.resize(id.index() + 1, NO_INDEX);
+        }
+        self.index[id.index()] = ix;
+        self.bytes += 2 + s.len();
+        self.strings.push(s);
+        Ok(ix)
+    }
+
+    /// Drop the entries from `len` on: those a failed record added.
+    fn truncate(&mut self, len: usize) {
+        for s in self.strings.drain(len..) {
+            self.bytes -= 2 + s.len();
+        }
+        for ix in &mut self.index {
+            if *ix != NO_INDEX && *ix as usize >= len {
+                *ix = NO_INDEX;
+            }
+        }
+    }
+}
+
+/// Binary trace writer over any [`Write`], in bounded memory.
 ///
-/// Mirrors [`TraceWriter`](crate::TraceWriter)'s API (write records, counters,
-/// `finish`). Symbols resolve through the writer's [`AnalysisCtx`], so
-/// records must come from the same session. Nothing reaches the underlying
-/// writer until [`finish`](Self::finish) — see the module docs for why.
+/// Mirrors [`TraceWriter`](crate::TraceWriter)'s API (write records,
+/// counters, `finish`). Symbols resolve through the writer's
+/// [`AnalysisCtx`], so records must come from the same session. Records
+/// encode into one 64 KiB buffer, which spills to an unlinked temporary
+/// file when full; nothing reaches the underlying writer until
+/// [`finish`](Self::finish), and a writer dropped without it writes
+/// nothing there — see the module docs for why.
 pub struct BinaryWriter<W: Write> {
     out: W,
-    ctx: AnalysisCtx,
-    /// String-table entries in first-use order (= file-local index order).
-    /// Owned handles — the writer stays valid even if the session space
-    /// that interned them drops first.
-    strings: Vec<SymStr>,
-    /// Session `SymId` index → file-local string-table index.
-    sym_index: FxHashMap<usize, u32>,
-    /// Accumulated record-section bytes.
-    records: Vec<u8>,
+    table: StringTable,
+    /// `buf[..filled]` holds whole encoded records; `buf.len()` is the
+    /// buffer's size (64 KiB, or the largest record when that is bigger).
+    buf: Vec<u8>,
+    filled: usize,
+    /// The spill file, created by the first spill.
+    spill: Option<File>,
+    /// Bytes in the spill file.
+    spilled: u64,
+    /// Set when a spill failed part-way: the spill file's contents are
+    /// unknown, so every later call fails.
+    broken: bool,
     record_count: u64,
     /// Iteration boundaries to emit as a version-2 footer, when set.
     #[cfg(test)]
@@ -198,10 +291,17 @@ impl<W: Write> BinaryWriter<W> {
     pub fn with_ctx(out: W, ctx: &AnalysisCtx) -> Self {
         BinaryWriter {
             out,
-            ctx: ctx.clone(),
-            strings: Vec::new(),
-            sym_index: FxHashMap::default(),
-            records: Vec::new(),
+            table: StringTable {
+                ctx: ctx.clone(),
+                strings: Vec::new(),
+                bytes: 0,
+                index: Vec::new(),
+            },
+            buf: vec![0; SPILL_AT],
+            filled: 0,
+            spill: None,
+            spilled: 0,
+            broken: false,
             record_count: 0,
             #[cfg(test)]
             index: None,
@@ -237,58 +337,10 @@ impl<W: Write> BinaryWriter<W> {
         Ok(None)
     }
 
-    fn file_sym(&mut self, id: SymId) -> io::Result<u32> {
-        if let Some(&ix) = self.sym_index.get(&id.index()) {
-            return Ok(ix);
-        }
-        let s = self.ctx.resolve(id);
-        if s.len() > u16::MAX as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "symbol of {} bytes exceeds the format's 64 KiB cap",
-                    s.len()
-                ),
-            ));
-        }
-        let ix = u32::try_from(self.strings.len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "too many symbols"))?;
-        self.strings.push(s);
-        self.sym_index.insert(id.index(), ix);
-        Ok(ix)
-    }
-
-    fn encode_operand(&mut self, op: &Operand) -> io::Result<()> {
-        let (kind, pos) = match op.tag {
-            OpTag::Pos(i) => (0u8, i),
-            OpTag::Param => (1, 0),
-            OpTag::Result => (2, 0),
-        };
-        let (name_kind, name_payload) = match op.name {
-            Name::None => (0u8, 0u32),
-            Name::Temp(n) => (1, n),
-            Name::Sym(s) => (2, self.file_sym(s)?),
-        };
-        let (value_kind, value_payload) = match op.value {
-            TraceValue::None => (0u8, 0u64),
-            TraceValue::I(v) => (1, v as u64),
-            TraceValue::F(v) => (2, v.to_bits()),
-            TraceValue::Ptr(p) => (3, p),
-        };
-        let b = &mut self.records;
-        b.push(kind);
-        b.push(pos);
-        b.extend_from_slice(&op.bits.to_le_bytes());
-        b.push(op.is_reg as u8);
-        b.push(name_kind);
-        b.extend_from_slice(&name_payload.to_le_bytes());
-        b.push(value_kind);
-        b.extend_from_slice(&value_payload.to_le_bytes());
-        Ok(())
-    }
-
-    /// Serialize one record (into the writer's buffer).
+    /// Serialize one record. On error nothing of it is kept: no bytes and
+    /// no string-table entry, as if it had never been written.
     pub fn write_record(&mut self, r: &Record) -> io::Result<()> {
+        self.check_unbroken()?;
         if r.operands.len() > MAX_OPERANDS {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -298,25 +350,53 @@ impl<W: Write> BinaryWriter<W> {
                 ),
             ));
         }
-        let func = self.file_sym(r.func)?;
-        let label = self.file_sym(r.bb_label)?;
-        let packed = r.operands.len() as u16 | if r.result.is_some() { 0x8000 } else { 0 };
-        let b = &mut self.records;
-        b.extend_from_slice(&r.src_line.to_le_bytes());
-        b.extend_from_slice(&func.to_le_bytes());
-        b.extend_from_slice(&r.bb.0.to_le_bytes());
-        b.extend_from_slice(&r.bb.1.to_le_bytes());
-        b.extend_from_slice(&label.to_le_bytes());
-        b.extend_from_slice(&r.opcode.to_le_bytes());
-        b.extend_from_slice(&packed.to_le_bytes());
-        b.extend_from_slice(&r.dyn_id.to_le_bytes());
-        for op in &r.operands {
-            self.encode_operand(op)?;
+        let size =
+            RECORD_BYTES + (r.operands.len() + usize::from(r.result.is_some())) * OPERAND_BYTES;
+        if self.filled + size > self.buf.len() {
+            self.spill_buf()?;
+            if size > self.buf.len() {
+                self.buf.resize(size, 0);
+            }
         }
-        if let Some(res) = &r.result {
-            self.encode_operand(res)?;
+        let symbols = self.table.strings.len();
+        let at = self.filled;
+        match encode_record(r, &mut self.buf[at..at + size], &mut self.table) {
+            Ok(()) => {
+                self.filled += size;
+                self.record_count += 1;
+                Ok(())
+            }
+            Err(e) => {
+                self.table.truncate(symbols);
+                Err(e)
+            }
         }
-        self.record_count += 1;
+    }
+
+    /// Append the buffered records to the spill file, creating it first.
+    fn spill_buf(&mut self) -> io::Result<()> {
+        if self.filled == 0 {
+            return Ok(());
+        }
+        let file = match &mut self.spill {
+            Some(file) => file,
+            None => self.spill.insert(spill_file(&std::env::temp_dir())?),
+        };
+        if let Err(e) = file.write_all(&self.buf[..self.filled]) {
+            self.broken = true;
+            return Err(e);
+        }
+        self.spilled += self.filled as u64;
+        self.filled = 0;
+        Ok(())
+    }
+
+    fn check_unbroken(&self) -> io::Result<()> {
+        if self.broken {
+            return Err(io::Error::other(
+                "an earlier write to the binary trace's spill file failed",
+            ));
+        }
         Ok(())
     }
 
@@ -325,20 +405,19 @@ impl<W: Write> BinaryWriter<W> {
         self.record_count
     }
 
-    /// Size of the complete file as buffered so far (header + string table
-    /// + records), in bytes.
+    /// Size the file would have if finished now (header, string table,
+    /// spilled and buffered records), in bytes.
     pub fn bytes_written(&self) -> u64 {
-        let strtab: usize = self.strings.iter().map(|s| 2 + s.len()).sum();
         let footer = self.footer().ok().flatten().map_or(0, |f| f.len());
-        (HEADER_BYTES + strtab + self.records.len() + footer) as u64
+        (HEADER_BYTES + self.table.bytes + footer + self.filled) as u64 + self.spilled
     }
 
-    /// Emit header, string table and records; flush; return the inner
-    /// writer.
+    /// Emit header and string table, copy the spilled records in, then the
+    /// buffered ones; flush; return the inner writer.
     pub fn finish(mut self) -> io::Result<W> {
+        self.check_unbroken()?;
         let footer = self.footer()?;
-        let strtab_len: usize = self.strings.iter().map(|s| 2 + s.len()).sum();
-        let strtab_len = u32::try_from(strtab_len).map_err(|_| {
+        let strtab_len = u32::try_from(self.table.bytes).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidInput, "string table exceeds 4 GiB")
         })?;
         let version = if footer.is_some() {
@@ -351,14 +430,25 @@ impl<W: Write> BinaryWriter<W> {
         head.extend_from_slice(&version.to_le_bytes());
         head.extend_from_slice(&0u16.to_le_bytes());
         head.extend_from_slice(&self.record_count.to_le_bytes());
-        head.extend_from_slice(&(self.strings.len() as u32).to_le_bytes());
+        head.extend_from_slice(&(self.table.strings.len() as u32).to_le_bytes());
         head.extend_from_slice(&strtab_len.to_le_bytes());
-        for s in &self.strings {
+        for s in &self.table.strings {
             head.extend_from_slice(&(s.len() as u16).to_le_bytes());
             head.extend_from_slice(s.as_bytes());
         }
         self.out.write_all(&head)?;
-        self.out.write_all(&self.records)?;
+        if let Some(file) = &mut self.spill {
+            file.rewind()?;
+            // With a `BufWriter<File>` as `out`, Linux copies in the kernel.
+            let copied = io::copy(file, &mut self.out)?;
+            if copied != self.spilled {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("spill file holds {copied} of {} record bytes", self.spilled),
+                ));
+            }
+        }
+        self.out.write_all(&self.buf[..self.filled])?;
         if let Some(footer) = &footer {
             self.out.write_all(footer)?;
         }
@@ -366,6 +456,84 @@ impl<W: Write> BinaryWriter<W> {
         Ok(self.out)
     }
 }
+
+/// Encode `r` into `out`, which is exactly its size, adding the symbols it
+/// names to `table`.
+#[inline]
+fn encode_record(r: &Record, out: &mut [u8], table: &mut StringTable) -> io::Result<()> {
+    let (head, entries) = out.split_at_mut(RECORD_BYTES);
+    let packed = r.operands.len() as u16 | if r.result.is_some() { 0x8000 } else { 0 };
+    head[0..4].copy_from_slice(&r.src_line.to_le_bytes());
+    head[4..8].copy_from_slice(&table.file_sym(r.func)?.to_le_bytes());
+    head[8..12].copy_from_slice(&r.bb.0.to_le_bytes());
+    head[12..16].copy_from_slice(&r.bb.1.to_le_bytes());
+    head[16..20].copy_from_slice(&table.file_sym(r.bb_label)?.to_le_bytes());
+    head[20..22].copy_from_slice(&r.opcode.to_le_bytes());
+    head[22..24].copy_from_slice(&packed.to_le_bytes());
+    head[24..32].copy_from_slice(&r.dyn_id.to_le_bytes());
+    let ops = r.operands.iter().chain(&r.result);
+    for (op, entry) in ops.zip(entries.chunks_exact_mut(OPERAND_BYTES)) {
+        let (kind, pos) = match op.tag {
+            OpTag::Pos(i) => (0u8, i),
+            OpTag::Param => (1, 0),
+            OpTag::Result => (2, 0),
+        };
+        let (name_kind, name_payload) = match op.name {
+            Name::None => (0u8, 0u32),
+            Name::Temp(n) => (1, n),
+            Name::Sym(s) => (2, table.file_sym(s)?),
+        };
+        let (value_kind, value_payload) = match op.value {
+            TraceValue::None => (0u8, 0u64),
+            TraceValue::I(v) => (1, v as u64),
+            TraceValue::F(v) => (2, v.to_bits()),
+            TraceValue::Ptr(p) => (3, p),
+        };
+        entry[0] = kind;
+        entry[1] = pos;
+        entry[2..4].copy_from_slice(&op.bits.to_le_bytes());
+        entry[4] = op.is_reg as u8;
+        entry[5] = name_kind;
+        entry[6..10].copy_from_slice(&name_payload.to_le_bytes());
+        entry[10] = value_kind;
+        entry[11..19].copy_from_slice(&value_payload.to_le_bytes());
+    }
+    Ok(())
+}
+
+/// Create a spill file in `dir` and unlink it at once: the open handle is
+/// all that refers to it, so it goes away however the writer ends —
+/// finished, failed, dropped or killed. An error names `dir`.
+fn spill_file(dir: &Path) -> io::Result<File> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let mut tries = 0;
+    let result = loop {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("{SPILL_PREFIX}{}-{n}", std::process::id()));
+        match OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)
+        {
+            Ok(file) => break std::fs::remove_file(&path).map(|()| file),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists && tries < SPILL_NAME_TRIES => {
+                tries += 1;
+            }
+            Err(e) => break Err(e),
+        }
+    };
+    result.map_err(|e| {
+        io::Error::new(
+            e.kind(),
+            format!("cannot create a spill file in {}: {e}", dir.display()),
+        )
+    })
+}
+
+/// The name prefix of spill files: `<prefix><pid>-<n>` in the temporary
+/// directory, each unlinked as soon as it is created.
+const SPILL_PREFIX: &str = "autocheck-spill-";
 
 /// Serialize a slice of records to a complete binary trace (convenience
 /// mirror of [`crate::writer::to_string`]).
@@ -441,10 +609,12 @@ fn check_boundaries(bounds: &[u64], record_count: u64, offset: u64) -> Result<()
     Ok(())
 }
 
-/// Parse the iteration-index footer **backward** from the end of `bytes`.
+/// Parse the iteration-index footer **backward** from the end of `bytes`
+/// (the tests' check of what the writer emits).
 /// `floor` is the first byte offset the footer may occupy (just past the
 /// string table — a hostile footer may not swallow header bytes). Returns
 /// the boundaries and the footer's total length.
+#[cfg(test)]
 fn parse_footer_tail(
     bytes: &[u8],
     floor: usize,
@@ -555,21 +725,6 @@ fn intern_strtab(
         ));
     }
     Ok(syms)
-}
-
-/// Decode the record whose header starts at `bytes[at..]`; returns the
-/// record and the offset just past it. `base` rebases error offsets onto
-/// the whole file. The allocating form of [`decode_record_into`], for the
-/// zero-copy reader.
-fn decode_record(
-    bytes: &[u8],
-    at: usize,
-    base: u64,
-    syms: &[SymId],
-) -> Result<(Record, usize), TraceReadError> {
-    let mut rec = Record::blank();
-    let end = decode_record_into(bytes, at, base, syms, &mut rec)?;
-    Ok((rec, end))
 }
 
 /// Decode the record whose header starts at `bytes[at..]` into `rec`,
@@ -691,123 +846,6 @@ fn record_len(bytes: &[u8], at: usize, base: u64) -> Result<usize, TraceReadErro
     let packed = u16::from_le_bytes([h[22], h[23]]);
     let entries = (packed & 0x7FFF) as usize + (packed >> 15) as usize;
     Ok(RECORD_BYTES + entries * OPERAND_BYTES)
-}
-
-// ---------------------------------------------------------------------------
-// Zero-copy reader
-// ---------------------------------------------------------------------------
-
-/// Zero-copy binary trace reader over an in-memory byte buffer (a read-in
-/// or memory-mapped file).
-///
-/// Opening parses the header and interns the whole string table into the
-/// ctx's space — **once per symbol**. Iteration then decodes fixed-width
-/// records straight out of the buffer: no string is ever materialized or
-/// hashed per record.
-pub struct BinaryReader<'a> {
-    bytes: &'a [u8],
-    syms: Vec<SymId>,
-    record_count: u64,
-    /// Next record's byte offset.
-    at: usize,
-    /// End of the record section (`bytes.len()` minus any footer).
-    body_end: usize,
-    /// Iteration boundaries from the version-2 footer, when present.
-    index: Option<Vec<u64>>,
-    yielded: u64,
-    failed: bool,
-}
-
-impl<'a> BinaryReader<'a> {
-    /// Parse the header, intern the string table, and (for version-2
-    /// files) validate the iteration-index footer.
-    pub fn open(bytes: &'a [u8], ctx: &AnalysisCtx) -> Result<BinaryReader<'a>, TraceReadError> {
-        let head: &[u8; HEADER_BYTES] =
-            bytes
-                .get(..HEADER_BYTES)
-                .and_then(|b| b.try_into().ok())
-                .ok_or_else(|| berr(bytes.len() as u64, "truncated header"))?;
-        let (version, record_count, string_count, strtab_len) = parse_header_fields(head)?;
-        let strtab = bytes
-            .get(HEADER_BYTES..HEADER_BYTES + strtab_len as usize)
-            .ok_or_else(|| berr(HEADER_BYTES as u64, "string table overruns the file"))?;
-        let syms = intern_strtab(strtab, string_count, HEADER_BYTES as u64, ctx)?;
-        let at = HEADER_BYTES + strtab_len as usize;
-        let (index, body_end) = if version == VERSION_INDEXED {
-            let (bounds, footer_len) = parse_footer_tail(bytes, at, record_count)?;
-            (Some(bounds), bytes.len() - footer_len)
-        } else {
-            (None, bytes.len())
-        };
-        Ok(BinaryReader {
-            bytes,
-            syms,
-            record_count,
-            at,
-            body_end,
-            index,
-            yielded: 0,
-            failed: false,
-        })
-    }
-
-    /// Records the header declares.
-    pub fn record_count(&self) -> u64 {
-        self.record_count
-    }
-
-    /// The interned symbol table (file order).
-    pub fn symbols(&self) -> &[SymId] {
-        &self.syms
-    }
-
-    /// The iteration-index footer's boundaries, when the file carries one.
-    pub fn iteration_index(&self) -> Option<&[u64]> {
-        self.index.as_deref()
-    }
-
-    /// Decode every record serially.
-    pub fn read_all(mut self) -> Result<Vec<Record>, TraceReadError> {
-        // Bound the pre-allocation by what the buffer could possibly hold,
-        // not by the header's claim.
-        let cap = (self.record_count as usize).min((self.body_end - self.at) / RECORD_BYTES);
-        let mut out = Vec::with_capacity(cap);
-        for item in &mut self {
-            out.push(item?);
-        }
-        Ok(out)
-    }
-}
-
-impl Iterator for BinaryReader<'_> {
-    type Item = Result<Record, TraceReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        if self.yielded == self.record_count {
-            if self.at != self.body_end {
-                self.failed = true;
-                return Some(Err(berr(
-                    self.at as u64,
-                    "trailing bytes after the last record",
-                )));
-            }
-            return None;
-        }
-        match decode_record(&self.bytes[..self.body_end], self.at, 0, &self.syms) {
-            Ok((rec, at)) => {
-                self.at = at;
-                self.yielded += 1;
-                Some(Ok(rec))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1093,6 +1131,11 @@ mod tests {
     use crate::record::opcodes;
     use crate::writer;
 
+    /// Every record of `bytes`, read in `ctx`.
+    fn read_all(bytes: &[u8], ctx: &AnalysisCtx) -> Result<Vec<Record>, TraceReadError> {
+        BinaryStreamReader::open(bytes, ctx)?.collect()
+    }
+
     fn sample_records(ctx: &AnalysisCtx) -> Vec<Record> {
         let mut recs = Vec::new();
         for i in 0..50u64 {
@@ -1140,9 +1183,9 @@ mod tests {
         let recs = sample_records(&ctx);
         let bytes = to_bytes(&recs, &ctx);
         assert!(is_binary(&bytes));
-        let reader = BinaryReader::open(&bytes, &ctx).unwrap();
+        let reader = BinaryStreamReader::open(&bytes[..], &ctx).unwrap();
         assert_eq!(reader.record_count(), recs.len() as u64);
-        let back = reader.read_all().unwrap();
+        let back: Vec<Record> = reader.collect::<Result<_, _>>().unwrap();
         assert_eq!(recs, back);
     }
 
@@ -1154,10 +1197,7 @@ mod tests {
         let recs = sample_records(&ctx);
         let bytes = to_bytes(&recs, &ctx);
         let other = AnalysisCtx::session();
-        let back = BinaryReader::open(&bytes, &other)
-            .unwrap()
-            .read_all()
-            .unwrap();
+        let back = read_all(&bytes, &other).unwrap();
         assert_eq!(recs.len(), back.len());
         for (a, b) in recs.iter().zip(&back) {
             assert_eq!(ctx.resolve(a.func), other.resolve(b.func));
@@ -1167,11 +1207,26 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reader_matches_zero_copy() {
+    fn streaming_reader_round_trips_through_one_byte_reads() {
+        /// Hands over one byte per `read`.
+        struct ByteAtATime<'a>(&'a [u8]);
+        impl Read for ByteAtATime<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let Some((&b, rest)) = self.0.split_first() else {
+                    return Ok(0);
+                };
+                let Some(first) = buf.first_mut() else {
+                    return Ok(0);
+                };
+                *first = b;
+                self.0 = rest;
+                Ok(1)
+            }
+        }
         let ctx = AnalysisCtx::session();
         let recs = sample_records(&ctx);
         let bytes = to_bytes(&recs, &ctx);
-        let streamed: Vec<Record> = BinaryStreamReader::open(&bytes[..], &ctx)
+        let streamed: Vec<Record> = BinaryStreamReader::open(ByteAtATime(&bytes), &ctx)
             .unwrap()
             .collect::<Result<_, _>>()
             .unwrap();
@@ -1184,11 +1239,10 @@ mod tests {
         let recs = sample_records(&ctx);
         let bytes = to_bytes(&recs, &ctx);
         let fresh = AnalysisCtx::session();
-        let reader = BinaryReader::open(&bytes, &fresh).unwrap();
+        let reader = BinaryStreamReader::open(&bytes[..], &fresh).unwrap();
         // Only the file's distinct symbols: main, foo, "11", p, q.
-        assert_eq!(reader.symbols().len(), 5);
         assert_eq!(fresh.space().len(), 5);
-        let _ = reader.read_all().unwrap();
+        let _ = reader.collect::<Result<Vec<_>, _>>().unwrap();
         // Decoding interned nothing further.
         assert_eq!(fresh.space().len(), 5);
     }
@@ -1210,10 +1264,7 @@ mod tests {
             result: None,
         };
         let bytes = to_bytes(std::slice::from_ref(&rec), &ctx);
-        let back = BinaryReader::open(&bytes, &ctx)
-            .unwrap()
-            .read_all()
-            .unwrap();
+        let back = read_all(&bytes, &ctx).unwrap();
         assert_eq!(back[0].operands[0].value, TraceValue::F(v));
     }
 
@@ -1229,10 +1280,7 @@ mod tests {
         let from_text = crate::reader::TextStreamReader::new(text.as_bytes(), &ctx)
             .read_all()
             .unwrap();
-        let from_bin = BinaryReader::open(&bytes, &ctx)
-            .unwrap()
-            .read_all()
-            .unwrap();
+        let from_bin = read_all(&bytes, &ctx).unwrap();
         // Floats in this sample are representable in %.6f, so even the
         // lossy text path agrees.
         assert_eq!(from_text, from_bin);
@@ -1243,10 +1291,7 @@ mod tests {
         let ctx = AnalysisCtx::session();
         let bytes = to_bytes(&[], &ctx);
         assert_eq!(bytes.len(), HEADER_BYTES);
-        let back = BinaryReader::open(&bytes, &ctx)
-            .unwrap()
-            .read_all()
-            .unwrap();
+        let back = read_all(&bytes, &ctx).unwrap();
         assert!(back.is_empty());
     }
 
@@ -1257,18 +1302,15 @@ mod tests {
 
         let mut bad_magic = good.clone();
         bad_magic[0] = b'0';
-        assert!(BinaryReader::open(&bad_magic, &ctx).is_err());
+        assert!(read_all(&bad_magic, &ctx).is_err());
 
         let mut bad_version = good.clone();
         bad_version[4] = 0xFF;
-        let e = BinaryReader::open(&bad_version, &ctx)
-            .map(|_| ())
-            .unwrap_err();
+        let e = read_all(&bad_version, &ctx).unwrap_err();
         assert!(e.to_string().contains("version"));
 
         for cut in [0, 3, HEADER_BYTES - 1, good.len() - 1, good.len() - 20] {
-            let r = BinaryReader::open(&good[..cut], &ctx).and_then(|r| r.read_all());
-            assert!(r.is_err(), "cut = {cut}");
+            assert!(read_all(&good[..cut], &ctx).is_err(), "cut = {cut}");
         }
     }
 
@@ -1277,14 +1319,7 @@ mod tests {
         let ctx = AnalysisCtx::session();
         let mut bytes = to_bytes(&sample_records(&ctx), &ctx);
         bytes.extend_from_slice(b"junk");
-        let e = BinaryReader::open(&bytes, &ctx)
-            .and_then(|r| r.read_all())
-            .unwrap_err();
-        assert!(e.to_string().contains("trailing"));
-        let e = BinaryStreamReader::open(&bytes[..], &ctx)
-            .unwrap()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_err();
+        let e = read_all(&bytes, &ctx).unwrap_err();
         assert!(e.to_string().contains("trailing"));
     }
 
@@ -1301,8 +1336,6 @@ mod tests {
         bytes.extend_from_slice(&8u32.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 8]);
         let ctx = AnalysisCtx::session().untrusted();
-        let e = BinaryReader::open(&bytes, &ctx).map(|_| ()).unwrap_err();
-        assert!(e.to_string().contains("string count"));
         let e = BinaryStreamReader::open(&bytes[..], &ctx)
             .map(|_| ())
             .unwrap_err();
@@ -1331,11 +1364,10 @@ mod tests {
         let bytes = to_bytes_with_index(&recs, bounds.clone(), &ctx);
         // O(footer) standalone probe.
         assert_eq!(iteration_index(&bytes).unwrap(), Some(bounds.clone()));
-        // Zero-copy reader: exposes the index and still decodes all records.
-        let reader = BinaryReader::open(&bytes, &ctx).unwrap();
-        assert_eq!(reader.iteration_index(), Some(&bounds[..]));
-        assert_eq!(reader.read_all().unwrap(), recs);
-        // Streaming reader consumes and validates the footer, then EOF.
+        // Both front doors decode every record past the footer.
+        let source = crate::TraceSource::from_bytes(&bytes).ctx(&ctx);
+        assert_eq!(source.records().unwrap(), recs);
+        // The reader consumes and validates the footer, then EOF.
         let streamed: Vec<Record> = BinaryStreamReader::open(&bytes[..], &ctx)
             .unwrap()
             .collect::<Result<_, _>>()
@@ -1350,10 +1382,7 @@ mod tests {
         let bytes = to_bytes(&recs, &ctx);
         assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION);
         assert_eq!(iteration_index(&bytes).unwrap(), None);
-        assert_eq!(
-            BinaryReader::open(&bytes, &ctx).unwrap().iteration_index(),
-            None
-        );
+        assert_eq!(read_all(&bytes, &ctx).unwrap(), recs);
     }
 
     #[test]
@@ -1362,13 +1391,7 @@ mod tests {
         let recs = sample_records(&ctx);
         let bytes = to_bytes_with_index(&recs, Vec::new(), &ctx);
         assert_eq!(iteration_index(&bytes).unwrap(), Some(Vec::new()));
-        assert_eq!(
-            BinaryReader::open(&bytes, &ctx)
-                .unwrap()
-                .read_all()
-                .unwrap(),
-            recs
-        );
+        assert_eq!(read_all(&bytes, &ctx).unwrap(), recs);
         let streamed: Vec<Record> = BinaryStreamReader::open(&bytes[..], &ctx)
             .unwrap()
             .collect::<Result<_, _>>()
@@ -1425,10 +1448,11 @@ mod tests {
         ] {
             let ctx = AnalysisCtx::session().untrusted();
             assert!(
-                BinaryReader::open(bytes, &ctx)
-                    .and_then(|r| r.read_all())
+                crate::TraceSource::from_bytes(bytes)
+                    .ctx(&ctx)
+                    .records()
                     .is_err(),
-                "zero-copy reader must reject: {what}"
+                "records() must reject: {what}"
             );
             assert!(
                 BinaryStreamReader::open(&bytes[..], &ctx)
@@ -1437,6 +1461,20 @@ mod tests {
                 "streaming reader must reject: {what}"
             );
         }
+    }
+
+    #[test]
+    fn a_spill_file_error_names_the_directory() {
+        let dir = std::env::temp_dir().join("autocheck-no-such-dir");
+        let e = spill_file(&dir).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::NotFound);
+        assert!(
+            e.to_string().starts_with(&format!(
+                "cannot create a spill file in {}: ",
+                dir.display()
+            )),
+            "{e}"
+        );
     }
 
     #[test]

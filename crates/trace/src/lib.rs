@@ -51,7 +51,7 @@ pub mod source;
 pub mod stats;
 pub mod writer;
 
-pub use binary::{BinaryError, BinaryReader, BinaryStreamReader, BinaryWriter};
+pub use binary::{BinaryError, BinaryStreamReader, BinaryWriter};
 pub use ctx::AnalysisCtx;
 pub use fault::{FaultPlan, FaultReader};
 pub use intern::{SpaceGuard, SymId, SymStr, SymbolSpace};

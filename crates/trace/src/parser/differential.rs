@@ -561,8 +561,9 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
         .collect();
     let ctx = AnalysisCtx::session();
     let fig4 = std::fs::read(root.join("tests/golden/fig4_v2.bin")).unwrap();
-    let records = crate::binary::BinaryReader::open(&fig4, &ctx)
-        .and_then(|r| r.read_all())
+    let records = crate::TraceSource::from_bytes(&fig4)
+        .ctx(&ctx)
+        .records()
         .unwrap();
     let _space = ctx.enter();
     corpus.push(("fig4".into(), writer::to_string(&records).into_bytes()));

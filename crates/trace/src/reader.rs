@@ -183,8 +183,9 @@ impl<R: Read> TextStreamReader<R> {
         }
     }
 
-    /// Every record, each a copy of the slot, so materialized records carry
-    /// no spare operand capacity.
+    /// Every record, each a copy of the slot (the tests' whole-input
+    /// decode).
+    #[cfg(test)]
     pub(crate) fn read_all(mut self) -> Result<Vec<Record>, TraceReadError> {
         let mut out = Vec::new();
         while let Some(step) = self.advance() {

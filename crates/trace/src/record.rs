@@ -159,8 +159,10 @@ impl Record {
         self.positional().nth(1)
     }
 
-    /// A record to decode into: the first decode overwrites every field.
-    pub(crate) fn blank() -> Record {
+    /// A slot to decode or fill records into: the first decode (or the
+    /// interpreter's first fill) overwrites every field. Its symbols name
+    /// nothing until then, so never read a blank record.
+    pub fn blank() -> Record {
         Record {
             src_line: 0,
             func: SymId::placeholder(),

@@ -24,17 +24,17 @@
 //!   shadow it (and a `&str` source is provably text).
 //! * **Output**: [`records`](TraceSource::records) materializes the whole
 //!   trace, [`stream`](TraceSource::stream) pulls records one at a time
-//!   with bounded memory. Both are serial, and both decode through the
-//!   format's one windowed reader: [`TextStreamReader`] or
-//!   [`BinaryStreamReader`] (in-memory binary decodes zero-copy through
-//!   [`BinaryReader`]). On text every front door therefore decodes the
-//!   same records and reports a malformed trace at the same line.
+//!   with bounded memory. Both are serial, and `records` is `stream`
+//!   drained: the format's one windowed reader ([`TextStreamReader`] or
+//!   [`BinaryStreamReader`]) behind the same byte meter and ceilings. Both
+//!   output shapes therefore decode the same records and fail with the
+//!   same error on the same input.
 //!
 //! Symbols intern into the ctx given via [`ctx`](TraceSource::ctx), or the
 //! thread's current space when none is given — the same contract every
 //! replaced function had.
 
-use crate::binary::{self, BinaryReader, BinaryStreamReader};
+use crate::binary::{self, BinaryStreamReader};
 use crate::ctx::AnalysisCtx;
 use crate::limits::{ResourceExceeded, ResourceKind};
 use crate::reader::{TextStreamReader, TraceReadError};
@@ -94,8 +94,7 @@ impl<'a> TraceSource<'a> {
         TraceSource::new(Input::Str(s))
     }
 
-    /// Ingest from in-memory bytes (either format; binary decodes
-    /// zero-copy straight out of the buffer).
+    /// Ingest from in-memory bytes (either format).
     pub fn from_bytes(bytes: &'a [u8]) -> TraceSource<'a> {
         TraceSource::new(Input::Bytes(bytes))
     }
@@ -125,27 +124,13 @@ impl<'a> TraceSource<'a> {
         self
     }
 
-    /// Parse the whole trace into a `Vec<Record>`.
-    ///
-    /// Text drains the windowed [`TextStreamReader`] whatever the input,
-    /// copying each record out of its slot. Binary decodes zero-copy out of
-    /// an in-memory buffer, and through [`BinaryStreamReader`] from a file
-    /// or reader.
+    /// Parse the whole trace into a `Vec<Record>`: [`stream`](Self::stream)
+    /// drained, so both fail alike on the same input, with the records
+    /// moved out of the stream's slot.
     pub fn records(self) -> Result<Vec<Record>, TraceReadError> {
         let metrics = self.ctx.metrics().clone();
-        let span = metrics.span(TimerId::Ingest);
-        let result = match self.input {
-            Input::Str(s) => records_from_bytes(s.as_bytes(), self.format, &self.ctx),
-            Input::Bytes(b) => records_from_bytes(b, self.format, &self.ctx),
-            Input::Path(p) => open_path(&p, &self.ctx)
-                .and_then(|file| records_from_reader(file, self.format, &self.ctx)),
-            Input::Reader(r) => records_from_reader(r, self.format, &self.ctx),
-        };
-        drop(span);
-        if let Err(e) = &result {
-            note_error(&metrics, e);
-        }
-        result
+        let _span = metrics.span(TimerId::Ingest);
+        self.stream()?.collect()
     }
 
     /// Pull records one at a time with bounded memory (text: one read
@@ -212,32 +197,6 @@ fn open_path<'a>(
     Ok(Box::new(std::io::BufReader::new(std::fs::File::open(
         path,
     )?)))
-}
-
-/// The reader-input body of [`TraceSource::records`]: wrap the metering
-/// and limit stack, then parse. Error *counter* bookkeeping stays with the
-/// caller, which books it off the returned `Result`.
-fn records_from_reader(
-    r: BoxedReader<'_>,
-    format: TraceFormat,
-    ctx: &AnalysisCtx,
-) -> Result<Vec<Record>, TraceReadError> {
-    let (format, reader) = peek_format(r, format)?;
-    let (reader, read_bytes) = MeteredReader::wrap(reader);
-    let reader = ByteLimitReader::wrap(reader, ctx);
-    let result = match format {
-        TraceFormat::Binary => BinaryStreamReader::open(reader, ctx).and_then(|r| r.collect()),
-        _ => TextStreamReader::new(reader, ctx).read_all(),
-    }
-    .map_err(unsmuggle_limit)
-    .and_then(|recs| {
-        check_ingest_limits(ctx, recs.len() as u64, read_bytes.get())?;
-        Ok(recs)
-    });
-    if let Ok(recs) = &result {
-        note_ingest(ctx.metrics(), format, read_bytes.get(), recs.len() as u64);
-    }
-    result
 }
 
 /// Check the ingest-side resource ceilings for one source: records and raw
@@ -380,7 +339,7 @@ impl Read for MeteredReader<'_> {
 ///
 /// [`next_record`](Self::next_record) lends each record from the reader's
 /// one reused slot, which both formats decode into in place; the
-/// [`Iterator`] impl runs the same step and hands the record over by value.
+/// [`Iterator`] impl runs the same step and hands over a copy.
 pub struct TraceStream<'a> {
     inner: StreamInner<'a>,
     metrics: Metrics,
@@ -468,11 +427,10 @@ impl TraceStream<'_> {
 impl Iterator for TraceStream<'_> {
     type Item = Result<Record, TraceReadError>;
 
+    /// The lending step, handing over a copy of the slot: the copy's
+    /// operand buffer is exactly its size, and the slot keeps its own.
     fn next(&mut self) -> Option<Self::Item> {
-        Some(
-            self.advance()?
-                .map(|()| std::mem::replace(self.slot(), Record::blank())),
-        )
+        Some(self.advance()?.map(|()| self.slot().clone()))
     }
 }
 
@@ -509,32 +467,6 @@ fn peek_format<'a>(
     let format = resolve_format(&head[..got], format);
     let replay = std::io::Cursor::new(head).take(got as u64);
     Ok((format, Box::new(replay.chain(r))))
-}
-
-fn records_from_bytes(
-    bytes: &[u8],
-    format: TraceFormat,
-    ctx: &AnalysisCtx,
-) -> Result<Vec<Record>, TraceReadError> {
-    // The byte ceiling gates the parse up front: everything downstream
-    // (record count, interned symbols, owned arena bytes) is bounded by the
-    // input's byte length, so the post-parse checks below can never observe
-    // more than one bounded input's worth of growth.
-    ctx.limits()
-        .check(ResourceKind::TraceBytes, bytes.len() as u64)?;
-    let format = resolve_format(bytes, format);
-    let result = match format {
-        TraceFormat::Binary => BinaryReader::open(bytes, ctx)?.read_all(),
-        _ => TextStreamReader::new(bytes, ctx).read_all(),
-    }
-    .and_then(|recs| {
-        check_ingest_limits(ctx, recs.len() as u64, bytes.len() as u64)?;
-        Ok(recs)
-    });
-    if let Ok(recs) = &result {
-        note_ingest(ctx.metrics(), format, bytes.len() as u64, recs.len() as u64);
-    }
-    result
 }
 
 #[cfg(test)]

@@ -2,12 +2,14 @@
 //!
 //! # Encode kernel
 //!
-//! Every record is encoded byte by byte into a reusable `Vec<u8>`: decimal
-//! and hex digits are written straight into the buffer, and the fixed
-//! punctuation of each line is copied as literal bytes. Nothing on this
-//! path goes through `fmt` except floats, which keep `{:.6}` (`%.6f`, as
-//! LLVM-Tracer prints them). [`TraceWriter`], [`format_record`] and
-//! [`to_string`] all use the same kernel, so they write the same bytes.
+//! Every record is encoded byte by byte into a reusable `Vec<u8>`: a single
+//! decimal digit is pushed alone, longer decimal and hex numbers are written
+//! into a fixed-size array, which is appended whole and then cut to length,
+//! and the fixed punctuation of each line is copied as literal bytes. Floats print as `%.6f` does (as LLVM-Tracer
+//! prints them), computed exactly in integer arithmetic; only NaN, ±∞ and
+//! magnitudes of 2^63 and more go through `fmt`'s `{:.6}`. [`TraceWriter`],
+//! [`format_record`] and [`to_string`] all use the same kernel, so they
+//! write the same bytes.
 //!
 //! # Symbol cache
 //!
@@ -42,20 +44,31 @@ const FLUSH_AT: usize = 64 * 1024;
 /// Slots in each encoder's symbol cache (see the module docs).
 const CACHE_SLOTS: usize = 256;
 
-/// Append the decimal digits of `v`.
+/// Append the first `n` bytes of `digits`: the whole fixed-size array is
+/// copied, then the excess cut, so the copy has a constant length.
 #[inline]
-fn push_u64(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+fn push_digits<const N: usize>(out: &mut Vec<u8>, digits: &[u8; N], n: usize) {
+    let len = out.len();
+    out.extend_from_slice(digits);
+    out.truncate(len + n);
+}
+
+/// Append the decimal digits of `v`. A single digit, the commonest field
+/// (operand positions, block columns, small integers), is pushed alone.
+#[inline]
+fn push_u64(out: &mut Vec<u8>, v: u64) {
+    if v < 10 {
+        out.push(b'0' + v as u8);
+        return;
     }
-    out.extend_from_slice(&digits[at..]);
+    let n = v.ilog10() as usize + 1;
+    let mut digits = [0u8; 20];
+    let mut rest = v;
+    for d in digits[..n].iter_mut().rev() {
+        *d = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    push_digits(out, &digits, n);
 }
 
 /// Append `v` in decimal, with a `-` when negative.
@@ -69,18 +82,78 @@ fn push_i64(out: &mut Vec<u8>, v: i64) {
 
 /// Append the lowercase hex digits of `v`, without leading zeros.
 #[inline]
-fn push_hex(out: &mut Vec<u8>, mut v: u64) {
+fn push_hex(out: &mut Vec<u8>, v: u64) {
+    let n = (v.checked_ilog2().unwrap_or(0) / 4 + 1) as usize;
     let mut digits = [0u8; 16];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b"0123456789abcdef"[(v & 0xf) as usize];
-        v >>= 4;
-        if v == 0 {
-            break;
-        }
+    let mut rest = v;
+    for d in digits[..n].iter_mut().rev() {
+        *d = b"0123456789abcdef"[(rest & 0xf) as usize];
+        rest >>= 4;
     }
-    out.extend_from_slice(&digits[at..]);
+    push_digits(out, &digits, n);
+}
+
+/// Append `v` as `{:.6}` prints it (`%.6f`).
+///
+/// A finite `v` below 2^63 in magnitude is m·2^e with a 53-bit m. With
+/// e < 0, its integer part is m >> -e, and its fraction f/2^-e scales to
+/// millionths as ⌊f·10⁶/2^-e⌋ with an exact remainder, in `u128` without
+/// a division: the last digit is rounded half to even on the exact value,
+/// as `fmt` rounds it. NaN, ±∞ and larger magnitudes go through `fmt`.
+#[inline]
+fn push_f64(out: &mut Vec<u8>, v: f64) {
+    const MILLION: u64 = 1_000_000;
+    let bits = v.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    if biased >= 1023 + 63 {
+        // NaN, ±∞ and |v| ≥ 2^63; writing to a `Vec` cannot fail.
+        let _ = write!(out, "{v:.6}");
+        return;
+    }
+    let fraction = bits & ((1 << 52) - 1);
+    let (m, e) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
+    };
+    let (int, millionths) = if e >= 0 {
+        // An integer below 2^63.
+        (m << e, 0)
+    } else if e <= -100 {
+        // Below 2^53 · 2^-100: rounds to zero.
+        (0, 0)
+    } else {
+        let shift = e.unsigned_abs();
+        let (int, f) = if shift < 64 {
+            (m >> shift, m & ((1 << shift) - 1))
+        } else {
+            (0, m)
+        };
+        let product = f as u128 * MILLION as u128;
+        let mut q = (product >> shift) as u64;
+        let rem = product & ((1 << shift) - 1);
+        let half = 1 << (shift - 1);
+        // q's parity is the whole value's: 10⁶ is even.
+        if rem > half || (rem == half && q & 1 == 1) {
+            q += 1;
+        }
+        if q == MILLION {
+            (int + 1, 0)
+        } else {
+            (int, q)
+        }
+    };
+    if bits >> 63 == 1 {
+        out.push(b'-');
+    }
+    push_u64(out, int);
+    let mut rest = millionths;
+    let mut digits = [b'.', 0, 0, 0, 0, 0, 0];
+    for d in digits[1..].iter_mut().rev() {
+        *d = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    out.extend_from_slice(&digits);
 }
 
 /// The encode kernel: record text appended to a byte buffer, symbols
@@ -159,10 +232,7 @@ impl Encoder {
         out.push(b',');
         match op.value {
             TraceValue::I(v) => push_i64(out, v),
-            TraceValue::F(v) => {
-                // Writing to a `Vec` cannot fail.
-                let _ = write!(out, "{v:.6}");
-            }
+            TraceValue::F(v) => push_f64(out, v),
             TraceValue::Ptr(p) => {
                 out.extend_from_slice(b"0x");
                 push_hex(out, p);

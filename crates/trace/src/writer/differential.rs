@@ -8,7 +8,8 @@
 
 use super::reference;
 use super::{
-    format_record, push_hex, push_i64, push_u64, to_string, TraceWriter, CACHE_SLOTS, FLUSH_AT,
+    format_record, push_f64, push_hex, push_i64, push_u64, to_string, TraceWriter, CACHE_SLOTS,
+    FLUSH_AT,
 };
 use crate::intern::{SymId, SymbolSpace};
 use crate::name::Name;
@@ -39,8 +40,10 @@ const SYMBOLS: &[&str] = &[
 ];
 
 /// Doubles where `{:.6}` is easy to get wrong: signed zeros, NaNs,
-/// infinities, subnormals, the largest and smallest magnitudes, and
-/// values halfway between two six-decimal roundings.
+/// infinities, subnormals, the largest and smallest magnitudes, values
+/// halfway between two six-decimal roundings, exact binary ties at the
+/// seventh decimal, the edges of the integer path at 2^53 and 2^63, and
+/// magnitudes from 1e15 to 1e19.
 const SPECIAL_FLOATS: &[f64] = &[
     0.0,
     -0.0,
@@ -64,10 +67,36 @@ const SPECIAL_FLOATS: &[f64] = &[
     0.5,
     2.5,
     9_007_199_254_740_993.0,
+    // Exact binary ties at the seventh decimal: odd multiples of 1/128.
+    0.0078125,
+    -0.0078125,
+    0.0234375,
+    3.0078125,
+    -3.0078125,
+    1_048_576.0078125,
+    // Around 2^53, where floats stop holding fractions.
+    9_007_199_254_740_991.0,
+    9_007_199_254_740_992.0,
+    9_007_199_254_740_994.0,
+    4_503_599_627_370_495.5,
+    // Around 2^63, where the integer path hands over to `fmt`.
+    9_223_372_036_854_774_784.0,
+    9_223_372_036_854_775_808.0,
+    -9_223_372_036_854_775_808.0,
+    9_223_372_036_854_777_856.0,
+    // 1e15 to 1e19.
+    1e15,
+    1e16,
+    1e17,
+    1e18,
+    1e19,
+    -1e19,
+    999_999_999_999_999.9,
 ];
 
 fn arb_float(rng: &mut TestRng) -> f64 {
-    match rng.below(6) {
+    let sign = if rng.flip() { 1.0 } else { -1.0 };
+    match rng.below(9) {
         0 => f64::from_bits(rng.next_u64()),
         // Subnormals of either sign.
         1 => f64::from_bits(rng.next_u64() & 0x800f_ffff_ffff_ffff),
@@ -77,6 +106,16 @@ fn arb_float(rng: &mut TestRng) -> f64 {
             let half = (rng.below(2_000_000) as f64 + 0.5) * 1e-6;
             f64::from_bits((half.to_bits() as i64 + rng.below(3) as i64 - 1) as u64)
         }
+        // An exact tie at the seventh decimal: an odd multiple of 1/128.
+        4 => sign * (2 * rng.below(1 << 40) + 1) as f64 / 128.0,
+        // Within a few ulps of 2^53 or 2^63.
+        5 => {
+            let pivot = [2f64.powi(53), 2f64.powi(63)][rng.below(2) as usize];
+            let ulps = rng.below(17) as i64 - 8;
+            sign * f64::from_bits((pivot.to_bits() as i64 + ulps) as u64)
+        }
+        // A magnitude from 1e15 to 1e19.
+        6 => sign * 10f64.powf(15.0 + 4.0 * rng.below(1 << 20) as f64 / (1 << 20) as f64),
         _ => <f64 as Arbitrary>::arbitrary(rng),
     }
 }
@@ -301,6 +340,31 @@ fn every_op_tag_and_extreme_value_matches_reference() {
         })
         .collect();
     assert_eq!(to_string(&recs), reference::to_string(&recs));
+}
+
+proptest! {
+    #[test]
+    fn float_kernel_matches_fmt(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let mut out = Vec::new();
+        for _ in 0..1000 {
+            let v = arb_float(&mut rng);
+            out.clear();
+            push_f64(&mut out, v);
+            prop_assert_eq!(std::str::from_utf8(&out).unwrap(), format!("{v:.6}"), "{:#x}", v.to_bits());
+        }
+    }
+}
+
+#[test]
+fn float_kernel_matches_fmt_on_special_values() {
+    for &v in SPECIAL_FLOATS {
+        for v in [v, -v] {
+            let mut out = Vec::new();
+            push_f64(&mut out, v);
+            assert_eq!(out, format!("{v:.6}").as_bytes(), "{:#x}", v.to_bits());
+        }
+    }
 }
 
 #[test]

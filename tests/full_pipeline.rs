@@ -118,7 +118,7 @@ fn analysis_is_stable_across_trace_serialization() {
     let mut sink = WriterSink::new(Vec::new());
     for r in &records {
         use autocheck_interp::TraceSink as _;
-        sink.record(r.clone()).unwrap();
+        sink.record(r).unwrap();
     }
     let text = String::from_utf8(sink.finish().unwrap()).unwrap();
     let analyzer = Analyzer::new(region()).with_index_vars(index_variables_of(&module, &region()));
