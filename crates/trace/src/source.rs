@@ -125,8 +125,8 @@ impl<'a> TraceSource<'a> {
     }
 
     /// Parse the whole trace into a `Vec<Record>`: [`stream`](Self::stream)
-    /// drained, so both fail alike on the same input, with the records
-    /// moved out of the stream's slot.
+    /// drained, each record copied out of the stream's slot, so both fail
+    /// alike on the same input.
     pub fn records(self) -> Result<Vec<Record>, TraceReadError> {
         let metrics = self.ctx.metrics().clone();
         let _span = metrics.span(TimerId::Ingest);

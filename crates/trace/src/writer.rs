@@ -5,11 +5,11 @@
 //! Every record is encoded byte by byte into a reusable `Vec<u8>`: a single
 //! decimal digit is pushed alone, longer decimal and hex numbers are written
 //! into a fixed-size array, which is appended whole and then cut to length,
-//! and the fixed punctuation of each line is copied as literal bytes. Floats print as `%.6f` does (as LLVM-Tracer
-//! prints them), computed exactly in integer arithmetic; only NaN, ±∞ and
-//! magnitudes of 2^63 and more go through `fmt`'s `{:.6}`. [`TraceWriter`],
-//! [`format_record`] and [`to_string`] all use the same kernel, so they
-//! write the same bytes.
+//! and the fixed punctuation of each line is copied as literal bytes.
+//! Floats print as `%.6f` does (as LLVM-Tracer prints them), computed
+//! exactly in integer arithmetic; only NaN, ±∞ and magnitudes of 2^63 and
+//! more go through `fmt`'s `{:.6}`. [`TraceWriter`], [`format_record`] and
+//! [`to_string`] all use the same kernel, so they write the same bytes.
 //!
 //! # Symbol cache
 //!
