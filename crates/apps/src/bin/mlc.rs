@@ -3,7 +3,9 @@
 //!
 //! ```text
 //! mlc run   <file.mc>                 # compile and execute, print output
-//! mlc trace <file.mc> -o trace.txt    # execute and write the dynamic trace
+//! mlc trace <file.mc> -o trace.txt    # execute and write the dynamic trace;
+//!                                     # <out> appears only once the program
+//!                                     # has run to the end
 //! mlc trace <file.mc> -o t --format binary   # ... in the binary format
 //! mlc trace <file.mc>... --stream --function f --start a --end b
 //!                                     # execute and analyze online: records
@@ -113,17 +115,57 @@ impl<W: Write> TraceSink for FileSink<W> {
     }
 }
 
-/// Why `mlc convert` stopped: the input failed to read or decode, or the
-/// output failed to write.
-enum ConvertError {
+/// Why writing a trace file stopped.
+enum WriteError {
+    /// The input trace failed to read or decode (`mlc convert`).
     Read(TraceReadError),
+    /// The traced program failed, a trace sink error included (`mlc trace`).
+    Run(ExecError),
+    /// The output failed to write.
     Write(std::io::Error),
 }
 
-impl From<std::io::Error> for ConvertError {
+impl From<std::io::Error> for WriteError {
     fn from(e: std::io::Error) -> Self {
-        ConvertError::Write(e)
+        WriteError::Write(e)
     }
+}
+
+impl WriteError {
+    /// Print the one-line diagnostic for a failed write of `out_path`.
+    fn report(&self, out_path: &str) {
+        match self {
+            WriteError::Read(e) => eprintln!("error: {e}"),
+            WriteError::Run(e) => eprintln!("runtime error: {e}"),
+            WriteError::Write(e) => eprintln!("error: cannot write `{out_path}`: {e}"),
+        }
+    }
+}
+
+/// Write `out` through a sibling temporary file: `write` fills the
+/// temporary, which is renamed over `out` only when it succeeds, and
+/// removed otherwise. A failed write leaves no output file and an existing
+/// `out` unchanged, and the input of a conversion may be `out` itself.
+fn write_then_rename<T>(
+    out: &Path,
+    write: impl FnOnce(&Path) -> Result<T, WriteError>,
+) -> Result<T, WriteError> {
+    let Some(name) = out.file_name() else {
+        return Err(
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "not a file path").into(),
+        );
+    };
+    let tmp = out.with_file_name(format!(
+        ".{}.partial-{}",
+        name.to_string_lossy(),
+        std::process::id()
+    ));
+    let written =
+        write(&tmp).and_then(|v| std::fs::rename(&tmp, out).map(|()| v).map_err(Into::into));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Stream every record of `records` into a new trace file at `path`,
@@ -133,12 +175,12 @@ fn convert_into(
     path: &Path,
     to_binary: bool,
     ctx: &AnalysisCtx,
-) -> Result<(u64, u64), ConvertError> {
+) -> Result<(u64, u64), WriteError> {
     let out = std::io::BufWriter::new(std::fs::File::create(path)?);
     if to_binary {
         let mut w = BinaryWriter::with_ctx(out, ctx);
         while let Some(record) = records.next_record() {
-            w.write_record(record.map_err(ConvertError::Read)?)?;
+            w.write_record(record.map_err(WriteError::Read)?)?;
         }
         let counts = (w.records_written(), w.bytes_written());
         w.finish()?;
@@ -146,12 +188,34 @@ fn convert_into(
     } else {
         let mut w = TraceWriter::new(out);
         while let Some(record) = records.next_record() {
-            w.write_record(record.map_err(ConvertError::Read)?)?;
+            w.write_record(record.map_err(WriteError::Read)?)?;
         }
         let counts = (w.records_written(), w.bytes_written());
         w.finish()?;
         Ok(counts)
     }
+}
+
+/// Run `module` with a `binary` or text trace sink writing to a new file at
+/// `path`. Returns the records and bytes written.
+fn trace_into(
+    module: &autocheck_ir::Module,
+    path: &Path,
+    binary: bool,
+) -> Result<(u64, u64), WriteError> {
+    let out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    let mut sink = if binary {
+        FileSink::Binary(Box::new(BinarySink::new(out)))
+    } else {
+        FileSink::Text(WriterSink::new(out))
+    };
+    Machine::new(module, ExecOptions::default())
+        .run(&mut sink, &mut NoHook)
+        .map_err(WriteError::Run)?;
+    let counts = (sink.records_written(), sink.bytes_written());
+    sink.finish()
+        .map_err(|e| std::io::Error::other(e.to_string()))?;
+    Ok(counts)
 }
 
 fn compile_file(path: &str) -> Result<autocheck_ir::Module, ExitCode> {
@@ -407,36 +471,23 @@ fn main() -> ExitCode {
                 Err(c) => return c,
             };
             let format = opt("--format").unwrap_or_else(|| "text".to_string());
-            let out_path = opt("-o").unwrap_or_else(|| format!("{target}.trace"));
-            let file = match std::fs::File::create(&out_path) {
-                Ok(f) => std::io::BufWriter::new(f),
-                Err(e) => {
-                    eprintln!("error: cannot create `{out_path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut sink = match format.as_str() {
-                "text" => FileSink::Text(WriterSink::new(file)),
-                "binary" => FileSink::Binary(Box::new(BinarySink::new(file))),
+            let binary = match format.as_str() {
+                "text" => false,
+                "binary" => true,
                 other => {
                     eprintln!("error: --format must be `text` or `binary`, not `{other}`");
                     return ExitCode::FAILURE;
                 }
             };
-            let mut machine = Machine::new(&module, ExecOptions::default());
-            match machine.run(&mut sink, &mut NoHook) {
-                Ok(_) => {
-                    let records = sink.records_written();
-                    let bytes = sink.bytes_written();
-                    if sink.finish().is_err() {
-                        eprintln!("error: flush failed");
-                        return ExitCode::FAILURE;
-                    }
+            let out_path = opt("-o").unwrap_or_else(|| format!("{target}.trace"));
+            // A program that fails mid-run leaves no partial trace.
+            match write_then_rename(Path::new(&out_path), |tmp| trace_into(&module, tmp, binary)) {
+                Ok((records, bytes)) => {
                     eprintln!("wrote {records} records ({bytes} bytes, {format}) to {out_path}");
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
-                    eprintln!("runtime error: {e}");
+                    e.report(&out_path);
                     ExitCode::FAILURE
                 }
             }
@@ -482,34 +533,13 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            // Write beside the output and rename over it only on success: a
-            // failed conversion leaves no output file, and the input may be
-            // the output.
-            let out = Path::new(&out_path);
-            let Some(name) = out.file_name() else {
-                eprintln!("error: cannot write `{out_path}`: not a file path");
-                return ExitCode::FAILURE;
-            };
-            let tmp = out.with_file_name(format!(
-                ".{}.convert-{}",
-                name.to_string_lossy(),
-                std::process::id()
-            ));
-            let written = convert_into(&mut records, &tmp, to_binary, &ctx).and_then(|counts| {
-                std::fs::rename(&tmp, out)
-                    .map(|()| counts)
-                    .map_err(Into::into)
+            let written = write_then_rename(Path::new(&out_path), |tmp| {
+                convert_into(&mut records, tmp, to_binary, &ctx)
             });
             let (n, out_bytes) = match written {
                 Ok(counts) => counts,
                 Err(e) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    match e {
-                        ConvertError::Read(e) => eprintln!("error: {e}"),
-                        ConvertError::Write(e) => {
-                            eprintln!("error: cannot write `{out_path}`: {e}")
-                        }
-                    }
+                    e.report(&out_path);
                     return ExitCode::FAILURE;
                 }
             };

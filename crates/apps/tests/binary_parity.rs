@@ -4,13 +4,14 @@
 //! across all three front doors (batch [`Analyzer`], [`StreamAnalyzer`],
 //! and `MultiAnalyzer` jobs), on the Fig. 4 example and all 14 benchmarks.
 //! Plus the `mlc convert` CLI: text → binary → text reproduces the original
-//! trace byte for byte, in place too, and a failed conversion leaves no
-//! output file; and a version-2 file with an iteration-index footer still
-//! reads like the version-1 trace of the same run.
+//! trace byte for byte, in place too, and a failed conversion — like a
+//! failed `mlc trace` — leaves no output file; and a version-2 file with an
+//! iteration-index footer still reads like the version-1 trace of the same
+//! run.
 
 use autocheck_core::{
-    contract_for_mli, index_variables_of, AnalysisJob, Analyzer, DdgAnalysis, DdgOptions, JobInput,
-    MultiAnalyzer, Phases, Region, StreamAnalyzer,
+    index_variables_of, AnalysisJob, Analyzer, JobInput, MultiAnalyzer, Region, StreamAnalyzer,
+    StreamConfig,
 };
 use autocheck_interp::{BinarySink, ExecOptions, Machine, NoHook, WriterSink};
 use autocheck_trace::{binary, AnalysisCtx};
@@ -69,33 +70,30 @@ fn traces_of(src: &str) -> (Vec<u8>, Vec<u8>) {
     (text, bin)
 }
 
-/// Batch-analyze `bytes` in a fresh session; return the rendered report and
-/// the contracted DOT — everything user-visible.
+/// Analyze `bytes` in a fresh session the way `autocheck --dot` does — one
+/// engine run that renders its own contracted DDG — and return the rendered
+/// report and the DOT: everything user-visible. The batch front door
+/// (`Analyzer`) must render the same report.
 fn batch_output(bytes: &[u8], region: &Region, index: &[String]) -> (String, String) {
     let ctx = AnalysisCtx::session();
     let _guard = ctx.enter();
-    let analyzer = Analyzer::new(region.clone())
+    let run = StreamAnalyzer::new(region.clone())
         .with_index_vars(index.to_vec())
-        .with_ctx(ctx.clone());
-    let report = analyzer.analyze_bytes(bytes).expect("ingests");
-    let records = autocheck_trace::TraceSource::from_bytes(bytes)
-        .ctx(&ctx)
-        .records()
-        .expect("parses");
-    let phases = Phases::compute_in(&records, region, &ctx);
-    let graph = DdgAnalysis::fold_in(
-        &records,
-        &phases,
-        &report.mli,
-        DdgOptions {
-            retain_events: false,
-            ..DdgOptions::default()
-        },
-        &ctx,
-        |_| {},
-    );
-    let dot = contract_for_mli(&graph, &report.mli).to_dot();
-    (report.to_string(), dot)
+        .with_config(StreamConfig {
+            contracted_dot: true,
+            ..StreamConfig::default()
+        })
+        .with_ctx(ctx.clone())
+        .run_bytes(bytes)
+        .expect("ingests");
+    let report = run.report.to_string();
+    let batch = Analyzer::new(region.clone())
+        .with_index_vars(index.to_vec())
+        .with_ctx(ctx.clone())
+        .analyze_bytes(bytes)
+        .expect("ingests");
+    assert_eq!(batch.to_string(), report, "Analyzer renders another report");
+    (report, run.contracted_dot.expect("DOT requested"))
 }
 
 /// Binary and text ingest must render byte-identical reports and DOT
@@ -313,6 +311,71 @@ fn mlc_convert_of_a_truncated_input_leaves_no_output() {
     assert_eq!(
         names,
         ["cut.binary", "cut.text", "whole.binary", "whole.text"],
+        "no temporary file survives"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `mlc trace` writes beside its output and renames only on success too: a
+/// program that fails mid-run, or a binary sink that cannot create its
+/// spill file, exits 1 and leaves no output file (and no temporary file),
+/// and an existing output file keeps its bytes.
+#[test]
+fn mlc_trace_of_a_failing_run_leaves_no_output() {
+    let fig4 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fig4.mc");
+    let dir = std::env::temp_dir().join(format!("autocheck-mlc-trace-fail-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let div = dir.join("div.mc");
+    std::fs::write(
+        &div,
+        "int main() {\n    int a = 1; int b = 0;\n    print(a / b);\n    return 0;\n}\n",
+    )
+    .unwrap();
+    let div = div.to_string_lossy().into_owned();
+    let missing_tmp = dir.join("missing");
+    // (program, format, TMPDIR, expected stderr)
+    let cases = [
+        (&div[..], "text", None, "division by zero"),
+        (&div[..], "binary", None, "division by zero"),
+        (
+            fig4,
+            "binary",
+            Some(&missing_tmp),
+            "cannot create a spill file",
+        ),
+    ];
+    for (program, format, tmpdir, why) in cases {
+        for existing in [None, Some(&b"an earlier trace"[..])] {
+            let out = dir.join(format!("out.{format}"));
+            let _ = std::fs::remove_file(&out);
+            if let Some(bytes) = existing {
+                std::fs::write(&out, bytes).unwrap();
+            }
+            let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_mlc"));
+            cmd.args(["trace", program, "--format", format, "-o"])
+                .arg(&out);
+            if let Some(tmp) = tmpdir {
+                cmd.env("TMPDIR", tmp);
+            }
+            let run = cmd.output().expect("mlc runs");
+            let what = format!("{program} {format} over {existing:?}");
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(1), "{what}: {stderr}");
+            assert!(stderr.contains(why), "{what}: {stderr}");
+            match existing {
+                None => assert!(!out.exists(), "{what}: partial output left behind"),
+                Some(bytes) => assert_eq!(std::fs::read(&out).unwrap(), bytes, "{what}"),
+            }
+        }
+    }
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        ["div.mc", "out.binary", "out.text"],
         "no temporary file survives"
     );
     let _ = std::fs::remove_dir_all(&dir);

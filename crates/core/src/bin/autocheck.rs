@@ -11,23 +11,22 @@
 //! autocheck <trace-file> --function main --start 13 --end 21 \
 //!     [--index it,step] [--dot out.dot] [--collect arithmetic] [--stream] \
 //!     [--max-live-records N] [--untrusted-trace] [--metrics out.json]
-//! autocheck --batch <manifest> [--jobs N] [--stream] [--untrusted-trace] \
-//!     [--metrics out.json]
+//! autocheck --batch <manifest> [--jobs N] [--stream] [--max-live-records N] \
+//!     [--untrusted-trace] [--metrics out.json]
 //! ```
 //!
 //! Every analysis is one serial pass of the bounded-memory streaming
 //! engine: the file is pulled chunk by chunk and per-iteration analysis
 //! state is retired at iteration boundaries, so a run holds the live
-//! window, not the trace. The default mode prints the Table III timing
-//! footer. `--stream` prints the same report with a footer showing the
-//! peak live-record count, so the memory bound is observable;
-//! `--max-live-records N` turns that bound into a hard limit (exceeding it
-//! is an error, not an OOM).
-//! Both modes fail with the same diagnostic. `--dot` renders the
-//! contracted DDG: by default it re-reads the trace and folds it through
-//! the staged batch passes (their node numbering); with `--stream` the
-//! engine contracts its own frozen DDG at finish (the graph is
-//! program-bounded, so the memory story is unchanged).
+//! window, not the trace. The default mode and `--stream` are that same
+//! run and print the same report and `timings:` footer; `--stream` adds a
+//! `streaming:` footer with the peak live-record count, so the memory
+//! bound is observable, and `--max-live-records N` (with `--stream`, also
+//! in `--batch` mode) turns that bound into a hard limit (exceeding it is
+//! an error, not an OOM). Both modes fail with the same diagnostic.
+//! `--dot` writes the contracted DDG the run computed at finish from the
+//! engine's own graph, in either mode (the graph is program-bounded, so
+//! the memory story is unchanged).
 //!
 //! `--batch <manifest>` runs many analyses, each in its own session (own
 //! symbol space, own seeded hashers when `--untrusted-trace` is set), on
@@ -69,10 +68,7 @@
 //! queue/flight stats plus one ledger per session. Metrics never change
 //! analysis output — reports and DOT are byte-identical either way.
 
-use autocheck_core::{
-    capture_ledger, contract_for_mli, Analyzer, CollectMode, DdgAnalysis, Phases, PipelineConfig,
-    Region, StreamAnalyzer, StreamConfig,
-};
+use autocheck_core::{capture_ledger, CollectMode, Region, StreamAnalyzer, StreamConfig, Timings};
 use autocheck_obs::Metrics;
 use autocheck_trace::{parse_limit_arg, AnalysisCtx, ResourceLimits};
 use std::process::ExitCode;
@@ -100,7 +96,7 @@ fn usage() -> ! {
          \x20                [--index v1,v2] [--dot <file>] [--collect any|arithmetic]\n\
          \x20                [--stream] [--max-live-records N] [--untrusted-trace]\n\
          \x20                [--metrics <file|->] [--limit <kind>=<N>]...\n\
-         \x20      autocheck --batch <manifest> [--jobs N] [--stream]\n\
+         \x20      autocheck --batch <manifest> [--jobs N] [--stream] [--max-live-records N]\n\
          \x20                [--untrusted-trace] [--metrics <file|->] [--limit <kind>=<N>]...\n\
          \x20                (one trace is analyzed serially; --jobs N analyzes N manifest\n\
          \x20                 traces at a time, default 1)\n\
@@ -120,6 +116,14 @@ fn removed_flag(flag: &str) -> ! {
          and pass --jobs N"
     );
     std::process::exit(2)
+}
+
+/// `--max-live-records` bounds the window that only `--stream` reports.
+fn require_stream_for_live_bound(max_live_records: Option<usize>, stream: bool) {
+    if max_live_records.is_some() && !stream {
+        eprintln!("error: --max-live-records only applies to --stream mode");
+        std::process::exit(2);
+    }
 }
 
 fn parse_args() -> Args {
@@ -192,6 +196,7 @@ fn parse_args() -> Args {
             );
             std::process::exit(2);
         }
+        require_stream_for_live_bound(max_live_records, stream);
         return Args {
             trace: String::new(),
             function,
@@ -214,10 +219,7 @@ fn parse_args() -> Args {
         eprintln!("error: --start/--end are required and must satisfy start <= end");
         std::process::exit(2);
     }
-    if max_live_records.is_some() && !stream {
-        eprintln!("error: --max-live-records only applies to --stream mode");
-        std::process::exit(2);
-    }
+    require_stream_for_live_bound(max_live_records, stream);
     Args {
         trace,
         function,
@@ -322,16 +324,7 @@ fn run_batch(args: &Args, manifest: &str) -> ExitCode {
     for s in &out.sessions {
         println!("=== {} ===", s.name);
         print!("{}", s.rendered);
-        println!(
-            "timings: preprocess {:.3?}, dependency {:.3?}, identify {:.3?}, contract {:.3?} \
-             (total {:.3?}; wall {:.3?})",
-            s.timings.preprocess,
-            s.timings.dependency,
-            s.timings.identify,
-            s.timings.contract,
-            s.timings.total(),
-            s.wall
-        );
+        print_timings(&s.timings);
         match s.peak_live_records {
             Some(peak) => println!(
                 "session: {} symbols; streaming peak {} live records of {} total",
@@ -367,8 +360,23 @@ fn run_batch(args: &Args, manifest: &str) -> ExitCode {
     }
 }
 
-fn run_streaming(args: &Args, region: &Region, ctx: &AnalysisCtx) -> ExitCode {
-    let analyzer = StreamAnalyzer::new(region.clone())
+/// The `timings:` footer of every mode: the fused engine pass is booked
+/// as pre-processing.
+fn print_timings(t: &Timings) {
+    println!(
+        "timings: preprocess {:.3?}, identify {:.3?}, contract {:.3?} (total {:.3?})",
+        t.preprocess,
+        t.identify,
+        t.contract,
+        t.total()
+    );
+}
+
+/// One trace, one engine run: the default mode and `--stream` differ only
+/// in the `streaming:` footer.
+fn run_single(args: &Args, ctx: &AnalysisCtx) -> ExitCode {
+    let region = Region::new(args.function.clone(), args.start, args.end);
+    let analyzer = StreamAnalyzer::new(region)
         .with_index_vars(args.index.clone())
         .with_config(StreamConfig {
             collect: args.collect,
@@ -377,37 +385,36 @@ fn run_streaming(args: &Args, region: &Region, ctx: &AnalysisCtx) -> ExitCode {
             ..StreamConfig::default()
         })
         .with_ctx(ctx.clone());
+    // Records flow from the file (format auto-detected from the leading
+    // magic) straight into the engine, which enforces every ceiling as it
+    // folds.
     let run = match analyzer.run_path(&args.trace) {
         Ok(r) => r,
         Err(e) => return fail(args, ctx, e),
     };
     println!("{}", run.report);
+    print_timings(&run.report.timings);
+    if args.stream {
+        let bound = match run.stats.live_bound {
+            Some(b) => format!("{b}"),
+            None => "unbounded".to_string(),
+        };
+        println!(
+            "streaming: peak {} live records of {} total (bound: {}); ddg {} nodes / {} edges",
+            run.stats.peak_live_records,
+            run.report.records,
+            bound,
+            run.stats.ddg_nodes,
+            run.stats.ddg_edges
+        );
+    }
     if let (Some(dot_path), Some(dot)) = (&args.dot, &run.contracted_dot) {
         if let Err(e) = std::fs::write(dot_path, dot) {
             eprintln!("error: cannot write `{dot_path}`: {e}");
             return ExitCode::FAILURE;
         }
-        println!("contracted DDG (streaming) written to {dot_path}");
+        println!("contracted DDG written to {dot_path}");
     }
-    println!(
-        "timings: ingest {:.3?}, identify {:.3?}, contract {:.3?} (total {:.3?}; single online pass)",
-        run.report.timings.preprocess,
-        run.report.timings.identify,
-        run.report.timings.contract,
-        run.report.timings.total()
-    );
-    let bound = match run.stats.live_bound {
-        Some(b) => format!("{b}"),
-        None => "unbounded".to_string(),
-    };
-    println!(
-        "streaming: peak {} live records of {} total (bound: {}); ddg {} nodes / {} edges",
-        run.stats.peak_live_records,
-        run.report.records,
-        bound,
-        run.stats.ddg_nodes,
-        run.stats.ddg_edges
-    );
     if let Some(path) = &args.metrics {
         let ledger = capture_ledger(session_name(&args.trace), ctx);
         if !emit_metrics(path, ledger.render_table(), ledger.to_json()) {
@@ -467,71 +474,5 @@ fn main() -> ExitCode {
     }
     // Rendering below resolves symbols via the thread-current space.
     let _guard = ctx.enter();
-    let region = Region::new(args.function.clone(), args.start, args.end);
-    if args.stream {
-        return run_streaming(&args, &region, &ctx);
-    }
-    let analyzer = Analyzer::new(region.clone())
-        .with_index_vars(args.index.clone())
-        .with_config(PipelineConfig {
-            collect: args.collect,
-            ..PipelineConfig::default()
-        })
-        .with_ctx(ctx.clone());
-    // Records flow from the file (format auto-detected from the leading
-    // magic) straight into the engine, which enforces every ceiling as it
-    // folds — the same run `--stream` makes, reported as batch.
-    let report = match analyzer.analyze_path(&args.trace) {
-        Ok(r) => r,
-        Err(e) => return fail(&args, &ctx, e),
-    };
-    println!("{report}");
-    println!(
-        "timings: preprocess {:.3?}, dependency {:.3?}, identify {:.3?}, contract {:.3?} (total {:.3?})",
-        report.timings.preprocess,
-        report.timings.dependency,
-        report.timings.identify,
-        report.timings.contract,
-        report.timings.total()
-    );
-
-    if let Some(dot_path) = &args.dot {
-        // Re-run the dependency fold (no event retention) to export the
-        // contracted DDG from the frozen graph.
-        let records = match autocheck_trace::TraceSource::from_path(&args.trace)
-            .ctx(&ctx)
-            .records()
-        {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let phases = Phases::compute_in(&records, &region, &ctx);
-        let graph = DdgAnalysis::fold_in(
-            &records,
-            &phases,
-            &report.mli,
-            autocheck_core::DdgOptions {
-                retain_events: false,
-                ..autocheck_core::DdgOptions::default()
-            },
-            &ctx,
-            |_| {},
-        );
-        let contracted = contract_for_mli(&graph, &report.mli);
-        if let Err(e) = std::fs::write(dot_path, contracted.to_dot()) {
-            eprintln!("error: cannot write `{dot_path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("contracted DDG written to {dot_path}");
-    }
-    if let Some(path) = &args.metrics {
-        let ledger = capture_ledger(session_name(&args.trace), &ctx);
-        if !emit_metrics(path, ledger.render_table(), ledger.to_json()) {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    run_single(&args, &ctx)
 }

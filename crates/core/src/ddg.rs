@@ -1,5 +1,6 @@
-//! Data-dependency analysis: the batch adapter over the shared streaming
-//! [`DdgBuilder`].
+//! Data-dependency analysis over a materialized record slice: the staged
+//! reference's adapter over the shared streaming [`DdgBuilder`]. No
+//! production path runs it; the engine folds the same builder online.
 //!
 //! The analysis *selectively iterates* the trace (paper §IV-B / Table I):
 //! only `Load`/`Store`/`GetElementPtr`/`BitCast` (reg-var map), the
@@ -15,7 +16,10 @@
 //!
 //! * the **complete DDG** (a frozen [`CsrGraph`]) over variables *and*
 //!   temporary registers — Fig. 5(c) of the paper — which
-//!   [`crate::contract`] then reduces to MLI variables only (Fig. 5(d));
+//!   [`crate::contract`] then reduces to MLI variables only (Fig. 5(d)).
+//!   [`DdgBuilder::finish`] freezes it exactly as the engine does: the MLI
+//!   variables numbered first, in MLI order, so the staged and the engine
+//!   DOT are the same bytes;
 //! * the **R/W event sequence** ([`RwEvent`]) — Fig. 5(e) — each event
 //!   carrying the element address and the loop iteration it occurred in,
 //!   which is what the classification heuristics consume. Retention is
@@ -109,8 +113,8 @@ pub struct DdgOptions {
     pub on_the_fly_reg_var: bool,
     /// Keep the O(trace) [`RwEvent`] vector on [`DdgAnalysis`]. Defaults
     /// on for API continuity (tests and examples inspect events); the
-    /// pipeline, `autocheck`, and `MultiAnalyzer` run with it **off** and
-    /// fold events into per-variable statistics as they are emitted.
+    /// staged reference (`Analyzer::analyze_staged`) runs with it **off**
+    /// and folds events into per-variable statistics as they are emitted.
     pub retain_events: bool,
 }
 
@@ -172,11 +176,11 @@ impl DdgAnalysis {
         DdgAnalysis { graph, events }
     }
 
-    /// The batch dependency fold: drive the shared streaming
+    /// The staged dependency fold: drive the shared streaming
     /// [`DdgBuilder`] over the record slice, invoking `on_event` for every
     /// MLI-variable access event in time order, and return the frozen
-    /// graph. This is the only record walk the batch pipeline has — the
-    /// same per-record transition the online engine runs.
+    /// graph — the same per-record transition and the same freeze the
+    /// online engine runs.
     pub fn fold_in(
         records: &[Record],
         phases: &Phases,
@@ -195,11 +199,6 @@ impl DdgAnalysis {
 
         let mut builder =
             DdgBuilder::new(opts.selective).with_reg_var_on_the_fly(opts.on_the_fly_reg_var);
-        // Pre-intern MLI variable nodes so the graph always shows them
-        // (and numbers them first — stable DOT output).
-        for m in mli {
-            builder.preload_var(m.name, m.base_addr);
-        }
         for (r, &a) in records.iter().zip(&phases.annots) {
             if let Some(e) = builder.observe(r, a) {
                 // The batch event sequence is filtered to MLI bases; the
@@ -210,7 +209,8 @@ impl DdgAnalysis {
                 }
             }
         }
-        builder.finish()
+        // The engine's freeze: MLI nodes first, so both number alike.
+        builder.finish(mli)
     }
 }
 

@@ -31,16 +31,17 @@
 //! time-ordered R/W event sequence; [`contract`] reduces the complete DDG
 //! to MLI variables (Algorithm 1, over the CSR parent slices);
 //! [`mod@classify`] applies the four heuristics. Each is a separate pass
-//! over a materialized record slice, kept for the DOT goldens, `--dot`
-//! and the staged reference the parity suites check the engine against.
+//! over a materialized record slice, kept as the staged reference the
+//! parity suites check the engine against; no production path runs them.
 //!
 //! The analysis itself is one online pass: [`stream`] drives those stages'
 //! shared state machines over records pushed from the interpreter or
-//! pulled from a trace source, in O(live window) memory. [`Analyzer`]
-//! ([`pipeline`]) and [`StreamAnalyzer`] are two configurations of that
-//! pass — the first reports with the paper's Table III timing breakdown —
-//! so they produce identical reports (same classification decisions via
-//! [`decide`]).
+//! pulled from a trace source, in O(live window) memory, and ends in one
+//! finish step that classifies, contracts the DDG and, when asked, renders
+//! it as DOT. [`Analyzer`] ([`pipeline`]), [`StreamAnalyzer`], every
+//! `autocheck` mode and every [`MultiAnalyzer`] job are that pass, so they
+//! produce identical reports and DOT (same classification decisions via
+//! [`decide`], same graph numbering).
 //!
 //! ```no_run
 //! use autocheck_core::{Analyzer, Region};

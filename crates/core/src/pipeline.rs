@@ -1,20 +1,19 @@
 //! The batch front door: [`Analyzer`], a configuration of the streaming
 //! engine that reports with Table-III-style timing.
 //!
-//! [`Analyzer`] and [`crate::StreamAnalyzer`] share one analysis driver:
-//! records flow from the trace source into the engine one at a time, and
-//! the finish step classifies, contracts and assembles the [`Report`]. The
-//! batch door always contracts the DDG (for [`DdgSummary`] and the ledger)
-//! and never renders it. The staged passes over a materialized slice —
-//! region partitioning, MLI identification, the dependency fold — remain as
-//! `Analyzer::analyze_staged`, the independent side of the
-//! batch-versus-stream parity suites.
+//! [`Analyzer`] is a [`crate::StreamAnalyzer`] run without a live-record
+//! bound or DOT: records flow from the trace source into the engine one at
+//! a time, and the one finish step classifies, contracts and assembles the
+//! [`Report`]. The staged passes over a materialized slice — region
+//! partitioning, MLI identification, the dependency fold — remain as
+//! `Analyzer::analyze_staged`, the independent side of the parity suites;
+//! no production path runs them.
 
 use crate::ddg::{DdgAnalysis, DdgOptions, RwKind};
 use crate::preprocess::{find_mli_vars_in, CollectMode};
 use crate::region::{Phase, Phases, Region};
 use crate::report::{DdgSummary, Report, Timings};
-use crate::stream::{Contraction, StreamAnalyzer, StreamConfig, StreamError};
+use crate::stream::{StreamAnalyzer, StreamConfig, StreamError};
 use autocheck_obs::{GaugeId, TimerId};
 use autocheck_stream::VarStatsBuilder;
 use autocheck_trace::{AnalysisCtx, Record, ResourceLimits};
@@ -107,8 +106,7 @@ impl Analyzer {
         let unbounded = self.ctx.clone().with_limits(ResourceLimits::default());
         self.engine()
             .with_ctx(unbounded)
-            .run_records_with(records, Contraction::Count)
-            .map(|run| run.report)
+            .analyze(records)
             .expect("an engine without ceilings cannot fail")
     }
 
@@ -122,20 +120,16 @@ impl Analyzer {
     /// by magic bytes) — [`StreamAnalyzer::run_path`] under this
     /// configuration. Ingest time is included in the pre-processing time.
     pub fn analyze_path(&self, path: impl AsRef<Path>) -> Result<Report, StreamError> {
-        self.engine()
-            .run_path_with(path.as_ref(), Contraction::Count)
-            .map(|run| run.report)
+        self.engine().run_path(path).map(|run| run.report)
     }
 
     /// Analyze an in-memory trace in either format.
     pub fn analyze_bytes(&self, bytes: &[u8]) -> Result<Report, StreamError> {
-        self.engine()
-            .run_bytes_with(bytes, Contraction::Count)
-            .map(|run| run.report)
+        self.engine().run_bytes(bytes).map(|run| run.report)
     }
 
     /// The streaming front door this configuration drives.
-    pub(crate) fn engine(&self) -> StreamAnalyzer {
+    fn engine(&self) -> StreamAnalyzer {
         StreamAnalyzer::new(self.region.clone())
             .with_index_vars(self.index_vars.clone())
             .with_config(StreamConfig {

@@ -79,12 +79,15 @@ pub struct Timings {
     pub preprocess: Duration,
     /// Reg-var/reg-reg maps and DDG construction ("Dependency Analysis");
     /// contraction is booked separately in [`contract`](Timings::contract).
+    /// Only the staged reference books it: the engine folds the dependency
+    /// analysis into its one pass, booked as
+    /// [`preprocess`](Timings::preprocess), and `autocheck` does not print
+    /// it.
     pub dependency: Duration,
     /// Heuristic classification ("Identify Variables").
     pub identify: Duration,
-    /// Algorithm 1 contraction — its own stage so batch and streaming wall
-    /// figures are computed one way (streaming contracts after
-    /// classification; batch used to fold it into `dependency`).
+    /// Algorithm 1 contraction — its own stage, booked after
+    /// classification by the engine's finish step.
     pub contract: Duration,
 }
 
@@ -95,17 +98,17 @@ impl Timings {
     }
 }
 
-/// Sizes of the dependency-graph stage — filled by both pipelines,
-/// surfaced by `table3 --json` (not printed in the human-readable report).
-/// Contraction wall clock lives in [`Timings::contract`].
+/// Sizes of the dependency-graph stage — filled by the engine's finish step
+/// and by the staged reference, surfaced by `table3 --json` (not printed in
+/// the human-readable report). Contraction wall clock lives in
+/// [`Timings::contract`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DdgSummary {
     /// Nodes of the complete DDG (variables + registers).
     pub nodes: usize,
     /// Edges of the complete DDG.
     pub edges: usize,
-    /// Nodes surviving Algorithm 1 contraction (0 when contraction was not
-    /// run, e.g. streaming without `contracted_dot`).
+    /// Nodes surviving Algorithm 1 contraction, which every run performs.
     pub contracted_nodes: usize,
     /// Edges of the contracted DDG.
     pub contracted_edges: usize,

@@ -18,14 +18,14 @@
 //! one at a time.
 
 use crate::observe::capture_ledger;
-use crate::pipeline::{index_variables_of, Analyzer, PipelineConfig};
+use crate::pipeline::index_variables_of;
 use crate::preprocess::CollectMode;
-use crate::region::{Phases, Region};
+use crate::region::Region;
 use crate::report::{DepType, Report, Timings};
-use crate::stream::{Contraction, StreamAnalyzer, StreamConfig};
+use crate::stream::{StreamAnalyzer, StreamConfig};
 use autocheck_obs::ledger::{BatchLedger, Ledger};
 use autocheck_obs::{CounterId, GaugeId, Metrics, TimerId};
-use autocheck_trace::{AnalysisCtx, ResourceLimits, TraceSource};
+use autocheck_trace::{AnalysisCtx, ResourceLimits};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -59,26 +59,24 @@ pub struct AnalysisJob {
     /// Treat the trace as untrusted: the session gets a random
     /// address-hash seed (the `--untrusted-trace` flag).
     pub untrusted: bool,
-    /// Report as a streaming job: the session's peak live-record window,
-    /// the [`max_live_records`](Self::max_live_records) bound, and the
-    /// engine's own contracted DOT. Batch and streaming jobs run the same
-    /// engine pass; a batch job's `dot` re-reads the trace to render the
-    /// staged batch numbering.
+    /// Report the session's peak live-record window
+    /// ([`SessionReport::peak_live_records`]). Every job is the same engine
+    /// run; this changes only what is reported.
     pub stream: bool,
-    /// Hard live-record bound for streaming jobs.
+    /// Hard live-record bound, for every job.
     pub max_live_records: Option<usize>,
     /// Session resource ceilings (trace records/bytes, symbols, arena
     /// bytes, DDG size, live window). A tripped ceiling fails *this* job
     /// with a typed message; the rest of the batch is untouched.
     pub limits: ResourceLimits,
-    /// Also render the contracted DDG as DOT (batch *and* streaming jobs —
-    /// the streaming engine contracts its own frozen graph at finish).
+    /// Also render the contracted DDG as DOT ([`SessionReport::dot`]),
+    /// from the graph the engine contracted at finish.
     pub dot: bool,
 }
 
 impl AnalysisJob {
-    /// A job with default settings (batch pipeline, trusted, any-access
-    /// collection) over the given input.
+    /// A job with default settings (no peak-live report, trusted,
+    /// any-access collection) over the given input.
     pub fn new(name: impl Into<String>, input: JobInput, region: Region) -> AnalysisJob {
         AnalysisJob {
             name: name.into(),
@@ -106,7 +104,7 @@ impl AnalysisJob {
         self
     }
 
-    /// Report as a streaming job (see [`AnalysisJob::stream`]).
+    /// Report the peak live-record window (see [`AnalysisJob::stream`]).
     pub fn streaming(mut self, yes: bool) -> AnalysisJob {
         self.stream = yes;
         self
@@ -141,7 +139,7 @@ pub struct SessionReport {
     pub records: u64,
     /// Loop iterations observed.
     pub iterations: u32,
-    /// Peak live-record window (streaming jobs only).
+    /// Peak live-record window (jobs with [`AnalysisJob::stream`] only).
     pub peak_live_records: Option<usize>,
     /// Distinct symbols interned by this session — the size its dense
     /// sym-indexed tables were bounded by.
@@ -385,47 +383,26 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
     // space; hold the guard for the whole session.
     let _guard = ctx.enter();
 
-    // Every job is one run of the streaming engine. A batch job runs it
-    // the way the batch front door does: the DDG is contracted for the
-    // report, and the live-record bound (a streaming setting) is off.
-    let (engine, contraction) = if job.stream {
-        let engine = StreamAnalyzer::new(job.region.clone())
-            .with_config(StreamConfig {
-                collect: job.collect,
-                max_live_records: job.max_live_records,
-                contracted_dot: job.dot,
-                ..StreamConfig::default()
-            })
-            .with_ctx(ctx.clone());
-        let contraction = engine.contraction();
-        (engine, contraction)
-    } else {
-        let batch = Analyzer::new(job.region.clone())
-            .with_config(PipelineConfig {
-                collect: job.collect,
-                ..PipelineConfig::default()
-            })
-            .with_ctx(ctx.clone());
-        (batch.engine(), Contraction::Count)
-    };
+    // Every job is one run of the streaming engine; `stream` decides only
+    // whether the peak live window is reported.
+    let engine = StreamAnalyzer::new(job.region.clone())
+        .with_config(StreamConfig {
+            collect: job.collect,
+            max_live_records: job.max_live_records,
+            contracted_dot: job.dot,
+            ..StreamConfig::default()
+        })
+        .with_ctx(ctx.clone());
     let trace_index = || job.index_vars.clone().unwrap_or_default();
 
     // Trace jobs never materialize the trace: records flow from the
     // source straight into the engine, interning every symbol into this
     // session's space.
-    let (run, records) = match &job.input {
-        JobInput::TracePath(path) => (
-            engine
-                .with_index_vars(trace_index())
-                .run_path_with(std::path::Path::new(path), contraction),
-            None,
-        ),
-        JobInput::TraceText(text) => (
-            engine
-                .with_index_vars(trace_index())
-                .run_bytes_with(text.as_bytes(), contraction),
-            None,
-        ),
+    let run = match &job.input {
+        JobInput::TracePath(path) => engine.with_index_vars(trace_index()).run_path(path),
+        JobInput::TraceText(text) => engine
+            .with_index_vars(trace_index())
+            .run_bytes(text.as_bytes()),
         JobInput::MiniLang(source) => {
             let module =
                 autocheck_minilang::compile(source).map_err(|e| format!("compile error: {e:?}"))?;
@@ -443,35 +420,19 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
                 None => index_variables_of(&module, &job.region),
             };
             // The interpreter already produced the records; push them.
-            let run = engine
-                .with_index_vars(index)
-                .run_records_with(&sink.records, contraction);
-            (run, Some(sink.records))
+            engine.with_index_vars(index).run_records(&sink.records)
         }
-    };
-    let run = run.map_err(|e| e.to_string())?;
-
-    // A batch job's DOT keeps the batch numbering: re-fold the records
-    // through the staged dependency fold, re-reading a trace input.
-    let dot = if job.dot && !job.stream {
-        let records = match (records, &job.input) {
-            (Some(records), _) => records,
-            (None, JobInput::TracePath(path)) => TraceSource::from_path(path)
-                .ctx(ctx)
-                .records()
-                .map_err(|e| e.to_string())?,
-            (None, JobInput::TraceText(text)) => TraceSource::from_str(text)
-                .ctx(ctx)
-                .records()
-                .map_err(|e| e.to_string())?,
-            (None, JobInput::MiniLang(_)) => unreachable!("MiniLang jobs keep their records"),
-        };
-        Some(render_dot(&records, &job.region, &run.report, ctx))
-    } else {
-        run.contracted_dot
-    };
+    }
+    .map_err(|e| e.to_string())?;
     let stats = job.stream.then_some(run.stats);
-    Ok(session_report(job, ctx, run.report, stats, dot, t0))
+    Ok(session_report(
+        job,
+        ctx,
+        run.report,
+        stats,
+        run.contracted_dot,
+        t0,
+    ))
 }
 
 /// Assemble the rendered, session-independent report (called inside the
@@ -504,31 +465,6 @@ fn session_report(
         wall,
         ledger,
     }
-}
-
-/// The contracted-DDG DOT rendering the `autocheck --dot` path produces,
-/// computed inside the session. Re-runs only the dependency fold — with
-/// event retention off, so no O(trace) vector is held — and contracts the
-/// frozen graph.
-fn render_dot(
-    records: &[autocheck_trace::Record],
-    region: &Region,
-    report: &Report,
-    ctx: &AnalysisCtx,
-) -> String {
-    let phases = Phases::compute_in(records, region, ctx);
-    let graph = crate::ddg::DdgAnalysis::fold_in(
-        records,
-        &phases,
-        &report.mli,
-        crate::ddg::DdgOptions {
-            retain_events: false,
-            ..crate::ddg::DdgOptions::default()
-        },
-        ctx,
-        |_| {},
-    );
-    crate::contract::contract_for_mli(&graph, &report.mli).to_dot()
 }
 
 #[cfg(test)]
@@ -761,25 +697,32 @@ int main() {
 
     #[test]
     fn streaming_jobs_render_the_contracted_ddg_too() {
-        // Contraction used to be batch-only; the unified graph exposes it
-        // online: the engine contracts its own frozen CSR graph at finish.
+        // Batch and streaming jobs are one engine run: the `stream` flag
+        // adds the peak-live report and changes no DOT byte.
         let out =
             MultiAnalyzer::new(1).run(vec![mini_job("stream-dot").streaming(true).with_dot(true)]);
         assert!(out.failures.is_empty(), "{:?}", out.failures);
         let s = &out.sessions[0];
-        assert!(s.peak_live_records.is_some(), "really streamed");
+        assert!(s.peak_live_records.is_some(), "peak live reported");
         let dot = s.dot.as_ref().expect("streaming dot rendered");
         assert!(dot.starts_with("digraph contracted"));
         assert!(dot.contains("sum"));
-        // Same dependency skeleton as the batch rendering: every batch
-        // edge label pair appears (numbering may differ, labels must not).
         let batch = MultiAnalyzer::new(1).run(vec![mini_job("batch-dot").with_dot(true)]);
-        let batch_dot = batch.sessions[0].dot.as_ref().unwrap();
-        for name in ["sum", "r"] {
-            assert_eq!(
-                dot.matches(&format!("label=\"{name}\"")).count(),
-                batch_dot.matches(&format!("label=\"{name}\"")).count(),
-                "{name}: node presence must agree between pipelines"
+        assert!(batch.sessions[0].peak_live_records.is_none());
+        assert_eq!(batch.sessions[0].dot.as_ref(), Some(dot));
+    }
+
+    #[test]
+    fn the_live_record_bound_applies_to_every_job() {
+        for streaming in [false, true] {
+            let mut job = mini_job("bounded").streaming(streaming);
+            job.max_live_records = Some(1);
+            let out = MultiAnalyzer::new(1).run(vec![job]);
+            assert!(out.sessions.is_empty(), "stream={streaming}");
+            assert!(
+                out.failures[0].message.contains("live-record bound"),
+                "stream={streaming}: {}",
+                out.failures[0].message
             );
         }
     }

@@ -11,10 +11,14 @@
 //! The analysis itself runs in `autocheck-stream`'s [`Engine`]: one pass,
 //! per-iteration state retired at iteration boundaries, peak memory
 //! observable as the *live-record count* ([`StreamStats`]) and optionally
-//! hard-bounded ([`StreamConfig::max_live_records`]). [`crate::Analyzer`]
-//! is a configuration of this same driver, so the two doors report
-//! identically by construction; the integration and property tests check
-//! the engine against the staged batch reference
+//! hard-bounded ([`StreamConfig::max_live_records`]). Every run ends in
+//! the same finish step: classify, contract the engine's frozen DDG
+//! (Algorithm 1), and assemble the [`Report`]; the one choice left is
+//! whether to render the contracted DDG as DOT
+//! ([`StreamConfig::contracted_dot`]). [`crate::Analyzer`], `autocheck`
+//! in every mode and every [`crate::MultiAnalyzer`] job are this same
+//! run, so they report identically by construction; the integration and
+//! property tests check the engine against the staged reference
 //! (`Analyzer::analyze_staged`) over the Fig. 4 example, all 14
 //! benchmarks, and random MiniLang programs.
 
@@ -39,7 +43,7 @@ pub struct StreamConfig {
     pub selective: bool,
     /// Hard bound on the live-record window; `None` = observe only.
     pub max_live_records: Option<usize>,
-    /// Contract the streaming DDG (Algorithm 1) at finish and render it as
+    /// Render the contracted DDG, which every run computes at finish, as
     /// DOT ([`StreamRun::contracted_dot`]). The graph is bounded by the
     /// program, so this keeps the O(live window) memory story intact.
     pub contracted_dot: bool,
@@ -135,22 +139,8 @@ pub struct StreamRun {
     /// Live-window statistics.
     pub stats: StreamStats,
     /// The contracted DDG rendered as DOT, when
-    /// [`StreamConfig::contracted_dot`] asked for it — Algorithm 1 over the
-    /// streaming graph, previously a batch-only capability.
+    /// [`StreamConfig::contracted_dot`] asked for it.
     pub contracted_dot: Option<String>,
-}
-
-/// What the finish step does with the frozen DDG — the one setting a
-/// front door adds to [`StreamConfig`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Contraction {
-    /// Leave it alone (a streaming run without contracted DOT).
-    Skip,
-    /// Contract it for [`crate::DdgSummary`] and the ledger, render nothing
-    /// (the batch front door).
-    Count,
-    /// Contract it and render the DOT ([`StreamConfig::contracted_dot`]).
-    Render,
 }
 
 /// The streaming AutoCheck analyzer. Construction mirrors
@@ -197,16 +187,6 @@ impl StreamAnalyzer {
         self
     }
 
-    /// The contraction [`StreamConfig`] implies for a run of this
-    /// analyzer's own entry points.
-    pub(crate) fn contraction(&self) -> Contraction {
-        if self.config.contracted_dot {
-            Contraction::Render
-        } else {
-            Contraction::Skip
-        }
-    }
-
     fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             function: self.region.function.clone(),
@@ -222,17 +202,13 @@ impl StreamAnalyzer {
     /// Open a push-based session: feed records in execution order, then
     /// [`StreamSession::finish`].
     pub fn session(&self) -> StreamSession {
-        self.session_with(self.contraction())
-    }
-
-    fn session_with(&self, contraction: Contraction) -> StreamSession {
         StreamSession {
             engine: Engine::with_ctx(self.engine_config(), &self.ctx),
             ctx: self.ctx.clone(),
             index_vars: self.index_vars.clone(),
             region_start: self.region.start_line,
             live_bound: self.config.max_live_records,
-            contraction,
+            contracted_dot: self.config.contracted_dot,
             started: None,
         }
     }
@@ -246,20 +222,10 @@ impl StreamAnalyzer {
 
     /// Analyze materialized records, returning the full [`StreamRun`].
     pub fn run_records(&self, records: &[Record]) -> Result<StreamRun, StreamError> {
-        self.run_records_with(records, self.contraction())
-    }
-
-    /// [`run_records`](Self::run_records) with the finish step's
-    /// `contraction`.
-    pub(crate) fn run_records_with(
-        &self,
-        records: &[Record],
-        contraction: Contraction,
-    ) -> Result<StreamRun, StreamError> {
         // The fold and the finish step resolve symbols (MLI names sort by
         // string) in the thread's current space: make it the session's.
         let _space = self.ctx.enter();
-        let mut session = self.session_with(contraction);
+        let mut session = self.session();
         session.started = Some(Instant::now());
         for r in records {
             session.push(r)?;
@@ -277,7 +243,7 @@ impl StreamAnalyzer {
     /// Like [`analyze_read`](Self::analyze_read), also returning the
     /// live-window statistics.
     pub fn run_read<R: io::Read>(&self, reader: R) -> Result<StreamRun, StreamError> {
-        self.run_source(TraceSource::from_reader(reader), self.contraction())
+        self.run_source(TraceSource::from_reader(reader))
     }
 
     /// Analyze a trace file in either format, like
@@ -285,39 +251,19 @@ impl StreamAnalyzer {
     /// `trace-bytes` ceiling is checked against the file's length before
     /// a byte is read.
     pub fn run_path(&self, path: impl AsRef<Path>) -> Result<StreamRun, StreamError> {
-        self.run_path_with(path.as_ref(), self.contraction())
-    }
-
-    pub(crate) fn run_path_with(
-        &self,
-        path: &Path,
-        contraction: Contraction,
-    ) -> Result<StreamRun, StreamError> {
-        self.run_source(TraceSource::from_path(path), contraction)
+        self.run_source(TraceSource::from_path(path.as_ref()))
     }
 
     /// Analyze an in-memory trace in either format.
     pub fn run_bytes(&self, bytes: &[u8]) -> Result<StreamRun, StreamError> {
-        self.run_bytes_with(bytes, self.contraction())
-    }
-
-    pub(crate) fn run_bytes_with(
-        &self,
-        bytes: &[u8],
-        contraction: Contraction,
-    ) -> Result<StreamRun, StreamError> {
-        self.run_source(TraceSource::from_bytes(bytes), contraction)
+        self.run_source(TraceSource::from_bytes(bytes))
     }
 
     /// The one engine run every input funnels into: records flow one at a
     /// time from the source into the engine.
-    fn run_source(
-        &self,
-        source: TraceSource<'_>,
-        contraction: Contraction,
-    ) -> Result<StreamRun, StreamError> {
+    fn run_source(&self, source: TraceSource<'_>) -> Result<StreamRun, StreamError> {
         let _space = self.ctx.enter();
-        let mut session = self.session_with(contraction);
+        let mut session = self.session();
         let mut records = source.ctx(&self.ctx).stream()?;
         while let Some(record) = records.next_record() {
             session.push(record?)?;
@@ -342,7 +288,7 @@ pub struct StreamSession {
     index_vars: Vec<String>,
     region_start: u32,
     live_bound: Option<usize>,
-    contraction: Contraction,
+    contracted_dot: bool,
     started: Option<Instant>,
 }
 
@@ -371,9 +317,9 @@ impl StreamSession {
         self.engine.records_seen()
     }
 
-    /// Finalize the analysis into a batch-identical [`Report`]:
-    /// classification, DDG contraction when the front door asks for it, and
-    /// report assembly.
+    /// Finalize the analysis into a [`Report`]: classification, DDG
+    /// contraction (rendered as DOT when
+    /// [`StreamConfig::contracted_dot`] asks for it), and report assembly.
     pub fn finish(self) -> StreamRun {
         // Everything up to here — parse, region partitioning, MLI
         // collection, dependency analysis — ran fused in the single online
@@ -415,26 +361,19 @@ impl StreamSession {
         let identify = t1.elapsed();
         metrics.record_duration(TimerId::Identify, identify);
 
-        // Streaming contraction (Algorithm 1 on the frozen CSR graph):
-        // available online for the first time because the engine's graph
-        // *is* the shared graph the batch pipeline contracts. Booked as the
-        // `contract` timing stage, exactly like the batch pipeline.
-        let mut ddg = crate::report::DdgSummary {
+        // Contraction (Algorithm 1) on the frozen CSR graph, whose MLI
+        // nodes the engine numbered first — the staged fold's numbering,
+        // so the DOT bytes are the same. Booked as the `contract` stage.
+        let t = metrics.timed(TimerId::Contract);
+        let contracted = crate::contract::contract_for_mli_in(&outcome.ddg, &mli, &metrics);
+        let contract = t.finish();
+        let ddg = crate::report::DdgSummary {
             nodes: outcome.ddg.len(),
             edges: outcome.ddg.edge_count(),
-            ..Default::default()
+            contracted_nodes: contracted.nodes.len(),
+            contracted_edges: contracted.edges.len(),
         };
-        let mut contract = std::time::Duration::ZERO;
-        let contracted_dot = if self.contraction == Contraction::Skip {
-            None
-        } else {
-            let t = metrics.timed(TimerId::Contract);
-            let contracted = crate::contract::contract_for_mli_in(&outcome.ddg, &mli, &metrics);
-            contract = t.finish();
-            ddg.contracted_nodes = contracted.nodes.len();
-            ddg.contracted_edges = contracted.edges.len();
-            (self.contraction == Contraction::Render).then(|| contracted.to_dot())
-        };
+        let contracted_dot = self.contracted_dot.then(|| contracted.to_dot());
         if metrics.is_enabled() {
             crate::observe::note_session_symbols(ctx);
         }

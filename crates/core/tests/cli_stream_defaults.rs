@@ -3,7 +3,8 @@
 //! fold the same records and peak at the same live window, and a default
 //! run's report body equals the `--stream` one. The removed single-trace
 //! concurrency flags (`--threads`, `--shards`, `--overlap`) are usage
-//! errors that point at `--jobs`.
+//! errors that point at `--jobs`, and `--max-live-records` without
+//! `--stream` is a usage error in single-trace and `--batch` mode alike.
 
 use autocheck_obs::ledger::{BatchLedger, Ledger};
 use autocheck_obs::{CounterId, GaugeId};
@@ -222,6 +223,43 @@ fn removed_concurrency_flags_are_usage_errors() {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(stderr.contains("--jobs"), "{what}: {stderr}");
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_live_record_bound_without_stream_is_a_usage_error_in_every_mode() {
+    let (dir, trace) = setup("live-bound");
+    let manifest = dir.join("manifest.txt");
+    std::fs::write(&manifest, format!("{} main 16 24 it\n", trace.display()))
+        .expect("write manifest");
+    let trace = trace.to_str().expect("utf-8 path");
+    let manifest = manifest.to_str().expect("utf-8 path");
+    let mut single: Vec<&str> = vec![trace];
+    single.extend(REGION);
+    let batch = ["--batch", manifest];
+    for base in [&single[..], &batch[..]] {
+        let autocheck = |extra: &[&str]| {
+            Command::new(env!("CARGO_BIN_EXE_autocheck"))
+                .args(base)
+                .args(["--max-live-records", "1"])
+                .args(extra)
+                .output()
+                .expect("autocheck runs")
+        };
+        let out = autocheck(&[]);
+        assert_eq!(out.status.code(), Some(2), "{base:?}: exit status");
+        assert!(out.stdout.is_empty(), "{base:?}: wrote to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--max-live-records only applies to --stream mode"),
+            "{base:?}: {stderr}"
+        );
+        // With --stream the bound applies, and fig4 crosses it.
+        let out = autocheck(&["--stream"]);
+        assert_eq!(out.status.code(), Some(1), "{base:?} --stream: exit status");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("live-record bound"), "{base:?}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

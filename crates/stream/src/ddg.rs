@@ -2,17 +2,16 @@
 //! dependency graph, and per-access event emission.
 //!
 //! [`DdgBuilder`] is the **only** DDG construction in the workspace: the
-//! batch pipeline (`autocheck_core::ddg::DdgAnalysis`) folds its record
+//! staged reference (`autocheck_core::ddg::DdgAnalysis`) folds its record
 //! slice through this builder exactly the way the streaming engine feeds it
-//! record-by-record, so the two pipelines cannot drift. Two batch-only
-//! affordances exist for that fold:
-//!
-//! * [`DdgBuilder::preload_var`] pre-interns the MLI variable nodes so the
-//!   batch graph always shows them first (stable DOT node numbering);
-//! * [`DdgBuilder::with_reg_var_on_the_fly`] exposes the paper's
-//!   "Mutable-register" ablation: `false` freezes the first binding of each
-//!   register — demonstrably wrong on traces where a register is reused for
-//!   different variables.
+//! record-by-record, so the two cannot drift. Both freeze the graph through
+//! [`DdgBuilder::finish`], which numbers the MLI variable nodes first, in
+//! MLI order (interning any the fold never created), and every other node
+//! in first-intern order — one numbering, so one set of DOT bytes.
+//! [`DdgBuilder::with_reg_var_on_the_fly`] exposes the paper's
+//! "Mutable-register" ablation: `false` freezes the first binding of each
+//! register — demonstrably wrong on traces where a register is reused for
+//! different variables.
 //!
 //! Each record yields at most one [`AccessEvent`] carrying everything both
 //! consumers need (the streaming engine folds it into
@@ -25,7 +24,8 @@
 //! arithmetic, argument/parameter triplets, return-value linking), and the
 //! Table-I selective opcode set are the paper's §IV-B design.
 
-use crate::graph::{CsrGraph, Graph};
+use crate::graph::{CsrGraph, Graph, NodeKind};
+use crate::mli::MliEntry;
 use crate::prov::{relevant_opcode, resolve_alias as resolve};
 use crate::region::{Phase, StreamAnnot};
 use autocheck_trace::{record::opcodes, Name, NameMap, Record, SymId};
@@ -81,21 +81,20 @@ impl DdgBuilder {
         self
     }
 
-    /// Pre-intern a variable node so it is present (and numbered first)
-    /// even if no record touches it — the batch pipeline preloads the MLI
-    /// set this way.
-    pub fn preload_var(&mut self, name: SymId, base: u64) {
-        self.graph.var_node(name, base);
-    }
-
     /// The graph grown so far.
     pub fn graph(&self) -> &Graph {
         &self.graph
     }
 
-    /// Freeze the grown graph into its CSR form.
-    pub fn finish(self) -> CsrGraph {
-        self.graph.freeze()
+    /// Freeze the grown graph into its CSR form, the `mli` variable nodes
+    /// numbered first in MLI order (each present even if no record touched
+    /// it), every other node after them in first-intern order.
+    pub fn finish(self, mli: &[MliEntry]) -> CsrGraph {
+        self.graph
+            .freeze_with_first(mli.iter().map(|m| NodeKind::Var {
+                name: m.name,
+                base: m.base_addr,
+            }))
     }
 
     /// Bind a register, honoring the rebinding mode.
@@ -479,20 +478,35 @@ r,64,9,1,3,
     }
 
     #[test]
-    fn preloaded_vars_take_the_first_node_ids() {
+    fn mli_vars_take_the_first_node_ids() {
         let mut ddg = DdgBuilder::new(true);
-        ddg.preload_var(SymId::intern("ddg_preload_mli"), 0x42);
         let recs = parse_str(SUM_ARRAY).unwrap();
         let mut tracker = RegionTracker::new("main", 5, 7);
         for r in &recs {
             let a = tracker.annotate(r);
             ddg.observe(r, a);
         }
-        let frozen = ddg.finish();
-        assert!(matches!(
-            frozen.nodes[0],
-            crate::graph::NodeKind::Var { base: 0x42, .. }
-        ));
-        assert!(frozen.len() > 1);
+        let grown = ddg.graph().len();
+        let mli = |name: &str, base_addr: u64| MliEntry {
+            name: SymId::intern(name),
+            base_addr,
+            size: 8,
+            first_line: 2,
+        };
+        // `a` was interned after `sum`; a never-seen MLI base is added.
+        let frozen = ddg.finish(&[
+            mli("a", 0x7f00_0000_0100),
+            mli("sum", 0x7f00_0000_0000),
+            mli("ddg_unseen_mli", 0x42),
+        ]);
+        let bases: Vec<u64> = frozen.nodes[..3]
+            .iter()
+            .map(|n| match n {
+                NodeKind::Var { base, .. } => *base,
+                NodeKind::Reg { .. } => panic!("register numbered among the MLI"),
+            })
+            .collect();
+        assert_eq!(bases, [0x7f00_0000_0100, 0x7f00_0000_0000, 0x42]);
+        assert_eq!(frozen.len(), grown + 1);
     }
 }

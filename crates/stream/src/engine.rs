@@ -146,7 +146,8 @@ pub struct EngineOutcome {
     /// Label of the loop header's basic block, if identified.
     pub header_label: Option<SymId>,
     /// The dependency graph, frozen into its CSR form (bounded by the
-    /// program, not the trace) — ready for contraction and DOT rendering.
+    /// program, not the trace) with the MLI variables numbered first —
+    /// ready for contraction and DOT rendering.
     pub ddg: CsrGraph,
 }
 
@@ -334,8 +335,9 @@ impl Engine {
         self.records
     }
 
-    /// Finalize: match the MLI set, retire all windows, and hand back the
-    /// folded statistics. Flushes the engine's totals (records, access
+    /// Finalize: match the MLI set, retire all windows, freeze the DDG with
+    /// the MLI variables numbered first, and hand back the folded
+    /// statistics. Flushes the engine's totals (records, access
     /// events, iterations, live-window gauge, DDG size) into the session's
     /// metrics registry.
     pub fn finish(self) -> EngineOutcome {
@@ -346,7 +348,7 @@ impl Engine {
             .map(|(base, b)| (base, b.finish()))
             .collect();
         let iterations = self.region.iterations();
-        let ddg = self.ddg.finish();
+        let ddg = self.ddg.finish(&mli);
         let m = &self.metrics;
         if m.is_enabled() {
             m.count(CounterId::EngineRecords, self.records);

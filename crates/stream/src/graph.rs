@@ -23,7 +23,9 @@
 //!   per-node `String`.
 //!
 //! Node ids are assigned in first-intern order (the [`NodeIndex`]
-//! contract), and frozen adjacency is sorted, so DOT output is
+//! contract). The DDG freezes with the MLI variables renumbered to the
+//! front ([`crate::ddg::DdgBuilder::finish`]) and every other node kept in
+//! first-intern order; frozen adjacency is sorted, so DOT output is
 //! byte-identical to the pre-unification batch renderer.
 
 use autocheck_trace::{Name, NodeIndex, SymId};
@@ -148,11 +150,35 @@ impl Graph {
     }
 
     /// Compact into the immutable CSR form: adjacency in both directions,
-    /// each slice sorted ascending. Consumes the graph — the node table
-    /// and dense index move, so compaction allocates only the CSR arrays.
+    /// each slice sorted ascending, nodes in first-intern order.
     pub fn freeze(self) -> CsrGraph {
+        self.freeze_with_first([])
+    }
+
+    /// [`freeze`](Self::freeze) with the `first` nodes numbered `0, 1, …`
+    /// in the order given (a repeat keeps its first place), and every other
+    /// node after them in first-intern order. A `first` node the graph
+    /// never interned is interned here, so it is always present.
+    pub(crate) fn freeze_with_first(
+        mut self,
+        first: impl IntoIterator<Item = NodeKind>,
+    ) -> CsrGraph {
+        let lead: Vec<usize> = first.into_iter().map(|kind| self.node(kind)).collect();
         let n = self.nodes.len();
-        let mut edges: Vec<(u32, u32)> = self.edges.into_iter().collect();
+        // Re-interning the lead, then the rest in intern order, hands out
+        // the new ids: `new_id[old]`.
+        let mut renumbered = Graph::new();
+        let mut new_id = vec![u32::MAX; n];
+        for old in lead.into_iter().chain(0..n) {
+            if new_id[old] == u32::MAX {
+                new_id[old] = renumbered.node(self.nodes[old]) as u32;
+            }
+        }
+        let mut edges: Vec<(u32, u32)> = self
+            .edges
+            .into_iter()
+            .map(|(p, c)| (new_id[p as usize], new_id[c as usize]))
+            .collect();
 
         edges.sort_unstable();
         let (child_off, child_dst) = csr(n, edges.iter().map(|&(p, c)| (p, c)));
@@ -160,8 +186,8 @@ impl Graph {
         let (parent_off, parent_dst) = csr(n, edges.iter().map(|&(p, c)| (c, p)));
 
         CsrGraph {
-            nodes: self.nodes,
-            index: self.index,
+            nodes: renumbered.nodes,
+            index: renumbered.index,
             child_off,
             child_dst,
             parent_off,
@@ -196,7 +222,7 @@ fn find_in(index: &NodeIndex, kind: &NodeKind) -> Option<usize> {
 /// (Algorithm 1), DOT rendering, and every read-only consumer traverse.
 #[derive(Clone, Debug, Default)]
 pub struct CsrGraph {
-    /// Node payloads, indexed by node id (first-intern order).
+    /// Node payloads, indexed by node id (the frozen order).
     pub nodes: Vec<NodeKind>,
     index: NodeIndex,
     child_off: Vec<u32>,
@@ -389,6 +415,44 @@ mod tests {
         assert_eq!(f.parent_slice(1), &[2, 3], "b's parents ascending");
         assert_eq!(f.parent_slice(0), &[0u32; 0], "a is terminal");
         assert_eq!(f.children_of(2).collect::<Vec<_>>(), vec![1]);
+    }
+
+    #[test]
+    fn freeze_with_first_numbers_the_lead_first_and_interns_missing_nodes() {
+        let b = NodeKind::Var {
+            name: SymId::intern("graph_b"),
+            base: 0x200,
+        };
+        let fresh = NodeKind::Var {
+            name: SymId::intern("graph_fresh"),
+            base: 0x300,
+        };
+        // Lead: b (id 1), a node never interned, then b again.
+        let f = diamond().freeze_with_first([b, fresh, b]);
+        assert_eq!(f.len(), 5);
+        assert_eq!(f.nodes[0], b);
+        assert_eq!(f.nodes[1], fresh);
+        // The rest keep first-intern order: a, t1, t2.
+        assert_eq!(f.nodes[2].label(), "graph_a");
+        assert_eq!(
+            f.nodes[3],
+            NodeKind::Reg {
+                name: Name::Temp(1)
+            }
+        );
+        assert_eq!(
+            f.nodes[4],
+            NodeKind::Reg {
+                name: Name::Temp(2)
+            }
+        );
+        // Lookups and edges follow the new numbering.
+        assert_eq!(f.find(&b), Some(0));
+        assert_eq!(f.find(&fresh), Some(1));
+        assert_eq!(f.edge_count(), 4);
+        assert_eq!(f.child_slice(2), &[3, 4], "a feeds both temps");
+        assert_eq!(f.parent_slice(0), &[3, 4], "b reads both temps");
+        assert!(f.parent_slice(1).is_empty() && f.child_slice(1).is_empty());
     }
 
     #[test]

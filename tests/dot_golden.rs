@@ -5,110 +5,75 @@
 //! that still carried two graph implementations (batch `DepGraph` +
 //! streaming `StreamGraph`); these tests pin the single `CsrGraph`/
 //! `DotWriter` path to those bytes on the Fig. 4 worked example and two
-//! benchmark apps — one small (`is`) and the largest (`cg`). The byte
-//! parity proptests cover *random* programs but compare refactored code
-//! against itself; these snapshots anchor the output to history.
+//! benchmark apps — one small (`is`) and the largest (`cg`). Both drivers
+//! are pinned: the online engine, whose graph `autocheck --dot` and every
+//! `dot` job render, and the staged reference fold. The byte parity
+//! proptests cover *random* programs but compare refactored code against
+//! itself; these snapshots anchor the output to history.
 
 use autocheck_core::{
     contract_ddg, find_mli_vars, index_variables_of, CollectMode, DdgAnalysis, NodeKind, Phases,
     Region, StreamAnalyzer, StreamConfig,
 };
 use autocheck_interp::{ExecOptions, Machine, NoHook, VecSink};
+use autocheck_stream::{Engine, EngineConfig};
+use autocheck_trace::Record;
 
+/// Full and contracted DOT of one driver.
 struct Rendered {
     full: String,
     contracted: String,
-    streaming_contracted: String,
-    batch_edges: Vec<(String, String)>,
-    streaming_edges: Vec<(String, String)>,
 }
 
-fn render(source: &str, region: Region, index: Vec<String>) -> Rendered {
+fn records_of(source: &str) -> Vec<Record> {
     let module = autocheck_minilang::compile(source).expect("compiles");
     let mut sink = VecSink::default();
     Machine::new(&module, ExecOptions::default())
         .run(&mut sink, &mut NoHook)
         .expect("runs");
-    let records = sink.records;
-    let phases = Phases::compute(&records, &region);
-    let mli = find_mli_vars(&records, &phases, &region, CollectMode::AnyAccess);
-    let analysis = DdgAnalysis::run(&records, &phases, &mli, true);
+    sink.records
+}
+
+/// The staged reference: region, MLI and dependency passes over the slice.
+fn staged(records: &[Record], region: &Region) -> Rendered {
+    let phases = Phases::compute(records, region);
+    let mli = find_mli_vars(records, &phases, region, CollectMode::AnyAccess);
+    let analysis = DdgAnalysis::run(records, &phases, &mli, true);
     let bases: std::collections::HashSet<u64> = mli.iter().map(|m| m.base_addr).collect();
     let is_mli = |n: &NodeKind| matches!(n, NodeKind::Var { base, .. } if bases.contains(base));
-    let contracted = contract_ddg(&analysis.graph, is_mli);
-    let batch_edges = labeled_edges(&contracted.nodes, &contracted.edges);
+    Rendered {
+        full: analysis.graph.to_dot(is_mli),
+        contracted: contract_ddg(&analysis.graph, is_mli).to_dot(),
+    }
+}
 
-    // The streaming path: same records through the online engine with
-    // contraction enabled — a capability the batch-only design could not
-    // offer.
-    let run = StreamAnalyzer::new(region)
+/// The online engine: the full DDG as `Engine::finish` freezes it, and the
+/// contracted DOT a `StreamConfig::contracted_dot` run renders.
+fn engine(records: &[Record], region: &Region, index: Vec<String>) -> Rendered {
+    let mut engine = Engine::new(EngineConfig::for_region(
+        region.function.clone(),
+        region.start_line,
+        region.end_line,
+    ));
+    for r in records {
+        engine.push(r).expect("no ceiling configured");
+    }
+    let outcome = engine.finish();
+    let bases: std::collections::HashSet<u64> = outcome.mli.iter().map(|m| m.base_addr).collect();
+    let full = outcome
+        .ddg
+        .to_dot(|n| matches!(n, NodeKind::Var { base, .. } if bases.contains(base)));
+    let run = StreamAnalyzer::new(region.clone())
         .with_index_vars(index)
         .with_config(StreamConfig {
             contracted_dot: true,
             ..StreamConfig::default()
         })
-        .session_run(&records);
-    let streaming_contracted = run.contracted_dot.clone().expect("streaming contraction");
-    let streaming_edges = parse_dot_edges(&streaming_contracted);
-
+        .run_records(records)
+        .expect("no ceiling configured");
     Rendered {
-        full: analysis.graph.to_dot(is_mli),
-        contracted: contracted.to_dot(),
-        streaming_contracted,
-        batch_edges,
-        streaming_edges,
-    }
-}
-
-/// `(parent label, child label)` pairs, sorted — the order-independent
-/// skeleton of a contracted graph.
-fn labeled_edges(
-    nodes: &[NodeKind],
-    edges: &std::collections::BTreeSet<(usize, usize)>,
-) -> Vec<(String, String)> {
-    let mut v: Vec<(String, String)> = edges
-        .iter()
-        .map(|&(p, c)| (nodes[p].label(), nodes[c].label()))
-        .collect();
-    v.sort();
-    v
-}
-
-/// Recover the labeled edge set from rendered DOT.
-fn parse_dot_edges(dot: &str) -> Vec<(String, String)> {
-    let mut labels = std::collections::HashMap::new();
-    let mut edges = Vec::new();
-    for line in dot.lines() {
-        let line = line.trim();
-        if let Some((id, rest)) = line
-            .strip_prefix('n')
-            .and_then(|l| l.split_once(" [label=\""))
-        {
-            let label = rest.split('"').next().unwrap().to_string();
-            labels.insert(format!("n{id}"), label);
-        } else if let Some((p, c)) = line.strip_suffix(';').and_then(|l| l.split_once(" -> ")) {
-            edges.push((p.to_string(), c.to_string()));
-        }
-    }
-    let mut v: Vec<(String, String)> = edges
-        .into_iter()
-        .map(|(p, c)| (labels[&p].clone(), labels[&c].clone()))
-        .collect();
-    v.sort();
-    v
-}
-
-trait SessionRun {
-    fn session_run(&self, records: &[autocheck_trace::Record]) -> autocheck_core::StreamRun;
-}
-
-impl SessionRun for StreamAnalyzer {
-    fn session_run(&self, records: &[autocheck_trace::Record]) -> autocheck_core::StreamRun {
-        let mut session = self.session();
-        for r in records {
-            session.push(r).expect("no live bound configured");
-        }
-        session.finish()
+        full,
+        contracted: run.contracted_dot.expect("contracted DOT requested"),
     }
 }
 
@@ -118,25 +83,22 @@ fn golden(name: &str) -> String {
 }
 
 fn check(tag: &str, source: &str, region: Region, index: Vec<String>) {
-    let r = render(source, region, index);
+    let records = records_of(source);
     let golden_full = golden(&format!("{tag}_full.dot"));
     let golden_contracted = golden(&format!("{tag}_contracted.dot"));
-    assert_eq!(
-        r.full, golden_full,
-        "{tag}: full-DDG DOT drifted from the pre-unification bytes"
-    );
-    assert_eq!(
-        r.contracted, golden_contracted,
-        "{tag}: contracted-DDG DOT drifted from the pre-unification bytes"
-    );
-    // Streaming contraction sees the same records without the MLI preload,
-    // so node *numbering* may differ — the labeled dependency skeleton must
-    // not.
-    assert_eq!(
-        r.streaming_edges, r.batch_edges,
-        "{tag}: streaming contraction disagrees with batch contraction"
-    );
-    assert!(r.streaming_contracted.starts_with("digraph contracted {"));
+    for (driver, r) in [
+        ("staged", staged(&records, &region)),
+        ("engine", engine(&records, &region, index)),
+    ] {
+        assert_eq!(
+            r.full, golden_full,
+            "{tag}: {driver} full-DDG DOT drifted from the pre-unification bytes"
+        );
+        assert_eq!(
+            r.contracted, golden_contracted,
+            "{tag}: {driver} contracted-DDG DOT drifted from the pre-unification bytes"
+        );
+    }
 }
 
 #[test]
