@@ -11,8 +11,8 @@
 //!                                     # execute and analyze online: records
 //!                                     # flow interpreter -> analyzer with no
 //!                                     # trace file or record buffer at all.
-//!                                     # Several files = one session each,
-//!                                     # with per-session peak-live/timing
+//!                                     # Each file is one MultiAnalyzer job
+//!                                     # in its own session
 //! mlc convert <in> <out> [--to text|binary]
 //!                                     # lossless trace conversion; the input
 //!                                     # format auto-detects, --to defaults
@@ -26,20 +26,25 @@
 //!
 //! In `--stream` mode the region defaults to `// @loop-start` /
 //! `// @loop-end` markers when `--start`/`--end` are not given, and the
-//! loop pass supplies the Index variables automatically. With more than
-//! one input file, every file is analyzed in its **own session** (its own
-//! symbol space, via `AnalysisCtx::session`), and the peak-live window and
-//! timings are reported per session — not just for the last analysis.
+//! loop pass supplies the Index variables automatically. Every input file
+//! becomes one streaming `MultiAnalyzer` job (MiniLang source, region,
+//! ceilings), run one at a time, each in its **own session** (its own
+//! symbol space); reports print in argument order with each session's
+//! peak-live window, bound and timings, and a failed job prints
+//! `error: <file>: <message>` on stderr. `--max-live-records N` is the
+//! spelling of `--limit live-records=N` that `autocheck --stream` shares,
+//! and wins over it. Usage errors (a bad `--limit`, a half or inverted
+//! `--start`/`--end`) exit 2 before any file runs. `--metrics` writes the
+//! session's ledger for one file, the batch ledger for several.
 
-use autocheck_core::{capture_ledger, index_variables_of, Region, StreamAnalyzer, StreamConfig};
+use autocheck_core::{AnalysisJob, JobInput, MultiAnalyzer, Region};
 use autocheck_interp::{
-    BinarySink, ExecError, ExecOptions, FnSink, Machine, NoHook, NullSink, TraceSink, WriterSink,
+    BinarySink, ExecError, ExecOptions, Machine, NoHook, NullSink, TraceSink, WriterSink,
 };
 use autocheck_ir::{Cfg, DomTree, LoopForest};
-use autocheck_obs::ledger::{BatchLedger, Ledger};
-use autocheck_obs::{Metrics, TimerId};
 use autocheck_trace::{
-    AnalysisCtx, BinaryWriter, Record, TraceReadError, TraceSource, TraceStream, TraceWriter,
+    parse_limit_arg, AnalysisCtx, BinaryWriter, Record, ResourceKind, ResourceLimits,
+    TraceReadError, TraceSource, TraceStream, TraceWriter,
 };
 use std::io::Write;
 use std::path::Path;
@@ -51,7 +56,7 @@ fn usage() -> ! {
          \x20      mlc trace <file.mc> [-o out] [--format text|binary]\n\
          \x20      mlc trace <file.mc>... --stream [--function f] [--start n --end n]\n\
          \x20                [--max-live-records N] [--limit <kind>=<N>]... [--metrics <file|->]\n\
-         \x20                (per-session stats per input file)\n\
+         \x20                (one analysis session per input file, run in order)\n\
          \x20      mlc convert <in> <out> [--to text|binary]   (trace format conversion)"
     );
     std::process::exit(2)
@@ -231,6 +236,162 @@ fn compile_file(path: &str) -> Result<autocheck_ir::Module, ExitCode> {
     })
 }
 
+/// A usage error found before any file runs: the message, then exit 2.
+fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
+/// `mlc trace <file.mc>... --stream`: one streaming `MultiAnalyzer` job per
+/// input file, each in its own session, run one at a time.
+fn trace_stream(argv: &[String], opt: impl Fn(&str) -> Option<String>) -> ExitCode {
+    // Every positional argument is an input file.
+    let targets: Vec<&String> = argv[1..]
+        .iter()
+        .enumerate()
+        .filter(|(i, a)| {
+            !a.starts_with('-')
+                && !argv[1..]
+                    .get(i.wrapping_sub(1))
+                    .is_some_and(|p| VALUE_FLAGS.contains(&p.as_str()))
+        })
+        .map(|(_, a)| a)
+        .collect();
+    if targets.is_empty() {
+        usage();
+    }
+    if opt("-o").is_some() {
+        eprintln!("note: -o is ignored in --stream mode; no trace file is written");
+    }
+    // Usage errors come before any file runs. `--limit` is repeatable, so
+    // it is collected directly rather than through `opt` (which only sees
+    // the first occurrence).
+    let mut limits = ResourceLimits::default();
+    for (i, a) in argv.iter().enumerate() {
+        if a == "--limit" {
+            let Some(v) = argv.get(i + 1) else { usage() };
+            match parse_limit_arg(v) {
+                Ok((kind, n)) => limits = limits.set(kind, n),
+                Err(e) => usage_error(e),
+            }
+        }
+    }
+    // `--max-live-records N` is the spelling of `--limit live-records=N`
+    // that `autocheck --stream` shares; wherever it stands, it wins.
+    if let Some(v) = opt("--max-live-records") {
+        let Ok(n) = v.parse::<u64>() else { usage() };
+        limits = limits.set(ResourceKind::LiveRecords, n);
+    }
+    let function = opt("--function").unwrap_or_else(|| "main".to_string());
+    let lines = match (opt("--start"), opt("--end")) {
+        (Some(s), Some(e)) => {
+            let (Ok(s), Ok(e)) = (s.parse::<u32>(), e.parse::<u32>()) else {
+                usage()
+            };
+            if s == 0 || e < s {
+                usage_error("--start/--end must satisfy 1 <= start <= end");
+            }
+            Some((s, e))
+        }
+        (None, None) => None,
+        _ => usage_error("--start and --end must be given together"),
+    };
+    let batch = targets.len() > 1;
+    if batch && lines.is_some() {
+        eprintln!(
+            "note: --start/--end apply the same region to every input file; \
+             omit them to use each file's @loop-start/@loop-end markers"
+        );
+    }
+    // Read and marker errors print before any job runs.
+    let mut code = ExitCode::SUCCESS;
+    let mut jobs = Vec::new();
+    for target in targets {
+        let src = match std::fs::read_to_string(target) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("error: cannot read `{target}`: {e}");
+                code = ExitCode::FAILURE;
+                continue;
+            }
+        };
+        let region = match lines {
+            Some((s, e)) => Region::new(function.clone(), s, e),
+            None => match autocheck_apps::try_region_from_markers(&src, &function) {
+                Some(r) => r,
+                None => {
+                    eprintln!(
+                        "error: `{target}` needs --start/--end (or a @loop-start \
+                         marker followed by @loop-end in the source)"
+                    );
+                    code = ExitCode::FAILURE;
+                    continue;
+                }
+            },
+        };
+        jobs.push(
+            AnalysisJob::new(target.clone(), JobInput::MiniLang(src), region)
+                .with_limits(limits)
+                .streaming(true),
+        );
+    }
+    let metrics_path = opt("--metrics");
+    let out = MultiAnalyzer::new(1)
+        .with_metrics(metrics_path.is_some())
+        .run(jobs);
+    let bound = limits
+        .get(ResourceKind::LiveRecords)
+        .map_or_else(|| "unbounded".to_string(), |b| b.to_string());
+    for s in &out.sessions {
+        if batch {
+            println!("=== {} ===", s.name);
+        }
+        println!("{}", s.rendered);
+        println!(
+            "streaming: peak {} live records of {} total (bound: {bound}); no trace file written",
+            s.peak_live_records.unwrap_or_default(),
+            s.records
+        );
+        println!(
+            "session: {} symbols; ingest+identify {:.3?}; wall {:.3?}",
+            s.symbols,
+            s.timings.total(),
+            s.wall
+        );
+        if batch {
+            println!();
+        }
+    }
+    for f in &out.failures {
+        eprintln!("error: {}: {}", f.name, f.message);
+        code = ExitCode::FAILURE;
+    }
+    // One input file → its session ledger; several → the batch ledger
+    // (the batch registry plus one session ledger per file).
+    if let Some(path) = metrics_path {
+        let ledger = out.ledger.expect("metrics were on");
+        let rendered = if batch {
+            Some((ledger.render_table(), ledger.to_json()))
+        } else {
+            ledger
+                .sessions
+                .first()
+                .map(|l| (l.render_table(), l.to_json()))
+        };
+        if let Some((table, json)) = rendered {
+            if path == "-" {
+                println!("{table}");
+            } else if let Err(e) = std::fs::write(&path, json) {
+                eprintln!("error: cannot write `{path}`: {e}");
+                code = ExitCode::FAILURE;
+            } else {
+                println!("run ledger written to {path}");
+            }
+        }
+    }
+    code
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.len() < 2 {
@@ -270,201 +431,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "trace" if argv.iter().any(|a| a == "--stream") => {
-            // Every positional argument is an input file; each gets its own
-            // analysis session with its own symbol space.
-            let targets: Vec<&String> = argv[1..]
-                .iter()
-                .enumerate()
-                .filter(|(i, a)| {
-                    !a.starts_with('-')
-                        && !argv[1..]
-                            .get(i.wrapping_sub(1))
-                            .is_some_and(|p| VALUE_FLAGS.contains(&p.as_str()))
-                })
-                .map(|(_, a)| a)
-                .collect();
-            if targets.is_empty() {
-                usage();
-            }
-            if opt("-o").is_some() {
-                eprintln!("note: -o is ignored in --stream mode; no trace file is written");
-            }
-            let max_live = match opt("--max-live-records") {
-                Some(v) => match v.parse::<usize>() {
-                    Ok(n) => Some(n),
-                    Err(_) => usage(),
-                },
-                None => None,
-            };
-            // `--limit` is repeatable, so it is collected directly rather
-            // than through `opt` (which only sees the first occurrence).
-            let mut limits = autocheck_trace::ResourceLimits::default();
-            for (i, a) in argv.iter().enumerate() {
-                if a == "--limit" {
-                    let Some(v) = argv.get(i + 1) else { usage() };
-                    match autocheck_trace::parse_limit_arg(v) {
-                        Ok((kind, n)) => limits = limits.set(kind, n),
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-            }
-            let metrics_path = opt("--metrics");
-            let mut ledgers: Vec<Ledger> = Vec::new();
-            let t_all = std::time::Instant::now();
-            let batch = targets.len() > 1;
-            if batch && opt("--start").is_some() {
-                eprintln!(
-                    "note: --start/--end apply the same region to every input file; \
-                     omit them to use each file's @loop-start/@loop-end markers"
-                );
-            }
-            let mut code = ExitCode::SUCCESS;
-            for target in targets {
-                if batch {
-                    println!("=== {target} ===");
-                }
-                let t0 = std::time::Instant::now();
-                let src = match std::fs::read_to_string(target) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: cannot read `{target}`: {e}");
-                        code = ExitCode::FAILURE;
-                        continue;
-                    }
-                };
-                // Compile from the bytes already read — re-reading the file
-                // here could race with an edit and analyze a region computed
-                // from different source than the module being executed.
-                let module = match autocheck_minilang::compile(&src) {
-                    Ok(m) => m,
-                    Err(errs) => {
-                        for e in errs {
-                            eprintln!("{e}");
-                        }
-                        code = ExitCode::FAILURE;
-                        continue;
-                    }
-                };
-                let function = opt("--function").unwrap_or_else(|| "main".to_string());
-                let region = match (opt("--start"), opt("--end")) {
-                    (Some(s), Some(e)) => {
-                        let (Ok(s), Ok(e)) = (s.parse::<u32>(), e.parse::<u32>()) else {
-                            usage()
-                        };
-                        if s == 0 || e < s {
-                            eprintln!("error: --start/--end must satisfy 1 <= start <= end");
-                            return ExitCode::FAILURE;
-                        }
-                        Region::new(function, s, e)
-                    }
-                    (None, None) => {
-                        match autocheck_apps::try_region_from_markers(&src, &function) {
-                            Some(r) => r,
-                            None => {
-                                eprintln!(
-                                    "error: `{target}` needs --start/--end (or a @loop-start \
-                                     marker followed by @loop-end in the source)"
-                                );
-                                code = ExitCode::FAILURE;
-                                continue;
-                            }
-                        }
-                    }
-                    _ => {
-                        eprintln!("error: --start and --end must be given together");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                // One session per input file: fresh symbol space, entered
-                // for the whole trace+analyze+render span.
-                let mut ctx = AnalysisCtx::session();
-                if !limits.is_unlimited() {
-                    ctx = ctx.with_limits(limits);
-                }
-                if metrics_path.is_some() {
-                    ctx = ctx.with_metrics(Metrics::enabled());
-                }
-                let _guard = ctx.enter();
-                let index = index_variables_of(&module, &region);
-                let analyzer = StreamAnalyzer::new(region)
-                    .with_index_vars(index)
-                    .with_config(StreamConfig {
-                        max_live_records: max_live,
-                        ..StreamConfig::default()
-                    })
-                    .with_ctx(ctx.clone());
-                // Interpreter → analyzer directly: every emitted record is
-                // pushed into the session and dropped; nothing touches disk.
-                let mut session = analyzer.session();
-                let mut sink = FnSink::new(|rec: &Record| {
-                    session.push(rec).map_err(|e| ExecError::Sink {
-                        message: e.to_string(),
-                    })
-                });
-                let mut machine = Machine::with_ctx(&module, ExecOptions::default(), ctx.clone());
-                if let Err(e) = machine.run(&mut sink, &mut NoHook) {
-                    eprintln!("runtime error: {e}");
-                    code = ExitCode::FAILURE;
-                    continue;
-                }
-                let run = session.finish();
-                println!("{}", run.report);
-                let bound = match run.stats.live_bound {
-                    Some(b) => format!("{b}"),
-                    None => "unbounded".to_string(),
-                };
-                println!(
-                    "streaming: peak {} live records of {} total (bound: {}); no trace file written",
-                    run.stats.peak_live_records, run.report.records, bound
-                );
-                println!(
-                    "session: {} symbols; ingest+identify {:.3?}; wall {:.3?}",
-                    ctx.space().len(),
-                    run.report.timings.total(),
-                    t0.elapsed()
-                );
-                if metrics_path.is_some() {
-                    ctx.metrics()
-                        .record_duration(TimerId::SessionWall, t0.elapsed());
-                    let name = std::path::Path::new(target.as_str())
-                        .file_stem()
-                        .and_then(|s| s.to_str())
-                        .unwrap_or(target);
-                    ledgers.push(capture_ledger(name, &ctx));
-                }
-                if batch {
-                    println!();
-                }
-            }
-            // One input file → its session ledger; several → the aggregated
-            // batch form (one session ledger per file).
-            if let Some(path) = metrics_path {
-                let (table, json) = if ledgers.len() == 1 {
-                    (ledgers[0].render_table(), ledgers[0].to_json())
-                } else {
-                    let b = BatchLedger {
-                        jobs: ledgers.len() as u64,
-                        wall_ns: t_all.elapsed().as_nanos() as u64,
-                        batch: Ledger::empty("mlc.stream"),
-                        sessions: ledgers,
-                    };
-                    (b.render_table(), b.to_json())
-                };
-                if path == "-" {
-                    println!("{table}");
-                } else if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("error: cannot write `{path}`: {e}");
-                    code = ExitCode::FAILURE;
-                } else {
-                    println!("run ledger written to {path}");
-                }
-            }
-            code
-        }
+        "trace" if argv.iter().any(|a| a == "--stream") => trace_stream(&argv, opt),
         "trace" => {
             let module = match compile_file(target) {
                 Ok(m) => m,

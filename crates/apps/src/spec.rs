@@ -106,7 +106,8 @@ pub fn analyze_app(spec: &AppSpec) -> AppRun {
     let index = index_variables_of(&module, &spec.region);
     let report = Analyzer::new(spec.region.clone())
         .with_index_vars(index)
-        .analyze(&sink.records);
+        .analyze(&sink.records)
+        .expect("no ceilings set");
 
     AppRun {
         module,

@@ -72,8 +72,8 @@ fn traces_of(src: &str) -> (Vec<u8>, Vec<u8>) {
 
 /// Analyze `bytes` in a fresh session the way `autocheck --dot` does — one
 /// engine run that renders its own contracted DDG — and return the rendered
-/// report and the DOT: everything user-visible. The batch front door
-/// (`Analyzer`) must render the same report.
+/// report and the DOT: everything user-visible. Reading the same bytes
+/// through `analyze_read` must render the same report.
 fn batch_output(bytes: &[u8], region: &Region, index: &[String]) -> (String, String) {
     let ctx = AnalysisCtx::session();
     let _guard = ctx.enter();
@@ -90,9 +90,13 @@ fn batch_output(bytes: &[u8], region: &Region, index: &[String]) -> (String, Str
     let batch = Analyzer::new(region.clone())
         .with_index_vars(index.to_vec())
         .with_ctx(ctx.clone())
-        .analyze_bytes(bytes)
+        .analyze_read(bytes)
         .expect("ingests");
-    assert_eq!(batch.to_string(), report, "Analyzer renders another report");
+    assert_eq!(
+        batch.to_string(),
+        report,
+        "analyze_read renders another report"
+    );
     (report, run.contracted_dot.expect("DOT requested"))
 }
 

@@ -41,7 +41,8 @@ fn batch_rendering(
     let report = Analyzer::new(region.clone())
         .with_index_vars(index.to_vec())
         .with_ctx(ctx.clone())
-        .analyze(records);
+        .analyze(records)
+        .expect("no ceilings set");
     (report.to_string(), ctx)
 }
 

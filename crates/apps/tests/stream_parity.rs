@@ -5,13 +5,13 @@
 //!   example and on all 14 benchmarks;
 //! * streaming memory is bounded: on multi-iteration traces the peak
 //!   live-record count stays strictly below the total record count, and
-//!   below `max_live_records` when one is set;
+//!   below the session's `live-records` ceiling when one is set;
 //! * the interpreter→analyzer direct mode works with no intermediate trace
 //!   file (`mlc trace --stream` smoke test against the real binary).
 
-use autocheck_core::{index_variables_of, Analyzer, Region, Report, StreamAnalyzer, StreamConfig};
+use autocheck_core::{index_variables_of, Analyzer, Region, Report, StreamAnalyzer};
 use autocheck_interp::{ExecOptions, FnSink, Machine, NoHook, VecSink};
-use autocheck_trace::Record;
+use autocheck_trace::{AnalysisCtx, Record, ResourceLimits};
 
 fn trace_of(source: &str) -> (autocheck_ir::Module, Vec<Record>) {
     let module = autocheck_minilang::compile(source).expect("compiles");
@@ -113,10 +113,10 @@ fn streaming_memory_is_bounded_on_multi_iteration_traces() {
 
         // With a cap set above the observed peak, the bound holds and the
         // peak stays below it; with a cap below the peak, push fails fast.
-        let capped = StreamAnalyzer::new(spec.region.clone()).with_config(StreamConfig {
-            max_live_records: Some(peak + 1),
-            ..StreamConfig::default()
-        });
+        let cap = |n: usize| {
+            AnalysisCtx::current().with_limits(ResourceLimits::new().max_live_records(n as u64))
+        };
+        let capped = StreamAnalyzer::new(spec.region.clone()).with_ctx(cap(peak + 1));
         let mut session = capped.session();
         for r in &records {
             session.push(r).expect("cap sits above the true peak");
@@ -130,10 +130,7 @@ fn streaming_memory_is_bounded_on_multi_iteration_traces() {
         assert_eq!(capped_run.stats.live_bound, Some(peak + 1));
 
         if peak > 1 {
-            let tight = StreamAnalyzer::new(spec.region.clone()).with_config(StreamConfig {
-                max_live_records: Some(peak - 1),
-                ..StreamConfig::default()
-            });
+            let tight = StreamAnalyzer::new(spec.region.clone()).with_ctx(cap(peak - 1));
             let mut session = tight.session();
             let mut tripped = false;
             for r in &records {

@@ -10,7 +10,7 @@
 use autocheck_apps::app_by_name;
 use autocheck_core::{
     contract_ddg, index_variables_of, Analyzer, CollectMode, DdgAnalysis, NodeKind, Phases,
-    PipelineConfig,
+    StreamConfig,
 };
 use autocheck_interp::{ExecOptions, Machine, NoHook, VecSink};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -40,12 +40,15 @@ fn bench_selective_iteration(c: &mut Criterion) {
     for (label, selective) in [("selective", true), ("exhaustive", false)] {
         let analyzer = Analyzer::new(spec.region.clone())
             .with_index_vars(index.clone())
-            .with_config(PipelineConfig {
+            .with_config(StreamConfig {
                 selective,
-                ..PipelineConfig::default()
+                ..StreamConfig::default()
             });
         group.bench_function(label, |b| {
-            b.iter(|| black_box(analyzer.analyze(black_box(&records)).critical.len()))
+            b.iter(|| {
+                let report = analyzer.analyze(black_box(&records)).expect("no ceilings");
+                black_box(report.critical.len())
+            })
         });
     }
     group.finish();
@@ -61,12 +64,15 @@ fn bench_collect_mode(c: &mut Criterion) {
     ] {
         let analyzer = Analyzer::new(spec.region.clone())
             .with_index_vars(index.clone())
-            .with_config(PipelineConfig {
+            .with_config(StreamConfig {
                 collect,
-                ..PipelineConfig::default()
+                ..StreamConfig::default()
             });
         group.bench_function(label, |b| {
-            b.iter(|| black_box(analyzer.analyze(black_box(&records)).mli.len()))
+            b.iter(|| {
+                let report = analyzer.analyze(black_box(&records)).expect("no ceilings");
+                black_box(report.mli.len())
+            })
         });
     }
     group.finish();
@@ -75,7 +81,7 @@ fn bench_collect_mode(c: &mut Criterion) {
 fn bench_contraction(c: &mut Criterion) {
     let (spec, records, index) = traced("is");
     let analyzer = Analyzer::new(spec.region.clone()).with_index_vars(index);
-    let report = analyzer.analyze(&records);
+    let report = analyzer.analyze(&records).expect("no ceilings set");
     let phases = Phases::compute(&records, &spec.region);
     let analysis = DdgAnalysis::run(&records, &phases, &report.mli, true);
     let bases: std::collections::HashSet<u64> = report.mli.iter().map(|m| m.base_addr).collect();

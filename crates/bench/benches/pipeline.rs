@@ -25,7 +25,8 @@ fn bench_pipeline(c: &mut Criterion) {
             b.iter(|| {
                 let report = Analyzer::new(spec.region.clone())
                     .with_index_vars(index.clone())
-                    .analyze(black_box(&records));
+                    .analyze(black_box(&records))
+                    .expect("no ceilings set");
                 black_box(report.critical.len())
             })
         });
@@ -38,7 +39,8 @@ fn bench_pipeline(c: &mut Criterion) {
                     let report = Analyzer::new(spec.region.clone())
                         .with_index_vars(index.clone())
                         .with_ctx(ctx.clone())
-                        .analyze(black_box(&records));
+                        .analyze(black_box(&records))
+                        .expect("no ceilings set");
                     black_box(report.critical.len())
                 })
             });

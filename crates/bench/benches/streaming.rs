@@ -1,12 +1,11 @@
-//! Criterion bench: streaming vs batch analysis.
+//! Criterion bench: the analyzer's inputs.
 //!
-//! Three ways to turn one app's trace into a report: the batch analyzer
-//! over pre-parsed records, the streaming engine over the same records
-//! (push path), and the streaming engine pulling the textual trace through
-//! the bounded reader (parse + analyze fused). The last one is the mode
-//! that scales to traces bigger than memory.
+//! Three ways to turn one app's trace into a report: the engine over
+//! pre-parsed records (push path), and the engine pulling the textual or
+//! the binary trace through the bounded reader (parse + analyze fused).
+//! The reader paths are the mode that scales to traces bigger than memory.
 
-use autocheck_core::{index_variables_of, Analyzer, StreamAnalyzer};
+use autocheck_core::{index_variables_of, StreamAnalyzer};
 use autocheck_interp::{ExecOptions, Machine, NoHook, VecSink, WriterSink};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -30,13 +29,6 @@ fn bench_streaming(c: &mut Criterion) {
         let text = text_sink.finish().expect("trace bytes");
         let index = index_variables_of(&module, &spec.region);
 
-        group.bench_function(format!("{name}/batch-records"), |b| {
-            let analyzer = Analyzer::new(spec.region.clone()).with_index_vars(index.clone());
-            b.iter(|| {
-                let report = analyzer.analyze(black_box(&records));
-                black_box(report.critical.len())
-            })
-        });
         group.bench_function(format!("{name}/stream-records"), |b| {
             let analyzer = StreamAnalyzer::new(spec.region.clone()).with_index_vars(index.clone());
             b.iter(|| {

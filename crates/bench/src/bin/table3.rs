@@ -156,8 +156,9 @@ fn main() {
 
         let serial = Analyzer::new(spec.region.clone())
             .with_index_vars(index.clone())
-            .analyze_text(&text)
-            .expect("parses");
+            .run_bytes(text.as_bytes())
+            .expect("parses")
+            .report;
         // The analyzer runs region, MLI and dependency analysis fused in
         // one pass; the Table III dependency column comes from the staged
         // reference, which times the dependency fold on its own.

@@ -33,7 +33,8 @@ fn validate_single_file(path: &str, function: &str, start: u32, end: u32) {
     let region = Region::new(function, start, end);
     let report = Analyzer::new(region.clone())
         .with_index_vars(index_variables_of(&module, &region))
-        .analyze(&sink.records);
+        .analyze(&sink.records)
+        .expect("no ceilings set");
     let protected: Vec<String> = report.critical.iter().map(|c| c.name.to_string()).collect();
     println!(
         "protected set: {protected:?} ({} bytes)",

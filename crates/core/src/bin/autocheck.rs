@@ -20,10 +20,12 @@
 //! state is retired at iteration boundaries, so a run holds the live
 //! window, not the trace. The default mode and `--stream` are that same
 //! run and print the same report and `timings:` footer; `--stream` adds a
-//! `streaming:` footer with the peak live-record count, so the memory
-//! bound is observable, and `--max-live-records N` (with `--stream`, also
-//! in `--batch` mode) turns that bound into a hard limit (exceeding it is
-//! an error, not an OOM). Both modes fail with the same diagnostic.
+//! `streaming:` footer with the peak live-record count and the bound the
+//! engine enforced, so the memory bound is observable.
+//! `--max-live-records N` (with `--stream`, also in `--batch` mode) is the
+//! `--stream` spelling of `--limit live-records=N` and wins over it: it
+//! turns that bound into a hard limit (exceeding it is an error, not an
+//! OOM). Both modes fail with the same diagnostic.
 //! `--dot` writes the contracted DDG the run computed at finish from the
 //! engine's own graph, in either mode (the graph is program-bounded, so
 //! the memory story is unchanged).
@@ -70,7 +72,7 @@
 
 use autocheck_core::{capture_ledger, CollectMode, Region, StreamAnalyzer, StreamConfig, Timings};
 use autocheck_obs::Metrics;
-use autocheck_trace::{parse_limit_arg, AnalysisCtx, ResourceLimits};
+use autocheck_trace::{parse_limit_arg, AnalysisCtx, ResourceKind, ResourceLimits};
 use std::process::ExitCode;
 
 struct Args {
@@ -82,7 +84,6 @@ struct Args {
     dot: Option<String>,
     collect: CollectMode,
     stream: bool,
-    max_live_records: Option<usize>,
     untrusted: bool,
     limits: ResourceLimits,
     batch: Option<String>,
@@ -119,7 +120,7 @@ fn removed_flag(flag: &str) -> ! {
 }
 
 /// `--max-live-records` bounds the window that only `--stream` reports.
-fn require_stream_for_live_bound(max_live_records: Option<usize>, stream: bool) {
+fn require_stream_for_live_bound(max_live_records: Option<u64>, stream: bool) {
     if max_live_records.is_some() && !stream {
         eprintln!("error: --max-live-records only applies to --stream mode");
         std::process::exit(2);
@@ -181,6 +182,11 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
+    // `--max-live-records N` is the `--stream` spelling of
+    // `--limit live-records=N`; wherever it stands, it wins over that flag.
+    if let Some(n) = max_live_records {
+        limits = limits.set(ResourceKind::LiveRecords, n);
+    }
     if let Some(batch) = batch {
         if trace.is_some()
             || start != 0
@@ -206,7 +212,6 @@ fn parse_args() -> Args {
             dot: None,
             collect,
             stream,
-            max_live_records,
             untrusted,
             limits,
             batch: Some(batch),
@@ -229,7 +234,6 @@ fn parse_args() -> Args {
         dot,
         collect,
         stream,
-        max_live_records,
         untrusted,
         limits,
         batch: None,
@@ -281,7 +285,6 @@ fn parse_manifest(path: &str, args: &Args) -> Result<Vec<autocheck_core::Analysi
         .streaming(args.stream)
         .with_limits(args.limits);
         job.collect = args.collect;
-        job.max_live_records = args.max_live_records;
         if let Some(ix) = fields.get(4) {
             job = job.with_index_vars(ix.split(',').map(|s| s.trim().to_string()).collect());
         }
@@ -380,7 +383,6 @@ fn run_single(args: &Args, ctx: &AnalysisCtx) -> ExitCode {
         .with_index_vars(args.index.clone())
         .with_config(StreamConfig {
             collect: args.collect,
-            max_live_records: args.max_live_records,
             contracted_dot: args.dot.is_some(),
             ..StreamConfig::default()
         })

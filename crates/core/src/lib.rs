@@ -38,22 +38,25 @@
 //! shared state machines over records pushed from the interpreter or
 //! pulled from a trace source, in O(live window) memory, and ends in one
 //! finish step that classifies, contracts the DDG and, when asked, renders
-//! it as DOT. [`Analyzer`] ([`pipeline`]), [`StreamAnalyzer`], every
-//! `autocheck` mode and every [`MultiAnalyzer`] job are that pass, so they
-//! produce identical reports and DOT (same classification decisions via
-//! [`decide`], same graph numbering).
+//! it as DOT. There is one analyzer type, [`StreamAnalyzer`] (also named
+//! [`Analyzer`]), configured by one [`StreamConfig`] and bounded by the
+//! session's [`ResourceLimits`](autocheck_trace::ResourceLimits), the live
+//! window included. Every `autocheck` mode, `mlc trace --stream` and every
+//! [`MultiAnalyzer`] job are that pass, so they produce identical reports
+//! and DOT (same classification decisions via [`decide`], same graph
+//! numbering).
 //!
 //! ```no_run
 //! use autocheck_core::{Analyzer, Region};
 //!
-//! let records = autocheck_trace::TraceSource::from_str("...").records().unwrap();
 //! let region = Region::new("main", 13, 21);
 //! let report = Analyzer::new(region)
 //!     .with_index_vars(vec!["it".into()])
-//!     .analyze(&records);
+//!     .analyze_path("cg.trace")?;
 //! for cv in &report.critical {
 //!     println!("{} ({:?})", cv.name, cv.dep);
 //! }
+//! # Ok::<(), autocheck_core::StreamError>(())
 //! ```
 
 pub mod classify;
@@ -71,7 +74,7 @@ pub use classify::{classify, decide, ClassifyConfig};
 pub use contract::{contract_ddg, contract_for_mli, contract_for_mli_in, ContractedDdg};
 pub use ddg::{DdgAnalysis, DdgOptions, NodeKind, RwEvent, RwKind};
 pub use observe::capture_ledger;
-pub use pipeline::{index_variables_of, Analyzer, PipelineConfig};
+pub use pipeline::{index_variables_of, Analyzer};
 pub use preprocess::{find_mli_vars, CollectMode, MliVar};
 pub use region::{Phase, Phases, Region};
 pub use report::{CriticalVariable, DdgSummary, DepType, Report, SkipReason, Timings};

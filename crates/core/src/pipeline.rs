@@ -1,145 +1,27 @@
-//! The batch front door: [`Analyzer`], a configuration of the streaming
-//! engine that reports with Table-III-style timing.
+//! [`Analyzer`], the IR loop pass glue, and the staged reference.
 //!
-//! [`Analyzer`] is a [`crate::StreamAnalyzer`] run without a live-record
-//! bound or DOT: records flow from the trace source into the engine one at
-//! a time, and the one finish step classifies, contracts and assembles the
-//! [`Report`]. The staged passes over a materialized slice — region
-//! partitioning, MLI identification, the dependency fold — remain as
-//! `Analyzer::analyze_staged`, the independent side of the parity suites;
-//! no production path runs them.
+//! [`Analyzer`] *is* [`StreamAnalyzer`]: one type, one configuration
+//! ([`crate::StreamConfig`]) and one engine run behind every entry point.
+//! The staged passes over a materialized slice — region partitioning, MLI
+//! identification, the dependency fold — remain as
+//! `StreamAnalyzer::analyze_staged`, the independent side of the parity
+//! suites; no production path runs them.
 
 use crate::ddg::{DdgAnalysis, DdgOptions, RwKind};
-use crate::preprocess::{find_mli_vars_in, CollectMode};
+use crate::preprocess::find_mli_vars_in;
 use crate::region::{Phase, Phases, Region};
 use crate::report::{DdgSummary, Report, Timings};
-use crate::stream::{StreamAnalyzer, StreamConfig, StreamError};
+use crate::stream::StreamAnalyzer;
 use autocheck_obs::{GaugeId, TimerId};
 use autocheck_stream::VarStatsBuilder;
-use autocheck_trace::{AnalysisCtx, Record, ResourceLimits};
-use std::path::Path;
+use autocheck_trace::Record;
 
-/// Tunables for the pipeline (defaults reproduce the paper's tool).
-///
-/// Every run streams the trace through the engine without holding it; the
-/// paper's §V-A parallel trace parsing is deliberately not reproduced (the
-/// README's "Concurrency" section has the measurements).
-#[derive(Clone, Debug)]
-pub struct PipelineConfig {
-    /// Occurrence-collection strictness (see [`CollectMode`]).
-    pub collect: CollectMode,
-    /// Selective trace iteration (paper §IV-B); `false` is the ablation.
-    pub selective: bool,
-}
+/// The AutoCheck analyzer by its short name: the same type as
+/// [`StreamAnalyzer`], so `Analyzer::new(region)` and
+/// `StreamAnalyzer::new(region)` build the same analyzer.
+pub type Analyzer = StreamAnalyzer;
 
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            collect: CollectMode::AnyAccess,
-            selective: true,
-        }
-    }
-}
-
-/// The AutoCheck analyzer.
-///
-/// Inputs mirror the paper's §VII "Use of AutoCheck": the dynamic trace,
-/// the main loop's location, and (from the IR loop pass) the loop's
-/// control variables.
-///
-/// The analysis is one serial pass of the streaming engine, exactly as
-/// [`StreamAnalyzer`] runs it: the same report, the same memory bound. The
-/// trace is never held in memory; [`analyze`](Self::analyze) pushes records
-/// the caller already holds.
-#[derive(Clone, Debug)]
-pub struct Analyzer {
-    /// The main computation loop's location.
-    pub region: Region,
-    /// Induction/control variables of the outermost loop.
-    pub index_vars: Vec<String>,
-    /// Pipeline tunables.
-    pub config: PipelineConfig,
-    /// The analysis session (symbol space + address-hash seed). Every
-    /// stage resolves symbols through this ctx, so records analyzed by
-    /// this analyzer must come from the same session (the same ctx handed
-    /// to the parser / interpreter).
-    pub ctx: AnalysisCtx,
-}
-
-impl Analyzer {
-    /// Analyzer with default configuration, scoped to the thread's current
-    /// symbol space.
-    pub fn new(region: Region) -> Analyzer {
-        Analyzer {
-            region,
-            index_vars: Vec::new(),
-            config: PipelineConfig::default(),
-            ctx: AnalysisCtx::current(),
-        }
-    }
-
-    /// Set the Index variables (usually from [`index_variables_of`]).
-    pub fn with_index_vars(mut self, vars: Vec<String>) -> Analyzer {
-        self.index_vars = vars;
-        self
-    }
-
-    /// Override the configuration.
-    pub fn with_config(mut self, config: PipelineConfig) -> Analyzer {
-        self.config = config;
-        self
-    }
-
-    /// Scope this analyzer to `ctx`'s session: symbols resolve through the
-    /// session's space, and address-keyed maps hash with the session's
-    /// seed.
-    pub fn with_ctx(mut self, ctx: AnalysisCtx) -> Analyzer {
-        self.ctx = ctx;
-        self
-    }
-
-    /// Analyze already-parsed records.
-    ///
-    /// This applies none of the session's DDG or live-record ceilings, so
-    /// it cannot fail; the path, bytes and text entry points enforce them.
-    pub fn analyze(&self, records: &[Record]) -> Report {
-        let unbounded = self.ctx.clone().with_limits(ResourceLimits::default());
-        self.engine()
-            .with_ctx(unbounded)
-            .analyze(records)
-            .expect("an engine without ceilings cannot fail")
-    }
-
-    /// Analyze a textual trace: parsing is included in the pre-processing
-    /// time, like the paper's Table III.
-    pub fn analyze_text(&self, text: &str) -> Result<Report, StreamError> {
-        self.analyze_bytes(text.as_bytes())
-    }
-
-    /// Analyze a trace file in either format (text or binary, auto-detected
-    /// by magic bytes) — [`StreamAnalyzer::run_path`] under this
-    /// configuration. Ingest time is included in the pre-processing time.
-    pub fn analyze_path(&self, path: impl AsRef<Path>) -> Result<Report, StreamError> {
-        self.engine().run_path(path).map(|run| run.report)
-    }
-
-    /// Analyze an in-memory trace in either format.
-    pub fn analyze_bytes(&self, bytes: &[u8]) -> Result<Report, StreamError> {
-        self.engine().run_bytes(bytes).map(|run| run.report)
-    }
-
-    /// The streaming front door this configuration drives.
-    fn engine(&self) -> StreamAnalyzer {
-        StreamAnalyzer::new(self.region.clone())
-            .with_index_vars(self.index_vars.clone())
-            .with_config(StreamConfig {
-                collect: self.config.collect,
-                selective: self.config.selective,
-                ..StreamConfig::default()
-            })
-            .with_ctx(self.ctx.clone())
-    }
-
+impl StreamAnalyzer {
     /// The staged reference analysis: region partitioning
     /// ([`Phases::compute_in`]), MLI identification ([`find_mli_vars_in`]),
     /// one dependency fold ([`DdgAnalysis::fold_in`]) feeding per-variable
@@ -276,6 +158,7 @@ pub fn index_variables_of(module: &autocheck_ir::Module, region: &Region) -> Vec
 mod tests {
     use super::*;
     use crate::report::DepType;
+    use crate::stream::StreamConfig;
     use autocheck_trace::TraceSource;
 
     /// The paper's Figure 4 example, end to end: compile with MiniLang,
@@ -324,6 +207,7 @@ int main() {
         Analyzer::new(region)
             .with_index_vars(index)
             .analyze(&sink.records)
+            .expect("no ceilings set")
     }
 
     #[test]
@@ -388,9 +272,9 @@ int main() {
 
         let region = Region::new("main", 13, 21);
         let analyzer = Analyzer::new(region).with_index_vars(vec!["it".into()]);
-        let from_text = analyzer.analyze_text(&text).unwrap();
+        let from_text = analyzer.run_bytes(text.as_bytes()).unwrap().report;
         let records = TraceSource::from_str(&text).records().unwrap();
-        let from_records = analyzer.analyze(&records);
+        let from_records = analyzer.analyze(&records).unwrap();
         assert_eq!(from_text.summary(), from_records.summary());
     }
 
@@ -408,14 +292,16 @@ int main() {
 
         let selective = Analyzer::new(region.clone())
             .with_index_vars(index.clone())
-            .analyze(&sink.records);
+            .analyze(&sink.records)
+            .unwrap();
         let exhaustive = Analyzer::new(region)
             .with_index_vars(index)
-            .with_config(PipelineConfig {
+            .with_config(StreamConfig {
                 selective: false,
-                ..PipelineConfig::default()
+                ..StreamConfig::default()
             })
-            .analyze(&sink.records);
+            .analyze(&sink.records)
+            .unwrap();
         assert_eq!(selective.summary(), exhaustive.summary());
     }
 

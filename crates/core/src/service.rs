@@ -12,6 +12,13 @@
 //! the session** — the returned [`SessionReport`] carries plain strings,
 //! so callers never hold cross-session symbol ids.
 //!
+//! Every job is one run of the one analyzer, [`StreamAnalyzer`], under the
+//! job's ceilings ([`AnalysisJob::limits`], the live-record bound among
+//! them). A trace job pulls records from its source into the engine; a
+//! MiniLang job pushes each record from the interpreter straight into the
+//! engine, so neither holds the trace. `autocheck --batch` and
+//! `mlc trace --stream` run their inputs as jobs of this service.
+//!
 //! The multi-session stress tests assert the property this module exists
 //! for: running all 14 benchmark analyses concurrently in interleaved
 //! sessions produces reports and DOT output byte-identical to running them
@@ -21,11 +28,12 @@ use crate::observe::capture_ledger;
 use crate::pipeline::index_variables_of;
 use crate::preprocess::CollectMode;
 use crate::region::Region;
-use crate::report::{DepType, Report, Timings};
-use crate::stream::{StreamAnalyzer, StreamConfig};
+use crate::report::{DepType, Timings};
+use crate::stream::{StreamAnalyzer, StreamConfig, StreamRun};
+use autocheck_interp::{ExecError, ExecOptions, FnSink, Machine, NoHook};
 use autocheck_obs::ledger::{BatchLedger, Ledger};
 use autocheck_obs::{CounterId, GaugeId, Metrics, TimerId};
-use autocheck_trace::{AnalysisCtx, ResourceLimits};
+use autocheck_trace::{AnalysisCtx, Record, ResourceLimits};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -36,9 +44,10 @@ pub enum JobInput {
     TraceText(String),
     /// A trace file, read inside the session as the engine folds it.
     TracePath(String),
-    /// MiniLang source: the session compiles it, executes it under the
-    /// tracer (interning into the session's space), and analyzes the
-    /// resulting records — the full substrate chain with no trace file.
+    /// MiniLang source: the session compiles it and executes it under the
+    /// tracer (interning into the session's space), pushing each record
+    /// into the engine as it is emitted — the full substrate chain with no
+    /// trace file and no record buffer.
     MiniLang(String),
 }
 
@@ -63,11 +72,10 @@ pub struct AnalysisJob {
     /// ([`SessionReport::peak_live_records`]). Every job is the same engine
     /// run; this changes only what is reported.
     pub stream: bool,
-    /// Hard live-record bound, for every job.
-    pub max_live_records: Option<usize>,
     /// Session resource ceilings (trace records/bytes, symbols, arena
-    /// bytes, DDG size, live window). A tripped ceiling fails *this* job
-    /// with a typed message; the rest of the batch is untouched.
+    /// bytes, DDG size, and the live-record bound). A tripped ceiling
+    /// fails *this* job with a typed message; the rest of the batch is
+    /// untouched.
     pub limits: ResourceLimits,
     /// Also render the contracted DDG as DOT ([`SessionReport::dot`]),
     /// from the graph the engine contracted at finish.
@@ -86,7 +94,6 @@ impl AnalysisJob {
             collect: CollectMode::AnyAccess,
             untrusted: false,
             stream: false,
-            max_live_records: None,
             limits: ResourceLimits::default(),
             dot: false,
         }
@@ -388,51 +395,60 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
     let engine = StreamAnalyzer::new(job.region.clone())
         .with_config(StreamConfig {
             collect: job.collect,
-            max_live_records: job.max_live_records,
             contracted_dot: job.dot,
             ..StreamConfig::default()
         })
         .with_ctx(ctx.clone());
     let trace_index = || job.index_vars.clone().unwrap_or_default();
 
-    // Trace jobs never materialize the trace: records flow from the
-    // source straight into the engine, interning every symbol into this
-    // session's space.
+    // No job materializes the trace: records flow from the source or the
+    // interpreter straight into the engine, interning every symbol into
+    // this session's space.
     let run = match &job.input {
-        JobInput::TracePath(path) => engine.with_index_vars(trace_index()).run_path(path),
+        JobInput::TracePath(path) => engine
+            .with_index_vars(trace_index())
+            .run_path(path)
+            .map_err(|e| e.to_string()),
         JobInput::TraceText(text) => engine
             .with_index_vars(trace_index())
-            .run_bytes(text.as_bytes()),
-        JobInput::MiniLang(source) => {
-            let module =
-                autocheck_minilang::compile(source).map_err(|e| format!("compile error: {e:?}"))?;
-            let mut machine = autocheck_interp::Machine::with_ctx(
-                &module,
-                autocheck_interp::ExecOptions::default(),
-                ctx.clone(),
-            );
-            let mut sink = autocheck_interp::VecSink::default();
-            machine
-                .run(&mut sink, &mut autocheck_interp::NoHook)
-                .map_err(|e| format!("execution error: {e}"))?;
-            let index = match &job.index_vars {
-                Some(v) => v.clone(),
-                None => index_variables_of(&module, &job.region),
-            };
-            // The interpreter already produced the records; push them.
-            engine.with_index_vars(index).run_records(&sink.records)
-        }
-    }
-    .map_err(|e| e.to_string())?;
-    let stats = job.stream.then_some(run.stats);
-    Ok(session_report(
-        job,
-        ctx,
-        run.report,
-        stats,
-        run.contracted_dot,
-        t0,
-    ))
+            .run_bytes(text.as_bytes())
+            .map_err(|e| e.to_string()),
+        JobInput::MiniLang(source) => trace_minilang(job, ctx, engine, source),
+    }?;
+    Ok(session_report(job, ctx, run, t0))
+}
+
+/// Compile `source`, then run it with every record it emits pushed into
+/// one engine session. A ceiling that stops the engine fails the job with
+/// the engine's own message, as it does a trace job.
+fn trace_minilang(
+    job: &AnalysisJob,
+    ctx: &AnalysisCtx,
+    engine: StreamAnalyzer,
+    source: &str,
+) -> Result<StreamRun, String> {
+    let module = autocheck_minilang::compile(source).map_err(|errs| {
+        let errs: Vec<String> = errs.iter().map(ToString::to_string).collect();
+        format!("compile error: {}", errs.join("; "))
+    })?;
+    let index = match &job.index_vars {
+        Some(v) => v.clone(),
+        None => index_variables_of(&module, &job.region),
+    };
+    let mut session = engine.with_index_vars(index).session();
+    let mut sink = FnSink::new(|rec: &Record| {
+        session.push(rec).map_err(|e| ExecError::Sink {
+            message: e.to_string(),
+        })
+    });
+    Machine::with_ctx(&module, ExecOptions::default(), ctx.clone())
+        .run(&mut sink, &mut NoHook)
+        .map_err(|e| match e {
+            // The only sink here is the engine.
+            ExecError::Sink { message } => message,
+            e => format!("execution error: {e}"),
+        })?;
+    Ok(session.finish())
 }
 
 /// Assemble the rendered, session-independent report (called inside the
@@ -440,11 +456,10 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
 fn session_report(
     job: &AnalysisJob,
     ctx: &AnalysisCtx,
-    report: Report,
-    stream_stats: Option<crate::stream::StreamStats>,
-    dot: Option<String>,
+    run: StreamRun,
     t0: Instant,
 ) -> SessionReport {
+    let report = run.report;
     let wall = t0.elapsed();
     let ledger = if ctx.metrics().is_enabled() {
         ctx.metrics().record_duration(TimerId::SessionWall, wall);
@@ -456,10 +471,10 @@ fn session_report(
         name: job.name.clone(),
         summary: report.summary(),
         rendered: report.to_string(),
-        dot,
+        dot: run.contracted_dot,
         records: report.records,
         iterations: report.iterations,
-        peak_live_records: stream_stats.map(|s| s.peak_live_records),
+        peak_live_records: job.stream.then_some(run.stats.peak_live_records),
         symbols: ctx.space().len(),
         timings: report.timings,
         wall,
@@ -527,20 +542,7 @@ int main() {
         let scratch = MultiAnalyzer::new(1).run(vec![mini_job("gen")]);
         assert!(scratch.failures.is_empty());
         // Regenerate the trace text through the interpreter directly.
-        let module = autocheck_minilang::compile(LOOP_MC).unwrap();
-        let ctx = AnalysisCtx::session();
-        let mut machine = autocheck_interp::Machine::with_ctx(
-            &module,
-            autocheck_interp::ExecOptions::default(),
-            ctx.clone(),
-        );
-        let mut sink = autocheck_interp::WriterSink::new(Vec::new());
-        let _g = ctx.enter();
-        machine
-            .run(&mut sink, &mut autocheck_interp::NoHook)
-            .unwrap();
-        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
-        drop(_g);
+        let text = trace_text(LOOP_MC);
 
         let job = AnalysisJob::new(
             "tenant",
@@ -715,15 +717,67 @@ int main() {
     #[test]
     fn the_live_record_bound_applies_to_every_job() {
         for streaming in [false, true] {
-            let mut job = mini_job("bounded").streaming(streaming);
-            job.max_live_records = Some(1);
-            let out = MultiAnalyzer::new(1).run(vec![job]);
+            let job = mini_job("bounded")
+                .streaming(streaming)
+                .with_limits(ResourceLimits::new().max_live_records(1));
+            let out = MultiAnalyzer::new(1).with_metrics(true).run(vec![job]);
             assert!(out.sessions.is_empty(), "stream={streaming}");
             assert!(
                 out.failures[0].message.contains("live-record bound"),
                 "stream={streaming}: {}",
                 out.failures[0].message
             );
+            let ledger = out.failures[0].ledger.as_ref().expect("failure ledger");
+            assert_eq!(ledger.counter(CounterId::LimitExceeded), 1);
         }
+    }
+
+    /// The text trace of `source`, traced in a scratch session.
+    fn trace_text(source: &str) -> String {
+        let module = autocheck_minilang::compile(source).unwrap();
+        let ctx = AnalysisCtx::session();
+        let _g = ctx.enter();
+        let mut sink = autocheck_interp::WriterSink::new(Vec::new());
+        Machine::with_ctx(&module, ExecOptions::default(), ctx.clone())
+            .run(&mut sink, &mut NoHook)
+            .unwrap();
+        String::from_utf8(sink.finish().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn a_minilang_job_that_fails_to_compile_says_why_on_one_line() {
+        let job = AnalysisJob::new(
+            "broken",
+            JobInput::MiniLang("int main() {\n    int x = ;\n".to_string()),
+            Region::new("main", 1, 2),
+        );
+        let out = MultiAnalyzer::new(1).run(vec![job]);
+        assert!(out.sessions.is_empty());
+        let message = &out.failures[0].message;
+        assert!(
+            message.starts_with("compile error: error at line 2:"),
+            "{message}"
+        );
+        assert!(
+            !message.contains('\n') && !message.contains("CompileError"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_ceiling_stops_a_minilang_job_with_the_trace_jobs_message() {
+        let limits = ResourceLimits::new().max_ddg_nodes(5);
+        let region = Region::new("main", 3, 6);
+        let mini = mini_job("mini").with_limits(limits);
+        let text = AnalysisJob::new("text", JobInput::TraceText(trace_text(LOOP_MC)), region)
+            .with_limits(limits);
+        let out = MultiAnalyzer::new(1).run(vec![mini, text]);
+        assert!(out.sessions.is_empty());
+        let (mini, text) = (&out.failures[0].message, &out.failures[1].message);
+        assert!(
+            mini.starts_with("resource limit exceeded: ddg-nodes"),
+            "{mini}"
+        );
+        assert_eq!(mini, text);
     }
 }

@@ -1,25 +1,28 @@
-//! Streaming front door, and the one analysis driver behind both doors.
+//! The one front door over the analysis engine: [`StreamAnalyzer`]
+//! (also named [`crate::Analyzer`]).
 //!
-//! [`StreamAnalyzer`] mirrors the batch analyzer's API (region in, index
-//! variables in, [`Report`] out) but consumes records **as they arrive**
-//! instead of requiring the whole trace in memory: push records into a
-//! [`StreamSession`] (e.g. straight from the interpreter's sink — no trace
-//! file at all), or pull them from a file, a byte slice or any
-//! [`io::Read`] through the trace crate's [`autocheck_trace::TraceSource`]
-//! (text or binary, auto-detected).
+//! Region in, index variables in, [`Report`] out. Records are consumed
+//! **as they arrive** instead of requiring the whole trace in memory: push
+//! records into a [`StreamSession`] (e.g. straight from the interpreter's
+//! sink — no trace file at all), hand over a slice already in memory
+//! ([`StreamAnalyzer::analyze`]), or pull them from a file, a byte slice or
+//! any [`io::Read`] through the trace crate's
+//! [`autocheck_trace::TraceSource`] (text or binary, auto-detected).
 //!
 //! The analysis itself runs in `autocheck-stream`'s [`Engine`]: one pass,
 //! per-iteration state retired at iteration boundaries, peak memory
 //! observable as the *live-record count* ([`StreamStats`]) and optionally
-//! hard-bounded ([`StreamConfig::max_live_records`]). Every run ends in
-//! the same finish step: classify, contract the engine's frozen DDG
-//! (Algorithm 1), and assemble the [`Report`]; the one choice left is
-//! whether to render the contracted DDG as DOT
-//! ([`StreamConfig::contracted_dot`]). [`crate::Analyzer`], `autocheck`
-//! in every mode and every [`crate::MultiAnalyzer`] job are this same
-//! run, so they report identically by construction; the integration and
-//! property tests check the engine against the staged reference
-//! (`Analyzer::analyze_staged`) over the Fig. 4 example, all 14
+//! hard-bounded by the session's
+//! [`ResourceLimits::max_live_records`](autocheck_trace::ResourceLimits::max_live_records),
+//! the one place a live-record bound is set. Every run ends in the same
+//! finish step: classify, contract the engine's frozen DDG (Algorithm 1),
+//! and assemble the [`Report`]; the one choice left is whether to render
+//! the contracted DDG as DOT ([`StreamConfig::contracted_dot`]). Every
+//! entry point applies the session's ceilings. `autocheck` in every mode,
+//! `mlc trace --stream` and every [`crate::MultiAnalyzer`] job are this
+//! same run, so they report identically by construction; the integration and property tests
+//! check the engine against the staged reference
+//! (`StreamAnalyzer::analyze_staged`) over the Fig. 4 example, all 14
 //! benchmarks, and random MiniLang programs.
 
 use crate::preprocess::{CollectMode, MliVar};
@@ -27,22 +30,27 @@ use crate::region::Region;
 use crate::report::{Report, Timings};
 use autocheck_obs::TimerId;
 use autocheck_stream::{Engine, EngineConfig, EngineError, LiveBoundExceeded};
-use autocheck_trace::{AnalysisCtx, Record, ResourceExceeded, TraceReadError, TraceSource};
+use autocheck_trace::{
+    AnalysisCtx, Record, ResourceExceeded, ResourceKind, TraceReadError, TraceSource,
+};
 use std::fmt;
 use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-/// Tunables for the streaming front door (defaults match the batch
-/// [`crate::PipelineConfig`] where the two share a setting).
+/// Tunables for the analyzer (defaults reproduce the paper's tool).
+///
+/// Every run streams the trace through the engine without holding it; the
+/// paper's §V-A parallel trace parsing is deliberately not reproduced (the
+/// README's "Concurrency" section has the measurements). Resource
+/// ceilings, the live-record bound among them, belong to the session
+/// ([`AnalysisCtx::with_limits`]), not to this configuration.
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
     /// Occurrence-collection strictness (see [`CollectMode`]).
     pub collect: CollectMode,
     /// Selective trace iteration (paper §IV-B); `false` is the ablation.
     pub selective: bool,
-    /// Hard bound on the live-record window; `None` = observe only.
-    pub max_live_records: Option<usize>,
     /// Render the contracted DDG, which every run computes at finish, as
     /// DOT ([`StreamRun::contracted_dot`]). The graph is bounded by the
     /// program, so this keeps the O(live window) memory story intact.
@@ -54,7 +62,6 @@ impl Default for StreamConfig {
         StreamConfig {
             collect: CollectMode::AnyAccess,
             selective: true,
-            max_live_records: None,
             contracted_dot: false,
         }
     }
@@ -65,7 +72,7 @@ impl Default for StreamConfig {
 pub enum StreamError {
     /// Reading or parsing the trace stream failed.
     Source(TraceReadError),
-    /// The configured live-record bound was exceeded.
+    /// The session's live-record bound was exceeded.
     LiveBound(LiveBoundExceeded),
     /// A session resource ceiling (DDG nodes/edges, or a trace-side limit
     /// smuggled through the source) was crossed.
@@ -116,13 +123,13 @@ impl From<ResourceExceeded> for StreamError {
     }
 }
 
-/// Memory-bound observability for one streaming run — what the batch
-/// pipeline cannot report, because it holds everything.
+/// Memory-bound observability for one run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StreamStats {
     /// Peak live-record window (per-iteration state entries) over the run.
     pub peak_live_records: usize,
-    /// The configured bound, if any.
+    /// The live-record bound the engine enforced: the session's
+    /// `live-records` ceiling, if any.
     pub live_bound: Option<usize>,
     /// Streaming DDG node count (bounded by the program).
     pub ddg_nodes: usize,
@@ -130,11 +137,10 @@ pub struct StreamStats {
     pub ddg_edges: usize,
 }
 
-/// A finished streaming run: the batch-identical report plus the
-/// memory-bound statistics.
+/// A finished run: the report plus the memory-bound statistics.
 #[derive(Clone, Debug)]
 pub struct StreamRun {
-    /// The analysis report, identical to the batch pipeline's.
+    /// The analysis report.
     pub report: Report,
     /// Live-window statistics.
     pub stats: StreamStats,
@@ -143,17 +149,25 @@ pub struct StreamRun {
     pub contracted_dot: Option<String>,
 }
 
-/// The streaming AutoCheck analyzer. Construction mirrors
-/// [`crate::Analyzer`]: region, index variables, configuration.
+/// The AutoCheck analyzer.
+///
+/// Inputs mirror the paper's §VII "Use of AutoCheck": the dynamic trace,
+/// the main loop's location, and (from the IR loop pass) the loop's
+/// control variables. The analysis is one serial pass of the streaming
+/// engine; the trace is never held in memory unless the caller already
+/// holds it ([`analyze`](Self::analyze)).
 #[derive(Clone, Debug)]
 pub struct StreamAnalyzer {
     /// The main computation loop's location.
     pub region: Region,
     /// Induction/control variables of the outermost loop.
     pub index_vars: Vec<String>,
-    /// Pipeline tunables.
+    /// Analysis tunables.
     pub config: StreamConfig,
-    /// The analysis session (symbol space + address-hash seed).
+    /// The analysis session (symbol space, address-hash seed, resource
+    /// ceilings, metrics). Every stage resolves symbols through this ctx,
+    /// so records pushed into this analyzer must come from the same
+    /// session (the same ctx handed to the parser / interpreter).
     pub ctx: AnalysisCtx,
 }
 
@@ -181,7 +195,9 @@ impl StreamAnalyzer {
         self
     }
 
-    /// Scope this analyzer to `ctx`'s session.
+    /// Scope this analyzer to `ctx`'s session: symbols resolve through the
+    /// session's space, address-keyed maps hash with the session's seed,
+    /// and the session's ceilings apply.
     pub fn with_ctx(mut self, ctx: AnalysisCtx) -> StreamAnalyzer {
         self.ctx = ctx;
         self
@@ -195,7 +211,6 @@ impl StreamAnalyzer {
             // `CollectMode` *is* the engine's `Collect` (shared type).
             collect: self.config.collect,
             selective: self.config.selective,
-            max_live_records: self.config.max_live_records,
         }
     }
 
@@ -207,15 +222,14 @@ impl StreamAnalyzer {
             ctx: self.ctx.clone(),
             index_vars: self.index_vars.clone(),
             region_start: self.region.start_line,
-            live_bound: self.config.max_live_records,
             contracted_dot: self.config.contracted_dot,
             started: None,
         }
     }
 
-    /// Analyze already-materialized records through the streaming engine —
-    /// the drop-in equivalent of [`crate::Analyzer::analyze`], used by the
-    /// equivalence tests.
+    /// Analyze records the caller already holds. The session's ceilings
+    /// apply here as on every other entry point; with none set this cannot
+    /// fail.
     pub fn analyze(&self, records: &[Record]) -> Result<Report, StreamError> {
         self.run_records(records).map(|run| run.report)
     }
@@ -234,8 +248,7 @@ impl StreamAnalyzer {
     }
 
     /// Analyze a trace pulled from any reader (file, pipe, socket, …) with
-    /// bounded buffering — the streaming equivalent of
-    /// [`crate::Analyzer::analyze_text`].
+    /// bounded buffering.
     pub fn analyze_read<R: io::Read>(&self, reader: R) -> Result<Report, StreamError> {
         self.run_read(reader).map(|run| run.report)
     }
@@ -246,10 +259,16 @@ impl StreamAnalyzer {
         self.run_source(TraceSource::from_reader(reader))
     }
 
-    /// Analyze a trace file in either format, like
-    /// [`run_read`](Self::run_read) over the opened file. A
-    /// `trace-bytes` ceiling is checked against the file's length before
-    /// a byte is read.
+    /// Analyze a trace file in either format (text or binary, detected by
+    /// its magic bytes). Ingest time is included in the pre-processing
+    /// time, like the paper's Table III.
+    pub fn analyze_path(&self, path: impl AsRef<Path>) -> Result<Report, StreamError> {
+        self.run_path(path).map(|run| run.report)
+    }
+
+    /// Like [`analyze_path`](Self::analyze_path), also returning the
+    /// live-window statistics. A `trace-bytes` ceiling is checked against
+    /// the file's length before a byte is read.
     pub fn run_path(&self, path: impl AsRef<Path>) -> Result<StreamRun, StreamError> {
         self.run_source(TraceSource::from_path(path.as_ref()))
     }
@@ -287,14 +306,13 @@ pub struct StreamSession {
     ctx: AnalysisCtx,
     index_vars: Vec<String>,
     region_start: u32,
-    live_bound: Option<usize>,
     contracted_dot: bool,
     started: Option<Instant>,
 }
 
 impl StreamSession {
-    /// Consume one record. Fails fast if the configured live-record bound
-    /// or a session resource ceiling is exceeded.
+    /// Consume one record. Fails fast if a session resource ceiling, the
+    /// live-record bound included, is exceeded.
     pub fn push(&mut self, record: &Record) -> Result<(), EngineError> {
         if self.started.is_none() {
             self.started = Some(Instant::now());
@@ -394,7 +412,10 @@ impl StreamSession {
             },
             stats: StreamStats {
                 peak_live_records: outcome.peak_live_records,
-                live_bound: self.live_bound,
+                live_bound: ctx
+                    .limits()
+                    .get(ResourceKind::LiveRecords)
+                    .map(|n| n as usize),
                 // Derived from the one DdgSummary source so the stats can
                 // never desynchronize from the report.
                 ddg_nodes: ddg.nodes,
@@ -409,6 +430,7 @@ impl StreamSession {
 mod tests {
     use super::*;
     use crate::pipeline::{index_variables_of, Analyzer};
+    use autocheck_trace::ResourceLimits;
 
     /// The Fig. 4 worked example (same source as the batch pipeline tests).
     const FIG4: &str = "\
@@ -527,12 +549,10 @@ int main() {
         let (module, records) = fig4_records();
         let region = Region::new("main", 13, 21);
         let index = index_variables_of(&module, &region);
+        let ctx = AnalysisCtx::current().with_limits(ResourceLimits::new().max_live_records(1));
         let analyzer = StreamAnalyzer::new(region)
             .with_index_vars(index)
-            .with_config(StreamConfig {
-                max_live_records: Some(1),
-                ..StreamConfig::default()
-            });
+            .with_ctx(ctx);
         let err = analyzer.analyze(&records).unwrap_err();
         assert!(matches!(err, StreamError::LiveBound(_)));
         assert!(err.to_string().contains("bound"));
@@ -543,17 +563,18 @@ int main() {
         let (module, records) = fig4_records();
         let region = Region::new("main", 13, 21);
         let index = index_variables_of(&module, &region);
-        let analyzer = StreamAnalyzer::new(region.clone())
+        let ctx =
+            AnalysisCtx::current().with_limits(ResourceLimits::new().max_live_records(1 << 20));
+        let run = StreamAnalyzer::new(region.clone())
             .with_index_vars(index.clone())
-            .with_config(StreamConfig {
-                max_live_records: Some(1 << 20),
-                ..StreamConfig::default()
-            });
-        let stream = analyzer.analyze(&records).expect("bound never hit");
+            .with_ctx(ctx)
+            .run_records(&records)
+            .expect("bound never hit");
+        assert_eq!(run.stats.live_bound, Some(1 << 20), "the footer's bound");
         let batch = Analyzer::new(region)
             .with_index_vars(index)
             .analyze_staged(&records);
-        assert_reports_match(&batch, &stream);
+        assert_reports_match(&batch, &run.report);
     }
 
     #[test]

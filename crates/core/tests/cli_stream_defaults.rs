@@ -5,6 +5,8 @@
 //! concurrency flags (`--threads`, `--shards`, `--overlap`) are usage
 //! errors that point at `--jobs`, and `--max-live-records` without
 //! `--stream` is a usage error in single-trace and `--batch` mode alike.
+//! The `streaming:` footer names the live-record bound the engine
+//! enforced, whichever flag set it, and a breach is booked in the ledger.
 
 use autocheck_obs::ledger::{BatchLedger, Ledger};
 use autocheck_obs::{CounterId, GaugeId};
@@ -261,5 +263,64 @@ fn a_live_record_bound_without_stream_is_a_usage_error_in_every_mode() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("live-record bound"), "{base:?}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `--stream` run's `streaming:` footer line.
+fn streaming_footer(stdout: &str) -> &str {
+    stdout
+        .lines()
+        .find(|l| l.starts_with("streaming:"))
+        .expect("a --stream run prints the streaming footer")
+}
+
+#[test]
+fn the_streaming_footer_names_the_enforced_bound() {
+    let (dir, trace) = setup("footer-bound");
+    let (out, _) = single(
+        &dir,
+        &trace,
+        &["--stream"],
+        &["--limit", "live-records=100000"],
+    );
+    assert!(streaming_footer(&out).contains("(bound: 100000)"), "{out}");
+    // `--max-live-records` wins over `--limit live-records`, before or
+    // after it on the command line.
+    for extra in [
+        [
+            "--max-live-records",
+            "5000",
+            "--limit",
+            "live-records=100000",
+        ],
+        ["--limit", "live-records=1", "--max-live-records", "5000"],
+    ] {
+        let (out, _) = single(&dir, &trace, &["--stream"], &extra);
+        assert!(
+            streaming_footer(&out).contains("(bound: 5000)"),
+            "{extra:?}: {out}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_max_live_records_breach_is_enforced_and_booked_once() {
+    let (dir, trace) = setup("breach");
+    let metrics = dir.join("ledger.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_autocheck"))
+        .arg(&trace)
+        .args(REGION)
+        .args(["--stream", "--max-live-records", "1"])
+        .args(["--limit", "live-records=100000", "--metrics"])
+        .arg(&metrics)
+        .output()
+        .expect("autocheck runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("> bound 1"), "{stderr}");
+    let ledger = Ledger::from_json(&std::fs::read_to_string(&metrics).expect("ledger written"))
+        .expect("session ledger");
+    assert_eq!(ledger.counter(CounterId::LimitExceeded), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -48,7 +48,8 @@ fn traced(stmt_idx: &[usize], m: u32) -> (String, Region, Vec<String>) {
 fn visible_output(records: &[Record], region: &Region, index: &[String]) -> String {
     let report = Analyzer::new(region.clone())
         .with_index_vars(index.to_vec())
-        .analyze(records);
+        .analyze(records)
+        .expect("no ceilings set");
     let phases = Phases::compute(records, region);
     let mli = find_mli_vars(records, &phases, region, CollectMode::AnyAccess);
     let analysis = DdgAnalysis::run(records, &phases, &mli, true);
@@ -80,9 +81,9 @@ proptest! {
         prop_assert_eq!(a, b, "report/DOT bytes diverged across parse modes");
     }
 
-    /// The streaming pipeline shares the interner with batch; its rendered
-    /// report must be byte-identical too (labels resolve through the same
-    /// table both ways).
+    /// The engine shares the interner with the staged reference; its
+    /// rendered report must be byte-identical too (labels resolve through
+    /// the same table both ways).
     #[test]
     fn report_bytes_identical_across_pipelines(
         stmt_idx in vec(0usize..10, 1..7),
@@ -92,7 +93,7 @@ proptest! {
         let records = parse_str(&text).unwrap();
         let batch = Analyzer::new(region.clone())
             .with_index_vars(index.clone())
-            .analyze(&records);
+            .analyze_staged(&records);
         let stream = StreamAnalyzer::new(region)
             .with_index_vars(index)
             .analyze(&records)

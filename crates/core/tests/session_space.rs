@@ -100,8 +100,8 @@ fn entry_points_resolve_in_the_session_space_without_a_guard() {
                 Box::new(|ctx| analyzer(ctx).analyze_path(path).unwrap()),
             ),
             (
-                "Analyzer::analyze_bytes",
-                Box::new(|ctx| analyzer(ctx).analyze_bytes(bytes).unwrap()),
+                "StreamAnalyzer::run_bytes",
+                Box::new(|ctx| stream(ctx).run_bytes(bytes).unwrap().report),
             ),
             (
                 "StreamAnalyzer::run_path",

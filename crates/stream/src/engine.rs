@@ -10,9 +10,11 @@
 //! Memory never scales with the trace: the *live-record count* — the
 //! number of per-iteration window entries currently held across all
 //! variables — is observable via [`Engine::live_records`] /
-//! [`Engine::peak_live_records`] and can be hard-bounded with
-//! [`EngineConfig::max_live_records`], in which case `push` fails fast
-//! instead of growing past the bound.
+//! [`Engine::peak_live_records`] and can be hard-bounded by the session's
+//! `ResourceLimits::max_live_records`, in which case `push` fails fast
+//! instead of growing past the bound. Every ceiling the engine enforces —
+//! the live window, DDG nodes and DDG edges — comes from the session's
+//! [`AnalysisCtx`], and every breach books `session.limit_exceeded` once.
 
 use crate::ddg::DdgBuilder;
 use crate::graph::CsrGraph;
@@ -43,8 +45,6 @@ pub struct EngineConfig {
     /// Selective trace iteration (identical results; `true` skips
     /// irrelevant opcodes).
     pub selective: bool,
-    /// Hard bound on the live-record window; `None` = observe only.
-    pub max_live_records: Option<usize>,
 }
 
 impl EngineConfig {
@@ -57,12 +57,11 @@ impl EngineConfig {
             end_line,
             collect: Collect::AnyAccess,
             selective: true,
-            max_live_records: None,
         }
     }
 }
 
-/// `push` exceeded [`EngineConfig::max_live_records`].
+/// `push` exceeded the session's `live-records` ceiling.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LiveBoundExceeded {
     /// Live window entries at the moment of failure.
@@ -89,9 +88,8 @@ impl std::error::Error for LiveBoundExceeded {}
 /// a hostile trace; it stops at the first crossed ceiling.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// The live-record window crossed its bound
-    /// ([`EngineConfig::max_live_records`] or the session's
-    /// `ResourceLimits::max_live_records`).
+    /// The live-record window crossed the session's
+    /// `ResourceLimits::max_live_records`.
     LiveBound(LiveBoundExceeded),
     /// A session resource ceiling (DDG nodes or edges) was crossed.
     Resource(ResourceExceeded),
@@ -164,13 +162,8 @@ pub struct Engine {
     /// [`Engine::peak_live_records`], and the `engine.live_records` ledger
     /// gauge all read this.
     live: Gauge,
+    /// The session's live-record ceiling.
     max_live: Option<usize>,
-    /// True when `max_live` came from the session's `ResourceLimits`
-    /// rather than an explicit `EngineConfig::max_live_records`: only
-    /// quota-sourced breaches book the `session.limit_exceeded` counter
-    /// (its contract — ledgers read it as tenant quota pressure, not as an
-    /// intentional engine-config window bound).
-    live_bound_is_quota: bool,
     /// DDG size ceilings from the session's `ResourceLimits` (checked
     /// against the builder's incremental node/edge counters on each push
     /// that grew the graph).
@@ -203,14 +196,10 @@ impl Engine {
             addr_seed: ctx.addr_seed(),
             records: 0,
             live: Gauge::new(),
-            // An explicit engine-config bound wins; otherwise the session's
-            // `ResourceLimits` live-record ceiling applies.
-            max_live: cfg.max_live_records.or(ctx
+            max_live: ctx
                 .limits()
                 .get(ResourceKind::LiveRecords)
-                .map(|n| n as usize)),
-            live_bound_is_quota: cfg.max_live_records.is_none()
-                && ctx.limits().get(ResourceKind::LiveRecords).is_some(),
+                .map(|n| n as usize),
             max_ddg_nodes: ctx.limits().get(ResourceKind::DdgNodes),
             max_ddg_edges: ctx.limits().get(ResourceKind::DdgEdges),
             metrics: ctx.metrics().clone(),
@@ -271,9 +260,7 @@ impl Engine {
             if let Some(bound) = self.max_live {
                 let live = self.live.value() as usize;
                 if live > bound {
-                    if self.live_bound_is_quota {
-                        self.metrics.count(CounterId::LimitExceeded, 1);
-                    }
+                    self.metrics.count(CounterId::LimitExceeded, 1);
                     return Err(LiveBoundExceeded { live, bound }.into());
                 }
             }
@@ -428,11 +415,14 @@ r,64,2,1,9,
 r,64,2,1,10,
 ";
 
-    fn run_engine(max_live: Option<usize>) -> Result<EngineOutcome, EngineError> {
+    fn run_engine(max_live: Option<u64>) -> Result<EngineOutcome, EngineError> {
         let recs = parse_str(TWO_ITER).unwrap();
-        let mut cfg = EngineConfig::for_region("main", 5, 7);
-        cfg.max_live_records = max_live;
-        let mut engine = Engine::new(cfg);
+        let mut limits = autocheck_trace::ResourceLimits::new();
+        if let Some(n) = max_live {
+            limits = limits.max_live_records(n);
+        }
+        let ctx = AnalysisCtx::current().with_limits(limits);
+        let mut engine = Engine::with_ctx(EngineConfig::for_region("main", 5, 7), &ctx);
         for r in &recs {
             engine.push(r)?;
         }
@@ -479,8 +469,7 @@ r,64,2,1,10,
     #[test]
     fn ctx_limits_bound_live_window_and_ddg_size() {
         use autocheck_trace::ResourceLimits;
-        // Live-record ceiling via ctx limits surfaces as LiveBound, the
-        // same typed error as an explicit EngineConfig bound.
+        // The live-record ceiling surfaces as LiveBound.
         let ctx = AnalysisCtx::session().with_limits(ResourceLimits::new().max_live_records(0));
         let recs = {
             let _g = ctx.enter();
@@ -515,11 +504,12 @@ r,64,2,1,10,
     }
 
     #[test]
-    fn limit_counter_books_only_quota_sourced_live_bounds() {
+    fn a_live_bound_breach_books_the_limit_counter_once() {
         use autocheck_obs::{CounterId, Metrics};
         use autocheck_trace::ResourceLimits;
-        // A live bound from the session's ResourceLimits is tenant quota
-        // pressure: breaching it books `session.limit_exceeded`.
+        // The session's live-record ceiling is the only live bound, and
+        // its breach is booked like every other ceiling's: once, at the
+        // push that fails.
         let ctx = AnalysisCtx::session()
             .with_metrics(Metrics::enabled())
             .with_limits(ResourceLimits::new().max_live_records(0));
@@ -528,32 +518,12 @@ r,64,2,1,10,
             parse_str(TWO_ITER).unwrap()
         };
         let mut engine = Engine::with_ctx(EngineConfig::for_region("main", 5, 7), &ctx);
-        recs.iter()
-            .try_for_each(|r| engine.push(r))
-            .expect_err("quota live bound 0 must trip");
-        assert_eq!(ctx.metrics().counter(CounterId::LimitExceeded), 1);
-
-        // The same breach from an explicit EngineConfig window bound is an
-        // intentional configuration choice, not quota pressure: same typed
-        // error, but the quota counter stays untouched.
-        let ctx = AnalysisCtx::session().with_metrics(Metrics::enabled());
-        let recs = {
-            let _g = ctx.enter();
-            parse_str(TWO_ITER).unwrap()
-        };
-        let mut engine = Engine::with_ctx(
-            EngineConfig {
-                max_live_records: Some(0),
-                ..EngineConfig::for_region("main", 5, 7)
-            },
-            &ctx,
-        );
         let err = recs
             .iter()
             .try_for_each(|r| engine.push(r))
-            .expect_err("config live bound 0 must trip");
+            .expect_err("live bound 0 must trip");
         assert!(matches!(err, EngineError::LiveBound(_)), "got {err:?}");
-        assert_eq!(ctx.metrics().counter(CounterId::LimitExceeded), 0);
+        assert_eq!(ctx.metrics().counter(CounterId::LimitExceeded), 1);
     }
 
     #[test]

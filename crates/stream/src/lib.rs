@@ -13,9 +13,10 @@
 //! the trace length.
 //!
 //! The crate sits *below* `autocheck-core` in the dependency graph (it
-//! depends only on `autocheck-trace`); `autocheck-core`'s `Analyzer` and
-//! `StreamAnalyzer` both drive its [`engine::Engine`], and its staged
-//! reference folds a materialized slice through the same state machines.
+//! depends only on `autocheck-trace`); `autocheck-core`'s one analyzer,
+//! `StreamAnalyzer` (also named `Analyzer`), drives its
+//! [`engine::Engine`], and its staged reference folds a materialized slice
+//! through the same state machines.
 //! The pieces:
 //!
 //! * [`region::RegionTracker`] — incremental trace partitioning: phase
@@ -40,8 +41,8 @@
 //!   need, retiring the per-iteration element window at each iteration
 //!   boundary;
 //! * [`engine::Engine`] — glues the four together, tracks the live-record
-//!   window (observable, and optionally bounded by
-//!   [`engine::EngineConfig::max_live_records`]).
+//!   window (observable, and optionally bounded by the session's
+//!   `live-records` ceiling, like every other ceiling it enforces).
 //!
 //! Classification *decisions* (WAR / RAPO / Outcome / Index and the skip
 //! reasons) deliberately do **not** live here: `autocheck-core` makes them

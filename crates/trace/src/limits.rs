@@ -17,8 +17,8 @@
 //!   [`ArenaBytes`](ResourceKind::ArenaBytes);
 //! * the streaming `Engine` enforces
 //!   [`DdgNodes`](ResourceKind::DdgNodes),
-//!   [`DdgEdges`](ResourceKind::DdgEdges) and — unless overridden by its
-//!   own config — [`LiveRecords`](ResourceKind::LiveRecords);
+//!   [`DdgEdges`](ResourceKind::DdgEdges) and
+//!   [`LiveRecords`](ResourceKind::LiveRecords), the one live-record bound;
 //! * `MultiAnalyzer` applies a job's limits to its session ctx, so one
 //!   quota-tripped tenant fails with a typed error while the rest of the
 //!   batch completes untouched.
@@ -152,9 +152,8 @@ pub struct ResourceLimits {
     pub max_ddg_nodes: Option<u64>,
     /// Ceiling on streaming DDG edges.
     pub max_ddg_edges: Option<u64>,
-    /// Ceiling on the streaming live window (same bound
-    /// `EngineConfig::max_live_records` has always offered; an explicit
-    /// engine-config value wins over this one).
+    /// Ceiling on the streaming live window: the engine's only live-record
+    /// bound (`autocheck --max-live-records N` sets it).
     pub max_live_records: Option<u64>,
 }
 

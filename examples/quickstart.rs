@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use autocheck_core::{contract_ddg, index_variables_of, Analyzer, DdgAnalysis, NodeKind, Region};
-use autocheck_core::{Phases, PipelineConfig};
+use autocheck_core::{Phases, StreamConfig};
 use autocheck_interp::{ExecOptions, Machine, NoHook, VecSink};
 use autocheck_trace::writer;
 
@@ -85,8 +85,8 @@ fn main() {
 
     let analyzer = Analyzer::new(region.clone())
         .with_index_vars(index_vars)
-        .with_config(PipelineConfig::default());
-    let report = analyzer.analyze(&sink.records);
+        .with_config(StreamConfig::default());
+    let report = analyzer.analyze(&sink.records).expect("no ceilings set");
 
     println!("\n--- MLI variables (paper: a, b, sum, s, r) ---");
     for m in &report.mli {

@@ -7,12 +7,13 @@
 //! * [`ir`] — the IR itself plus CFG/dominator/loop analyses;
 //! * [`interp`] — execute modules, emit LLVM-Tracer-style dynamic traces,
 //!   hook iterations, inject failures;
-//! * [`trace`] — the trace format: writer, parser, parallel reader,
-//!   bounded streaming reader;
+//! * [`trace`] — the trace formats (text and binary): writers, the
+//!   bounded streaming readers, session contexts and resource ceilings;
 //! * [`stream`] — the online analysis engine: incremental state machines
 //!   with O(live window) memory;
 //! * [`core`] — AutoCheck: identify the variables to checkpoint, through
-//!   the batch `Analyzer` or the streaming `StreamAnalyzer`;
+//!   its one analyzer, `StreamAnalyzer` (also named `Analyzer`), or many
+//!   sessions at once through `MultiAnalyzer`;
 //! * [`checkpoint`] — FTI-style C/R, BLCR-style images, restart validation;
 //! * [`apps`] — the paper's 14 evaluation benchmarks.
 //!
@@ -27,7 +28,8 @@
 //! let region = Region::new("main", 13, 21);
 //! let report = Analyzer::new(region.clone())
 //!     .with_index_vars(index_variables_of(&module, &region))
-//!     .analyze(&sink.records);
+//!     .analyze(&sink.records)
+//!     .expect("no ceilings set");
 //! println!("{report}");
 //! ```
 pub use autocheck_apps as apps;

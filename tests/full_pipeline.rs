@@ -62,7 +62,8 @@ fn mli_set_matches_paper() {
     let (module, records) = trace();
     let report = Analyzer::new(region())
         .with_index_vars(index_variables_of(&module, &region()))
-        .analyze(&records);
+        .analyze(&records)
+        .expect("no ceilings set");
     let mut names: Vec<_> = report.mli.iter().map(|m| m.name.as_str()).collect();
     names.sort();
     assert_eq!(names, vec!["a", "b", "r", "s", "sum"]);
@@ -73,7 +74,8 @@ fn critical_set_matches_paper_conclusion() {
     let (module, records) = trace();
     let report = Analyzer::new(region())
         .with_index_vars(index_variables_of(&module, &region()))
-        .analyze(&records);
+        .analyze(&records)
+        .expect("no ceilings set");
     assert_eq!(
         report.summary(),
         vec![
@@ -88,7 +90,9 @@ fn critical_set_matches_paper_conclusion() {
 #[test]
 fn contracted_ddg_has_fig5d_edges() {
     let (_module, records) = trace();
-    let report = Analyzer::new(region()).analyze(&records);
+    let report = Analyzer::new(region())
+        .analyze(&records)
+        .expect("no ceilings set");
     let phases = Phases::compute(&records, &region());
     let analysis = DdgAnalysis::run(&records, &phases, &report.mli, true);
     let bases: std::collections::HashSet<u64> = report.mli.iter().map(|m| m.base_addr).collect();
@@ -122,10 +126,11 @@ fn analysis_is_stable_across_trace_serialization() {
     }
     let text = String::from_utf8(sink.finish().unwrap()).unwrap();
     let analyzer = Analyzer::new(region()).with_index_vars(index_variables_of(&module, &region()));
-    let from_text = analyzer.analyze_text(&text).unwrap();
+    let from_text = analyzer.run_bytes(text.as_bytes()).unwrap().report;
     let direct = Analyzer::new(region())
         .with_index_vars(index_variables_of(&module, &region()))
-        .analyze(&records);
+        .analyze(&records)
+        .expect("no ceilings set");
     assert_eq!(from_text.summary(), direct.summary());
     assert_eq!(from_text.mli.len(), direct.mli.len());
 }
@@ -135,7 +140,8 @@ fn iteration_count_and_records_reported() {
     let (module, records) = trace();
     let report = Analyzer::new(region())
         .with_index_vars(index_variables_of(&module, &region()))
-        .analyze(&records);
+        .analyze(&records)
+        .expect("no ceilings set");
     assert_eq!(report.iterations, 10);
     assert_eq!(report.records, records.len() as u64);
     assert!(

@@ -19,7 +19,8 @@ fn doc_quickstart_runs_through_reexports() {
     let region = Region::new("main", 13, 21);
     let report = Analyzer::new(region.clone())
         .with_index_vars(index_variables_of(&module, &region))
-        .analyze(&sink.records);
+        .analyze(&sink.records)
+        .expect("no ceilings set");
     // A program with no main loop has nothing to checkpoint; the point is
     // that the whole chain runs and renders through the umbrella paths.
     assert!(report.critical.is_empty());
@@ -57,7 +58,8 @@ fn fig4_example_reports_paper_critical_set() {
     let region = Region::new("main", 16, 24);
     let report = Analyzer::new(region.clone())
         .with_index_vars(index_variables_of(&module, &region))
-        .analyze(&sink.records);
+        .analyze(&sink.records)
+        .expect("no ceilings set");
     let mut found: Vec<(String, DepType)> = report
         .critical
         .iter()
