@@ -93,8 +93,8 @@ fn bench_binary_ingest(c: &mut Criterion) {
             black_box(n)
         })
     });
-    // The same pull through `next_record`, which lends each record from
-    // the reader's slot: the path the engine runs.
+    // The same pull through `next_batch`, which lends the stream's reused
+    // slots a batch at a time: the path the engine runs.
     group.throughput(Throughput::Bytes(text.len() as u64));
     group.bench_function("text-stream-lend", |b| {
         b.iter(|| black_box(lend_all(text.as_bytes())))
@@ -106,15 +106,14 @@ fn bench_binary_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Records lent by a stream over `bytes`, drained through `next_record`.
+/// Records lent by a stream over `bytes`, drained through `next_batch`.
 fn lend_all(bytes: &[u8]) -> usize {
     let mut stream = TraceSource::from_reader(black_box(bytes))
         .stream()
         .expect("opens");
     let mut n = 0;
-    while let Some(record) = stream.next_record() {
-        black_box(record.expect("decodes"));
-        n += 1;
+    while let Some(batch) = stream.next_batch() {
+        n += black_box(batch.expect("decodes")).len();
     }
     n
 }

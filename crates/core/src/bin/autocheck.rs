@@ -69,11 +69,20 @@
 //! own registry and the output is the aggregated batch ledger: batch-level
 //! queue/flight stats plus one ledger per session. Metrics never change
 //! analysis output — reports and DOT are byte-identical either way.
+//!
+//! Standard output is written through one lock. When its reader goes away
+//! (`autocheck --batch m.txt | head -1`), the tool stops at once, silently,
+//! with exit status 141: what a shell reports for a writer that SIGPIPE
+//! stopped. Any other failure to write it is an `error:` line and status 1.
 
 use autocheck_core::{capture_ledger, CollectMode, Region, StreamAnalyzer, StreamConfig, Timings};
 use autocheck_obs::Metrics;
 use autocheck_trace::{parse_limit_arg, AnalysisCtx, ResourceKind, ResourceLimits};
+use std::io::{self, Write};
 use std::process::ExitCode;
+
+/// Exit status when standard output's reader has closed it.
+const CLOSED_STDOUT: u8 = 141;
 
 struct Args {
     trace: String,
@@ -298,86 +307,89 @@ fn parse_manifest(path: &str, args: &Args) -> Result<Vec<autocheck_core::Analysi
 
 /// Emit a rendered metrics artifact: `-` prints the human-readable table,
 /// anything else gets the versioned JSON.
-fn emit_metrics(path: &str, table: String, json: String) -> bool {
+fn emit_metrics(out: &mut impl Write, path: &str, table: String, json: String) -> io::Result<bool> {
     if path == "-" {
-        println!("{table}");
+        writeln!(out, "{table}")?;
     } else if let Err(e) = std::fs::write(path, json) {
         eprintln!("error: cannot write `{path}`: {e}");
-        return false;
+        return Ok(false);
     } else {
-        println!("run ledger written to {path}");
+        writeln!(out, "run ledger written to {path}")?;
     }
-    true
+    Ok(true)
 }
 
 /// `--batch`: run every manifest analysis in its own session, on `--jobs`
 /// workers, reporting peak-live and timings per session.
-fn run_batch(args: &Args, manifest: &str) -> ExitCode {
+fn run_batch(out: &mut impl Write, args: &Args, manifest: &str) -> io::Result<ExitCode> {
     let jobs = match parse_manifest(manifest, args) {
         Ok(j) => j,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let n = jobs.len();
-    let out = autocheck_core::MultiAnalyzer::new(args.jobs)
+    let batch = autocheck_core::MultiAnalyzer::new(args.jobs)
         .with_metrics(args.metrics.is_some())
         .run(jobs);
-    for s in &out.sessions {
-        println!("=== {} ===", s.name);
-        print!("{}", s.rendered);
-        print_timings(&s.timings);
+    for s in &batch.sessions {
+        writeln!(out, "=== {} ===", s.name)?;
+        write!(out, "{}", s.rendered)?;
+        print_timings(out, &s.timings)?;
         match s.peak_live_records {
-            Some(peak) => println!(
+            Some(peak) => writeln!(
+                out,
                 "session: {} symbols; streaming peak {} live records of {} total",
                 s.symbols, peak, s.records
-            ),
-            None => println!("session: {} symbols", s.symbols),
+            )?,
+            None => writeln!(out, "session: {} symbols", s.symbols)?,
         }
-        println!();
+        writeln!(out)?;
     }
-    for f in &out.failures {
+    for f in &batch.failures {
         eprintln!("error: {}: {}", f.name, f.message);
     }
-    println!(
+    writeln!(
+        out,
         "=== aggregate ({} analyses, {} workers{}) ===",
         n,
-        out.jobs,
+        batch.jobs,
         if args.untrusted {
             ", untrusted: per-session seeded hashing"
         } else {
             ""
         }
-    );
-    print!("{}", out.aggregate());
-    if let (Some(path), Some(ledger)) = (&args.metrics, &out.ledger) {
-        if !emit_metrics(path, ledger.render_table(), ledger.to_json()) {
-            return ExitCode::FAILURE;
+    )?;
+    write!(out, "{}", batch.aggregate())?;
+    if let (Some(path), Some(ledger)) = (&args.metrics, &batch.ledger) {
+        if !emit_metrics(out, path, ledger.render_table(), ledger.to_json())? {
+            return Ok(ExitCode::FAILURE);
         }
     }
-    if out.failures.is_empty() {
+    Ok(if batch.failures.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// The `timings:` footer of every mode: the fused engine pass is booked
 /// as pre-processing.
-fn print_timings(t: &Timings) {
-    println!(
+fn print_timings(out: &mut impl Write, t: &Timings) -> io::Result<()> {
+    writeln!(
+        out,
         "timings: preprocess {:.3?}, identify {:.3?}, contract {:.3?} (total {:.3?})",
         t.preprocess,
         t.identify,
         t.contract,
         t.total()
-    );
+    )
 }
 
 /// One trace, one engine run: the default mode and `--stream` differ only
 /// in the `streaming:` footer.
-fn run_single(args: &Args, ctx: &AnalysisCtx) -> ExitCode {
+fn run_single(out: &mut impl Write, args: &Args, ctx: &AnalysisCtx) -> io::Result<ExitCode> {
     let region = Region::new(args.function.clone(), args.start, args.end);
     let analyzer = StreamAnalyzer::new(region)
         .with_index_vars(args.index.clone())
@@ -392,50 +404,56 @@ fn run_single(args: &Args, ctx: &AnalysisCtx) -> ExitCode {
     // folds.
     let run = match analyzer.run_path(&args.trace) {
         Ok(r) => r,
-        Err(e) => return fail(args, ctx, e),
+        Err(e) => return fail(out, args, ctx, e),
     };
-    println!("{}", run.report);
-    print_timings(&run.report.timings);
+    writeln!(out, "{}", run.report)?;
+    print_timings(out, &run.report.timings)?;
     if args.stream {
         let bound = match run.stats.live_bound {
             Some(b) => format!("{b}"),
             None => "unbounded".to_string(),
         };
-        println!(
+        writeln!(
+            out,
             "streaming: peak {} live records of {} total (bound: {}); ddg {} nodes / {} edges",
             run.stats.peak_live_records,
             run.report.records,
             bound,
             run.stats.ddg_nodes,
             run.stats.ddg_edges
-        );
+        )?;
     }
     if let (Some(dot_path), Some(dot)) = (&args.dot, &run.contracted_dot) {
         if let Err(e) = std::fs::write(dot_path, dot) {
             eprintln!("error: cannot write `{dot_path}`: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
-        println!("contracted DDG written to {dot_path}");
+        writeln!(out, "contracted DDG written to {dot_path}")?;
     }
     if let Some(path) = &args.metrics {
         let ledger = capture_ledger(session_name(&args.trace), ctx);
-        if !emit_metrics(path, ledger.render_table(), ledger.to_json()) {
-            return ExitCode::FAILURE;
+        if !emit_metrics(out, path, ledger.render_table(), ledger.to_json())? {
+            return Ok(ExitCode::FAILURE);
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One-line diagnostic + nonzero exit for a failed single analysis. The
 /// metrics artifact is still emitted so a tripped ceiling shows up in the
 /// ledger (`session.limit_exceeded`), not just on stderr.
-fn fail(args: &Args, ctx: &AnalysisCtx, e: impl std::fmt::Display) -> ExitCode {
+fn fail(
+    out: &mut impl Write,
+    args: &Args,
+    ctx: &AnalysisCtx,
+    e: impl std::fmt::Display,
+) -> io::Result<ExitCode> {
     eprintln!("error: {e}");
     if let Some(path) = &args.metrics {
         let ledger = capture_ledger(session_name(&args.trace), ctx);
-        emit_metrics(path, ledger.render_table(), ledger.to_json());
+        emit_metrics(out, path, ledger.render_table(), ledger.to_json())?;
     }
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }
 
 /// The ledger's session name: the trace file's stem, like batch manifests.
@@ -448,9 +466,23 @@ fn session_name(trace: &str) -> &str {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    if let Some(manifest) = args.batch.clone() {
-        return run_batch(&args, &manifest);
+    let mut out = io::stdout().lock();
+    let run = match args.batch.clone() {
+        Some(manifest) => run_batch(&mut out, &args, &manifest),
+        None => run_one(&mut out, &args),
+    };
+    match run.and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::from(CLOSED_STDOUT),
+        Err(e) => {
+            eprintln!("error: cannot write to standard output: {e}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Single-trace mode: set up the session, then [`run_single`].
+fn run_one(out: &mut impl Write, args: &Args) -> io::Result<ExitCode> {
     // Single-analysis mode still gets a session scope when the trace is
     // third-party (fresh symbol space + seeded address hashing) — and also
     // whenever a symbol/arena ceiling is set: those are measured against
@@ -476,5 +508,5 @@ fn main() -> ExitCode {
     }
     // Rendering below resolves symbols via the thread-current space.
     let _guard = ctx.enter();
-    run_single(&args, &ctx)
+    run_single(out, args, &ctx)
 }

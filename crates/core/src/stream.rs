@@ -36,7 +36,7 @@ use autocheck_trace::{
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Tunables for the analyzer (defaults reproduce the paper's tool).
 ///
@@ -224,6 +224,7 @@ impl StreamAnalyzer {
             region_start: self.region.start_line,
             contracted_dot: self.config.contracted_dot,
             started: None,
+            split: None,
         }
     }
 
@@ -278,29 +279,83 @@ impl StreamAnalyzer {
         self.run_source(TraceSource::from_bytes(bytes))
     }
 
-    /// The one engine run every input funnels into: records flow one at a
-    /// time from the source into the engine.
+    /// The one engine run every input funnels into: the source decodes a
+    /// batch of records, the engine folds it record by record, and so on to
+    /// the end. An engine ceiling crossed inside a batch stops the stream
+    /// at that record, so ingest books exactly the records the engine took.
+    ///
+    /// With metrics on, one clock read after each batch's decode and one
+    /// after its fold split the fused pass exactly: the session books the
+    /// decode time as `stage.ingest` and the fold time as
+    /// `stage.preprocess`, while the report keeps the fused total.
     fn run_source(&self, source: TraceSource<'_>) -> Result<StreamRun, StreamError> {
         let _space = self.ctx.enter();
         let mut session = self.session();
         let mut records = source.ctx(&self.ctx).stream()?;
-        while let Some(record) = records.next_record() {
-            session.push(record?)?;
+        let started = Instant::now();
+        session.started = Some(started);
+        let mut laps = self.ctx.metrics().is_enabled().then_some(Laps {
+            last: started,
+            ingest: Duration::ZERO,
+            fold: Duration::ZERO,
+        });
+        loop {
+            let next = records.next_batch();
+            if let Some(l) = &mut laps {
+                let decode = l.lap();
+                l.ingest += decode;
+            }
+            let Some(batch) = next else { break };
+            let batch = batch?;
+            let stop = batch
+                .iter()
+                .enumerate()
+                .find_map(|(i, r)| session.engine.push(r).err().map(|e| (i, e)));
+            if let Some((i, e)) = stop {
+                records.stop_after(i + 1);
+                return Err(e.into());
+            }
+            if let Some(l) = &mut laps {
+                let fold = l.lap();
+                l.fold += fold;
+            }
         }
+        session.split = laps.map(|l| (l.ingest, l.fold));
         Ok(session.finish())
+    }
+}
+
+/// The running ingest/fold split of one engine run.
+struct Laps {
+    last: Instant,
+    ingest: Duration,
+    fold: Duration,
+}
+
+impl Laps {
+    /// The time since the last lap.
+    fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let since = now - self.last;
+        self.last = now;
+        since
     }
 }
 
 /// An in-flight streaming analysis.
 ///
 /// Timing semantics: the report's ingest (pre-processing) figure is the
-/// wall-clock span from the **first push** to [`finish`](Self::finish).
-/// When records are pulled from a reader ([`StreamAnalyzer::run_read`]) or
-/// pushed in a tight loop ([`StreamAnalyzer::analyze`]) that is pure
-/// analysis time; in interpreter-direct mode (a sink pushing as the program
-/// runs) trace generation and analysis are fused, so the span deliberately
-/// includes program execution — there is no separable analysis time to
-/// report, and the figure must not be compared against batch pre-processing.
+/// wall-clock span from the **first push** (for a trace source, from the
+/// first decode) to [`finish`](Self::finish). When records are pulled from
+/// a reader ([`StreamAnalyzer::run_read`]) or pushed in a tight loop
+/// ([`StreamAnalyzer::analyze`]) that is pure analysis time, and a trace
+/// source's run also books its decode and fold apart in the ledger
+/// (`stage.ingest`, `stage.preprocess`); in interpreter-direct mode (a sink
+/// pushing as the program runs) trace generation and analysis are fused,
+/// so the span deliberately includes program execution — there is no
+/// separable analysis time to report, the ledger books the whole span as
+/// `stage.preprocess`, and the figure must not be compared against batch
+/// pre-processing.
 pub struct StreamSession {
     engine: Engine,
     ctx: AnalysisCtx,
@@ -308,6 +363,9 @@ pub struct StreamSession {
     region_start: u32,
     contracted_dot: bool,
     started: Option<Instant>,
+    /// The fused pass's decode and fold time, when a trace source's run
+    /// measured them apart.
+    split: Option<(Duration, Duration)>,
 }
 
 impl StreamSession {
@@ -343,17 +401,21 @@ impl StreamSession {
         // collection, dependency analysis — ran fused in the single online
         // pass; report it as the pre-processing + dependency stages'
         // combined time, with the finish step as identification.
-        let ingest = self
-            .started
-            .map(|t| t.elapsed())
-            .unwrap_or(std::time::Duration::ZERO);
+        let ingest = self.started.map(|t| t.elapsed()).unwrap_or(Duration::ZERO);
         let ctx = &self.ctx;
         // A caller-driven session may finish with no guard held.
         let _space = ctx.enter();
         let metrics = ctx.metrics().clone();
         // The fused online pass is the streaming counterpart of
-        // pre-processing; the ledger books it there.
-        metrics.record_duration(TimerId::Preprocess, ingest);
+        // pre-processing; the ledger books it there, with a trace source's
+        // decode time apart as ingest.
+        match self.split {
+            Some((decode, fold)) => {
+                metrics.record_duration(TimerId::Ingest, decode);
+                metrics.record_duration(TimerId::Preprocess, fold);
+            }
+            None => metrics.record_duration(TimerId::Preprocess, ingest),
+        }
         // Finalization (retiring windows, freezing the graph) is booked
         // inside the identify stage.
         let t1 = Instant::now();
@@ -404,7 +466,7 @@ impl StreamSession {
                 records: outcome.records,
                 timings: Timings {
                     preprocess: ingest,
-                    dependency: std::time::Duration::ZERO,
+                    dependency: Duration::ZERO,
                     identify,
                     contract,
                 },

@@ -177,11 +177,9 @@ metric_ids! {
 /// bucket `i` counts values in `[2^(i-1), 2^i)`, the last bucket clamps.
 pub const HIST_BUCKETS: usize = 32;
 
-/// A level value with a tracked peak. Standalone — the streaming engine
-/// owns one for its live-record window whether or not metrics are enabled,
-/// so the peak is computed in exactly one place.
+/// A level value with a tracked peak: one registry slot.
 #[derive(Debug, Default)]
-pub struct Gauge {
+pub(crate) struct Gauge {
     value: AtomicU64,
     peak: AtomicU64,
 }
@@ -337,13 +335,14 @@ impl Metrics {
         }
     }
 
-    /// Merge a standalone [`Gauge`]'s value and peak into a registry slot
-    /// (used by the engine to publish its window gauge at finish).
-    pub fn gauge_merge(&self, id: GaugeId, g: &Gauge) {
+    /// Publish a level and peak that a caller tracked itself: set the
+    /// gauge's level to `value` and raise its peak to `peak` (the engine
+    /// publishes its live-record window this way at finish).
+    pub fn gauge_publish(&self, id: GaugeId, value: u64, peak: u64) {
         if let Some(r) = &self.inner {
             let slot = &r.gauges[id.idx()];
-            slot.value.store(g.value(), Ordering::Relaxed);
-            slot.peak.fetch_max(g.peak(), Ordering::Relaxed);
+            slot.value.store(value, Ordering::Relaxed);
+            slot.peak.fetch_max(peak.max(value), Ordering::Relaxed);
         }
     }
 
@@ -521,8 +520,14 @@ mod tests {
         assert_eq!(g.peak(), 99);
 
         let m = Metrics::enabled();
-        m.gauge_merge(GaugeId::LiveRecords, &g);
+        m.gauge_publish(GaugeId::LiveRecords, g.value(), g.peak());
         assert_eq!(m.gauge(GaugeId::LiveRecords), (99, 99));
+        m.gauge_publish(GaugeId::LiveRecords, 4, 50);
+        assert_eq!(
+            m.gauge(GaugeId::LiveRecords),
+            (4, 99),
+            "the peak only rises"
+        );
     }
 
     #[test]

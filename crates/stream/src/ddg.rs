@@ -47,6 +47,11 @@ pub struct AccessEvent {
     pub phase: Phase,
     /// Source line of the access (0 for compiler-generated records).
     pub line: u32,
+    /// The variable's node in the dependency graph: a dense id, so a
+    /// consumer can index per-variable state by it instead of hashing
+    /// `base`. Nodes that share a base (two names for one address) have
+    /// distinct ids.
+    pub node: u32,
 }
 
 /// Incremental dependency analyzer. Feed records (with annotations) in
@@ -125,7 +130,7 @@ impl DdgBuilder {
                 let vn = self.graph.var_node(name, base);
                 let rn = self.graph.reg_node(res_name);
                 self.graph.add_edge(vn, rn);
-                event(r, a, base, ptr.value.as_ptr(), false)
+                event(r, a, (base, vn), ptr.value.as_ptr(), false)
             }
             opcodes::STORE => {
                 let (Some(val), Some(ptr)) = (r.op1(), r.op2()) else {
@@ -137,7 +142,7 @@ impl DdgBuilder {
                     let src = self.graph.reg_node(val.name);
                     self.graph.add_edge(src, dst);
                 }
-                event(r, a, base, ptr.value.as_ptr(), true)
+                event(r, a, (base, dst), ptr.value.as_ptr(), true)
             }
             opcodes::GETELEMENTPTR | opcodes::BITCAST => {
                 let (Some(basep), Some(res)) = (r.op1(), &r.result) else {
@@ -244,11 +249,12 @@ impl DdgBuilder {
 }
 
 /// The event filter: only loop-phase accesses and after-loop reads matter
-/// to the heuristics.
+/// to the heuristics. The variable comes as its base and graph node.
+#[inline]
 fn event(
     r: &Record,
     a: StreamAnnot,
-    base: u64,
+    (base, node): (u64, usize),
     elem: Option<u64>,
     is_write: bool,
 ) -> Option<AccessEvent> {
@@ -264,6 +270,7 @@ fn event(
         iter: a.iter,
         phase: a.phase,
         line: if r.src_line > 0 { r.src_line as u32 } else { 0 },
+        node: node as u32,
     })
 }
 

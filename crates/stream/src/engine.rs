@@ -15,13 +15,22 @@
 //! instead of growing past the bound. Every ceiling the engine enforces —
 //! the live window, DDG nodes and DDG edges — comes from the session's
 //! [`AnalysisCtx`], and every breach books `session.limit_exceeded` once.
+//!
+//! The per-access work touches no hash map and no atomic in the steady
+//! state: the access event names its variable's graph node, a dense table
+//! maps the node to its statistics builder (the base is hashed only on a
+//! node's first event), each builder's window is dense and epoch-stamped
+//! (see [`VarStatsBuilder`]), and the live count and its peak are plain
+//! integers, published to the `engine.live_records` gauge at finish. The
+//! dense windows of all variables share one budget of
+//! [`DENSE_SLOTS_PER_ENGINE`] slots.
 
 use crate::ddg::DdgBuilder;
 use crate::graph::CsrGraph;
 use crate::mli::{Collect, MliCollector, MliEntry};
 use crate::region::RegionTracker;
-use crate::stats::{VarStats, VarStatsBuilder};
-use autocheck_obs::{CounterId, Gauge, GaugeId, HistId, Metrics, TimerId};
+use crate::stats::{VarStats, VarStatsBuilder, DENSE_SLOTS_PER_ENGINE};
+use autocheck_obs::{CounterId, GaugeId, HistId, Metrics, TimerId};
 use autocheck_trace::{AnalysisCtx, Record, ResourceExceeded, ResourceKind, SymId};
 use fxhash::FxSeededHashMap;
 use std::fmt;
@@ -149,19 +158,30 @@ pub struct EngineOutcome {
     pub ddg: CsrGraph,
 }
 
+/// `node_builder` entry of a node with no event yet.
+const NO_BUILDER: u32 = u32::MAX;
+
 /// The online analysis engine.
 pub struct Engine {
     region: RegionTracker,
     mli: MliCollector,
     ddg: DdgBuilder,
-    stats: FxSeededHashMap<u64, VarStatsBuilder>,
+    /// One statistics builder per variable base, in first-event order.
+    builders: Vec<VarStatsBuilder>,
+    /// The builder of each base, looked up on a node's first event only.
+    by_base: FxSeededHashMap<u64, u32>,
+    /// The builder of each DDG node (`NO_BUILDER` before its first event).
+    node_builder: Vec<u32>,
+    /// Dense window slots the builders may still grow by.
+    dense_budget: usize,
     addr_seed: u64,
     records: u64,
     /// The live-record window level and its true peak, tracked in exactly
-    /// one place (satellite of the observability PR): breach reporting,
-    /// [`Engine::peak_live_records`], and the `engine.live_records` ledger
-    /// gauge all read this.
-    live: Gauge,
+    /// one place: breach reporting, [`Engine::peak_live_records`], and the
+    /// `engine.live_records` ledger gauge (published at finish) all read
+    /// these.
+    live: usize,
+    peak_live: usize,
     /// The session's live-record ceiling.
     max_live: Option<usize>,
     /// DDG size ceilings from the session's `ResourceLimits` (checked
@@ -192,10 +212,14 @@ impl Engine {
             region: RegionTracker::with_ctx(ctx, cfg.function, cfg.start_line, cfg.end_line),
             mli: MliCollector::with_ctx(cfg.collect, ctx),
             ddg: DdgBuilder::new(cfg.selective),
-            stats: ctx.addr_map(),
+            builders: Vec::new(),
+            by_base: ctx.addr_map(),
+            node_builder: Vec::new(),
+            dense_budget: DENSE_SLOTS_PER_ENGINE,
             addr_seed: ctx.addr_seed(),
             records: 0,
-            live: Gauge::new(),
+            live: 0,
+            peak_live: 0,
             max_live: ctx
                 .limits()
                 .get(ResourceKind::LiveRecords)
@@ -237,31 +261,28 @@ impl Engine {
         };
         if let Some(e) = self.ddg.observe(r, a) {
             self.access_events += 1;
-            let builder = self
-                .stats
-                .entry(e.base)
-                .or_insert_with(|| VarStatsBuilder::with_seed(self.addr_seed));
+            let b = self.builder_of(e.node, e.base);
+            let builder = &mut self.builders[b];
             if e.phase == crate::region::Phase::After {
                 // After-loop events are reads by construction.
                 builder.feed_after_read();
             } else {
                 let before = builder.live();
-                builder.feed_inside(e.iter, e.elem, e.is_write);
-                // feed_inside may have retired a whole window and added one
+                builder.feed_inside_within(e.iter, e.elem, e.is_write, &mut self.dense_budget);
+                // The access may have retired a whole window and added one
                 // entry; apply the net change (live always includes this
-                // builder's `before` entries, so the subtraction is safe).
-                let after = builder.live();
-                if after >= before {
-                    self.live.add((after - before) as u64);
-                } else {
-                    self.live.sub((before - after) as u64);
-                }
+                // builder's `before` entries, so it cannot underflow).
+                self.live = self.live - before + builder.live();
+                self.peak_live = self.peak_live.max(self.live);
             }
             if let Some(bound) = self.max_live {
-                let live = self.live.value() as usize;
-                if live > bound {
+                if self.live > bound {
                     self.metrics.count(CounterId::LimitExceeded, 1);
-                    return Err(LiveBoundExceeded { live, bound }.into());
+                    return Err(LiveBoundExceeded {
+                        live: self.live,
+                        bound,
+                    }
+                    .into());
                 }
             }
         }
@@ -307,14 +328,42 @@ impl Engine {
         Ok(())
     }
 
+    /// The statistics builder of the variable at `base` with graph node
+    /// `node`: a table lookup, except on the node's first event.
+    #[inline]
+    fn builder_of(&mut self, node: u32, base: u64) -> usize {
+        match self.node_builder.get(node as usize) {
+            Some(&b) if b != NO_BUILDER => b as usize,
+            _ => self.first_event(node, base),
+        }
+    }
+
+    /// Bind `node` to the builder of `base`, making that builder on the
+    /// base's first event: nodes that share a base share its builder.
+    #[cold]
+    fn first_event(&mut self, node: u32, base: u64) -> usize {
+        let next = self.builders.len() as u32;
+        let b = *self.by_base.entry(base).or_insert(next);
+        if b == next {
+            self.builders
+                .push(VarStatsBuilder::for_base(self.addr_seed, base));
+        }
+        let node = node as usize;
+        if self.node_builder.len() <= node {
+            self.node_builder.resize(node + 1, NO_BUILDER);
+        }
+        self.node_builder[node] = b;
+        b as usize
+    }
+
     /// Live window entries currently held across all variables.
     pub fn live_records(&self) -> usize {
-        self.live.value() as usize
+        self.live
     }
 
     /// Maximum of [`live_records`](Engine::live_records) over the run.
     pub fn peak_live_records(&self) -> usize {
-        self.live.peak() as usize
+        self.peak_live
     }
 
     /// Records consumed so far.
@@ -327,12 +376,13 @@ impl Engine {
     /// statistics. Flushes the engine's totals (records, access
     /// events, iterations, live-window gauge, DDG size) into the session's
     /// metrics registry.
-    pub fn finish(self) -> EngineOutcome {
+    pub fn finish(mut self) -> EngineOutcome {
         let mli = self.mli.finish();
+        let builders = &mut self.builders;
         let stats: FxSeededHashMap<u64, VarStats> = self
-            .stats
+            .by_base
             .into_iter()
-            .map(|(base, b)| (base, b.finish()))
+            .map(|(base, b)| (base, std::mem::take(&mut builders[b as usize]).finish()))
             .collect();
         let iterations = self.region.iterations();
         let ddg = self.ddg.finish(&mli);
@@ -341,7 +391,11 @@ impl Engine {
             m.count(CounterId::EngineRecords, self.records);
             m.count(CounterId::AccessEvents, self.access_events);
             m.gauge_set(GaugeId::Iterations, iterations as u64);
-            m.gauge_merge(GaugeId::LiveRecords, &self.live);
+            m.gauge_publish(
+                GaugeId::LiveRecords,
+                self.live as u64,
+                self.peak_live as u64,
+            );
             m.gauge_set(GaugeId::DdgNodes, ddg.len() as u64);
             m.gauge_set(GaugeId::DdgEdges, ddg.edge_count() as u64);
         }
@@ -350,7 +404,7 @@ impl Engine {
             stats,
             iterations,
             records: self.records,
-            peak_live_records: self.live.peak() as usize,
+            peak_live_records: self.peak_live,
             header_label: self.region.header_label(),
             ddg,
         }

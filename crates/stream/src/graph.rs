@@ -81,11 +81,32 @@ impl fmt::Display for NodeKind {
 /// Edges run from *source* (parent) to *dependent* (child), matching the
 /// paper's parent terminology in Algorithm 1. Freeze with
 /// [`Graph::freeze`] before traversing.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Graph {
     nodes: Vec<NodeKind>,
     index: NodeIndex,
     edges: FxHashSet<(u32, u32)>,
+    /// The edges added last, direct-mapped by a hash of the edge: a fold
+    /// adds the same few edges over and over, and a hit skips the set.
+    /// `NO_EDGE` is a self-loop, which is never added.
+    recent: [u64; RECENT_EDGES],
+}
+
+/// Slots of [`Graph`]'s recent-edge cache (a power of two).
+const RECENT_EDGES: usize = 256;
+
+/// An empty recent-edge slot.
+const NO_EDGE: u64 = u64::MAX;
+
+impl Default for Graph {
+    fn default() -> Graph {
+        Graph {
+            nodes: Vec::new(),
+            index: NodeIndex::default(),
+            edges: FxHashSet::default(),
+            recent: [NO_EDGE; RECENT_EDGES],
+        }
+    }
 }
 
 impl Graph {
@@ -118,9 +139,17 @@ impl Graph {
 
     /// Add a dependency edge `parent → child` (self-loops are ignored,
     /// duplicates deduplicate).
+    #[inline]
     pub fn add_edge(&mut self, parent: usize, child: usize) {
-        if parent != child {
+        if parent == child {
+            return;
+        }
+        let key = (parent as u64) << 32 | child as u64;
+        let slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - RECENT_EDGES.trailing_zeros()))
+            as usize;
+        if self.recent[slot] != key {
             self.edges.insert((parent as u32, child as u32));
+            self.recent[slot] = key;
         }
     }
 

@@ -9,8 +9,8 @@
 //! analysis state machines advance **in a single pass**, and per-iteration
 //! classification state is **retired at iteration boundaries** — peak
 //! memory is O(live window): the distinct variables/registers of the
-//! program plus the elements touched by the current loop iteration, never
-//! the trace length.
+//! program plus the elements touched by the current loop iteration (whose
+//! dense windows a fixed cap bounds), never the trace length.
 //!
 //! The crate sits *below* `autocheck-core` in the dependency graph (it
 //! depends only on `autocheck-trace`); `autocheck-core`'s one analyzer,
@@ -38,7 +38,8 @@
 //!   through this same builder;
 //! * [`stats::VarStatsBuilder`] — folds a variable's access events into the
 //!   bounded [`stats::VarStats`] summary the classification heuristics
-//!   need, retiring the per-iteration element window at each iteration
+//!   need, retiring the per-iteration element window (dense and
+//!   epoch-stamped, with a hashed fallback) in O(1) at each iteration
 //!   boundary;
 //! * [`engine::Engine`] — glues the four together, tracks the live-record
 //!   window (observable, and optionally bounded by the session's

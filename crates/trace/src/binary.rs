@@ -861,9 +861,10 @@ const WINDOW_BYTES: usize = 64 * 1024;
 /// the string table (read and interned once at open) plus one read window
 /// (64 KiB, or the largest record when that is bigger).
 ///
-/// Records decode in place out of the window into one reused slot, which
-/// [`TraceStream::next_record`](crate::TraceStream::next_record) lends and
-/// the [`Iterator`] impl hands over by value. The window refills only when
+/// Records decode in place out of the window into the caller's slot:
+/// [`TraceStream`](crate::TraceStream) fills a batch of reused slots and
+/// lends them, and the [`Iterator`] impl hands each record over by value.
+/// The window refills only when
 /// the next record or footer field needs more bytes than it holds, and no
 /// refill reads past the session's `trace-bytes` ceiling. At the ceiling
 /// it asks for one byte, so a crossed ceiling, the end of input or an I/O
@@ -890,8 +891,6 @@ pub struct BinaryStreamReader<R: Read> {
     /// Bytes left to read before the `trace-bytes` ceiling (`u64::MAX`
     /// without one).
     budget: u64,
-    /// The last record decoded; the next decode reuses its operand buffer.
-    slot: Record,
     failed: bool,
 }
 
@@ -913,7 +912,6 @@ impl<R: Read> BinaryStreamReader<R> {
                 .limits()
                 .get(ResourceKind::TraceBytes)
                 .unwrap_or(u64::MAX),
-            slot: Record::blank(),
             failed: false,
         };
         let head: [u8; HEADER_BYTES] = r.peek("header")?;
@@ -949,17 +947,13 @@ impl<R: Read> BinaryStreamReader<R> {
         self.offset
     }
 
-    /// The record the last step decoded.
-    pub(crate) fn slot(&mut self) -> &mut Record {
-        &mut self.slot
-    }
-
-    /// The one decode step behind the [`Iterator`] impl and
-    /// [`TraceStream::next_record`](crate::TraceStream::next_record): the
-    /// next record into the slot, or the end of the stream checked. `None`
+    /// The one decode step behind [`TraceStream`](crate::TraceStream)'s
+    /// batches and the [`Iterator`] impl: the next record into `slot`,
+    /// reusing its operand buffer, or the end of the stream checked. `None`
     /// once the records and any footer are consumed and the input has
     /// ended, and after an error.
-    pub(crate) fn advance(&mut self) -> Option<Result<(), TraceReadError>> {
+    #[inline]
+    pub(crate) fn advance(&mut self, slot: &mut Record) -> Option<Result<(), TraceReadError>> {
         if self.failed {
             return None;
         }
@@ -969,7 +963,7 @@ impl<R: Read> BinaryStreamReader<R> {
                 Err(e) => Err(e),
             }
         } else {
-            self.decode_next()
+            self.decode_next(slot)
         };
         match step {
             Ok(()) => {
@@ -983,12 +977,13 @@ impl<R: Read> BinaryStreamReader<R> {
         }
     }
 
-    fn decode_next(&mut self) -> Result<(), TraceReadError> {
+    #[inline]
+    fn decode_next(&mut self, slot: &mut Record) -> Result<(), TraceReadError> {
         self.fill(RECORD_BYTES, "record header")?;
         let total = record_len(&self.window[self.start..self.end], 0, self.offset)?;
         self.fill(total, "operand entries")?;
         let record = &self.window[self.start..self.start + total];
-        decode_record_into(record, 0, self.offset, &self.syms, &mut self.slot)?;
+        decode_record_into(record, 0, self.offset, &self.syms, slot)?;
         self.consume(total);
         Ok(())
     }
@@ -1104,13 +1099,10 @@ impl<R: Read> BinaryStreamReader<R> {
 impl<R: Read> Iterator for BinaryStreamReader<R> {
     type Item = Result<Record, TraceReadError>;
 
-    /// The lending step, handing the decoded record over by value (the
-    /// next decode starts a fresh operand buffer).
+    /// The decode step into a fresh record, handed over by value.
     fn next(&mut self) -> Option<Self::Item> {
-        Some(
-            self.advance()?
-                .map(|()| std::mem::replace(&mut self.slot, Record::blank())),
-        )
+        let mut record = Record::blank();
+        Some(self.advance(&mut record)?.map(|()| record))
     }
 }
 

@@ -138,8 +138,8 @@ fn shown(e: TraceReadError) -> String {
     unsmuggle_limit(e).to_string()
 }
 
-/// The three ways to drain a trace: the windowed reader's step with its
-/// slot (what `TraceStream::next_record` lends), its `Iterator` impl, and
+/// The three ways to drain a trace: the windowed reader's step into one
+/// reused slot (what `TraceStream` batches do), its `Iterator` impl, and
 /// the reference reader.
 #[derive(Clone, Copy, Debug)]
 enum Drain {
@@ -154,8 +154,9 @@ fn drain(how: Drain, input: Box<dyn Read + '_>, ctx: &AnalysisCtx) -> Outcome {
         Drain::Lending => match BinaryStreamReader::open(input, ctx) {
             Ok(mut r) => {
                 let mut out = Vec::new();
-                while let Some(step) = r.advance() {
-                    out.push(step.map(|()| r.slot().clone()).map_err(shown));
+                let mut slot = Record::blank();
+                while let Some(step) = r.advance(&mut slot) {
+                    out.push(step.map(|()| slot.clone()).map_err(shown));
                 }
                 out
             }

@@ -62,5 +62,5 @@ pub use nodeindex::NodeIndex;
 pub use parser::ParseError;
 pub use reader::{TextStreamReader, TraceReadError};
 pub use record::{OpTag, Operand, Record, TraceValue};
-pub use source::{TraceFormat, TraceSource, TraceStream};
+pub use source::{TraceFormat, TraceSource, TraceStream, BATCH_RECORDS};
 pub use writer::TraceWriter;

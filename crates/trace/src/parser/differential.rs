@@ -90,9 +90,8 @@ fn shown(e: TraceReadError) -> String {
     format!("{kind}: {e}")
 }
 
-/// The ways to drain a trace: the reader's lending step (what
-/// `TraceStream::next_record` lends), its `Iterator` impl, and the
-/// reference.
+/// The ways to drain a trace: the reader's step into one reused slot (what
+/// `TraceStream` batches do), its `Iterator` impl, and the reference.
 #[derive(Clone, Copy, Debug)]
 enum Drain {
     Lending,
@@ -107,14 +106,15 @@ fn drain(how: Drain, input: Box<dyn Read + '_>, ctx: &AnalysisCtx, chunk: usize)
     let end = match how {
         Drain::Lending => {
             let mut r = TextStreamReader::with_chunk_size(input, ctx, chunk);
+            let mut slot = Record::blank();
             let end = loop {
-                match r.advance() {
-                    Some(Ok(())) => out.push(canon(r.slot())),
+                match r.advance(&mut slot) {
+                    Some(Ok(())) => out.push(canon(&slot)),
                     Some(Err(e)) => break Some(e),
                     None => break None,
                 }
             };
-            assert!(r.advance().is_none(), "the stream fuses");
+            assert!(r.advance(&mut slot).is_none(), "the stream fuses");
             end
         }
         Drain::Owned => {

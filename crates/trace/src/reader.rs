@@ -6,9 +6,9 @@
 //! ([`records`](crate::TraceSource::records)) the records, and whether the
 //! input is in memory, a file or a reader. It reads its input 64 KiB at a
 //! time into one window, finds each line there, and decodes it straight
-//! into one reused record slot (see [`crate::parser`] for the kernel).
-//! Peak memory is the window plus the symbol cache, whatever the trace's
-//! length.
+//! into a record slot of the stream's batch (see [`crate::parser`] for the
+//! kernel). Peak memory is the window plus the symbol cache, whatever the
+//! trace's length.
 
 use crate::ctx::AnalysisCtx;
 use crate::parser::{find_newline, Header, Line, ParseError, TextDecoder};
@@ -95,12 +95,14 @@ impl From<crate::limits::ResourceExceeded> for TraceReadError {
 /// over the lines that read completed; an invalid byte fails at its own
 /// line, after every earlier line has decoded.
 ///
-/// Records decode in place into one reused slot, which
-/// [`TraceStream::next_record`](crate::TraceStream::next_record) lends; the
-/// [`Iterator`] impl hands over a copy. A record is complete once the next
-/// block's header has parsed, or at the end of input: a header that fails
-/// to parse therefore also loses the record before it, as it always has.
-/// The stream fuses after its first error.
+/// Records decode in place into the caller's slot, reusing its operand
+/// buffer: [`TraceStream`](crate::TraceStream) fills a batch of reused
+/// slots and lends them, and the [`Iterator`] impl hands each record over
+/// by value. A record is complete once the next block's header has parsed,
+/// or at the end of input: a header that fails to parse therefore also
+/// loses the record before it, as it always has. The next block's header
+/// waits in the reader, so no record spans two steps. The stream fuses
+/// after its first error.
 ///
 /// The counterpart of the binary format's
 /// [`BinaryStreamReader`](crate::BinaryStreamReader);
@@ -119,9 +121,8 @@ pub struct TextStreamReader<R: Read> {
     bad_line: Option<usize>,
     chunk: usize,
     eof: bool,
-    /// The record in flight, or the last one delivered.
-    slot: Record,
-    /// The slot holds a record whose successor's header has not parsed.
+    /// The step's slot holds a record whose successor's header has not
+    /// parsed.
     open: bool,
     /// The next record's header, parsed while the slot still held the
     /// record before it.
@@ -153,27 +154,21 @@ impl<R: Read> TextStreamReader<R> {
             bad_line: None,
             chunk,
             eof: false,
-            slot: Record::blank(),
             open: false,
             pending: None,
             failed: false,
         }
     }
 
-    /// The record the last step delivered.
-    pub(crate) fn slot(&mut self) -> &mut Record {
-        &mut self.slot
-    }
-
-    /// The one decode step behind the [`Iterator`] impl and
-    /// [`TraceStream::next_record`](crate::TraceStream::next_record): the
-    /// next record into the slot. `None` at the end of input, and after an
-    /// error.
-    pub(crate) fn advance(&mut self) -> Option<Result<(), TraceReadError>> {
+    /// The one decode step behind [`TraceStream`](crate::TraceStream)'s
+    /// batches and the [`Iterator`] impl: the next record into `slot`.
+    /// `None` at the end of input, and after an error.
+    #[inline]
+    pub(crate) fn advance(&mut self, slot: &mut Record) -> Option<Result<(), TraceReadError>> {
         if self.failed {
             return None;
         }
-        match self.decode_next() {
+        match self.decode_next(slot) {
             Ok(true) => Some(Ok(())),
             Ok(false) => None,
             Err(e) => {
@@ -183,23 +178,17 @@ impl<R: Read> TextStreamReader<R> {
         }
     }
 
-    /// Every record, each a copy of the slot (the tests' whole-input
-    /// decode).
+    /// Every record (the tests' whole-input decode).
     #[cfg(test)]
-    pub(crate) fn read_all(mut self) -> Result<Vec<Record>, TraceReadError> {
-        let mut out = Vec::new();
-        while let Some(step) = self.advance() {
-            step?;
-            out.push(self.slot.clone());
-        }
-        Ok(out)
+    pub(crate) fn read_all(self) -> Result<Vec<Record>, TraceReadError> {
+        self.collect()
     }
 
-    /// Decode lines until the slot holds a complete record: true once the
+    /// Decode lines until `slot` holds a complete record: true once the
     /// next header has parsed, or at the end of input with a record open.
-    fn decode_next(&mut self) -> Result<bool, TraceReadError> {
+    fn decode_next(&mut self, slot: &mut Record) -> Result<bool, TraceReadError> {
         if let Some(header) = self.pending.take() {
-            header.start(&mut self.slot);
+            header.start(slot);
             self.open = true;
         }
         while let Some((from, to)) = self.next_line()? {
@@ -207,13 +196,13 @@ impl<R: Read> TextStreamReader<R> {
                 return Err(self.decoder.not_utf8().into());
             }
             let line = &self.window[from..to];
-            match self.decoder.decode_line(line, &mut self.slot, self.open)? {
+            match self.decoder.decode_line(line, slot, self.open)? {
                 Line::Header(header) if self.open => {
                     self.pending = Some(header);
                     return Ok(true);
                 }
                 Line::Header(header) => {
-                    header.start(&mut self.slot);
+                    header.start(slot);
                     self.open = true;
                 }
                 Line::Blank | Line::Operand => {}
@@ -299,10 +288,10 @@ pub(crate) fn split_lines(input: &[u8], chunk: usize) -> Vec<Vec<u8>> {
 impl<R: Read> Iterator for TextStreamReader<R> {
     type Item = Result<Record, TraceReadError>;
 
-    /// The lending step, handing over a copy of the decoded record (the
-    /// slot keeps its operand buffer for the next one).
+    /// The decode step into a fresh record, handed over by value.
     fn next(&mut self) -> Option<Self::Item> {
-        Some(self.advance()?.map(|()| self.slot.clone()))
+        let mut record = Record::blank();
+        Some(self.advance(&mut record)?.map(|()| record))
     }
 }
 
@@ -363,8 +352,9 @@ mod tests {
     /// error, if any.
     fn lend(input: &[u8], chunk: usize) -> (usize, Option<TraceReadError>) {
         let mut r = TextStreamReader::with_chunk_size(input, &AnalysisCtx::current(), chunk);
+        let mut slot = Record::blank();
         let mut delivered = 0;
-        while let Some(step) = r.advance() {
+        while let Some(step) = r.advance(&mut slot) {
             match step {
                 Ok(()) => delivered += 1,
                 Err(e) => return (delivered, Some(e)),
@@ -545,7 +535,8 @@ mod tests {
             let mut input = Recording(text.as_bytes(), Vec::new());
             let mut r =
                 TextStreamReader::with_chunk_size(&mut input, &AnalysisCtx::current(), chunk);
-            while let Some(step) = r.advance() {
+            let mut slot = Record::blank();
+            while let Some(step) = r.advance(&mut slot) {
                 step.unwrap();
             }
             drop(r);
@@ -627,7 +618,8 @@ mod tests {
         // A window that holds every line never grows.
         let text = synth_trace(5000);
         let mut r = TextStreamReader::new(text.as_bytes(), &AnalysisCtx::current());
-        while let Some(step) = r.advance() {
+        let mut slot = Record::blank();
+        while let Some(step) = r.advance(&mut slot) {
             step.unwrap();
         }
         assert_eq!(r.window.len(), DEFAULT_CHUNK_BYTES + LINE_ROOM);

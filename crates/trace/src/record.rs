@@ -20,6 +20,7 @@ pub enum TraceValue {
 
 impl TraceValue {
     /// The address payload, if this is a pointer.
+    #[inline]
     pub fn as_ptr(&self) -> Option<u64> {
         match self {
             TraceValue::Ptr(p) => Some(*p),
@@ -28,6 +29,7 @@ impl TraceValue {
     }
 
     /// The integer payload, if any.
+    #[inline]
     pub fn as_int(&self) -> Option<i64> {
         match self {
             TraceValue::I(v) => Some(*v),
@@ -131,6 +133,7 @@ pub struct Record {
 
 impl Record {
     /// Positional operands only (excluding `f`-tagged parameter lines).
+    #[inline]
     pub fn positional(&self) -> impl Iterator<Item = &Operand> + '_ {
         self.operands
             .iter()
@@ -138,6 +141,7 @@ impl Record {
     }
 
     /// The `f`-tagged parameter operands (Call form 2).
+    #[inline]
     pub fn params(&self) -> impl Iterator<Item = &Operand> + '_ {
         self.operands
             .iter()
@@ -150,11 +154,13 @@ impl Record {
     }
 
     /// Convenience: the first positional operand.
+    #[inline]
     pub fn op1(&self) -> Option<&Operand> {
         self.positional().next()
     }
 
     /// Convenience: the second positional operand.
+    #[inline]
     pub fn op2(&self) -> Option<&Operand> {
         self.positional().nth(1)
     }

@@ -1,7 +1,8 @@
-//! Draining `TraceSource::stream()` through `next_record()` — the path the
-//! engine runs — allocates nothing per record in either format: the read
-//! window, the symbols and the lent record's operand buffer are allocated
-//! once, so a trace four times as long costs no more allocations.
+//! Draining `TraceSource::stream()` through `next_batch()` — the path the
+//! engine runs — or `next_record()` allocates nothing per record in either
+//! format: the read window, the symbols and the batch's slots with their
+//! operand buffers are allocated once, so a trace four times as long costs
+//! no more allocations.
 //!
 //! A counting global allocator sees every allocation in this process, so
 //! this binary holds a single test.
@@ -85,15 +86,21 @@ fn records(ctx: &AnalysisCtx, n: usize) -> Vec<Record> {
 }
 
 /// Allocations made while opening `input` as a stream and lending every
-/// record, in a fresh session.
-fn allocations_draining(input: &[u8]) -> (u64, usize) {
+/// record, a batch at a time or one by one, in a fresh session.
+fn allocations_draining(input: &[u8], batches: bool) -> (u64, usize) {
     let ctx = AnalysisCtx::session();
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut stream = TraceSource::from_bytes(input).ctx(&ctx).stream().unwrap();
     let mut records = 0;
-    while let Some(record) = stream.next_record() {
-        std::hint::black_box(record.unwrap());
-        records += 1;
+    if batches {
+        while let Some(batch) = stream.next_batch() {
+            records += std::hint::black_box(batch.unwrap()).len();
+        }
+    } else {
+        while let Some(record) = stream.next_record() {
+            std::hint::black_box(record.unwrap());
+            records += 1;
+        }
     }
     drop(stream);
     (ALLOCS.load(Ordering::Relaxed) - before, records)
@@ -116,15 +123,18 @@ fn lending_a_stream_allocates_nothing_per_record() {
             binary::to_bytes(&long, &ctx),
         ),
     ] {
-        let (a_small, n_small) = allocations_draining(&small);
-        let (a_large, n_large) = allocations_draining(&large);
-        assert_eq!((n_small, n_large), (N, 4 * N), "{format}");
-        // The same windows, symbols and slot either way; a few spare
-        // allocations cover a larger operand buffer or window growth.
-        assert!(
-            a_large <= a_small + 8,
-            "{format}: {a_small} allocations for {N} records, {a_large} for {}",
-            4 * N
-        );
+        for batches in [true, false] {
+            let (a_small, n_small) = allocations_draining(&small, batches);
+            let (a_large, n_large) = allocations_draining(&large, batches);
+            assert_eq!((n_small, n_large), (N, 4 * N), "{format}");
+            // The same windows, symbols and slots either way; a few spare
+            // allocations cover a larger operand buffer or window growth.
+            assert!(
+                a_large <= a_small + 8,
+                "{format}, batches {batches}: {a_small} allocations for {N} records, \
+                 {a_large} for {}",
+                4 * N
+            );
+        }
     }
 }
