@@ -36,6 +36,11 @@
 //! and wins over it. Usage errors (a bad `--limit`, a half or inverted
 //! `--start`/`--end`) exit 2 before any file runs. `--metrics` writes the
 //! session's ledger for one file, the batch ledger for several.
+//!
+//! Standard output is written through one lock. When its reader goes away
+//! (`mlc trace cg.mc --stream | head -1`), `mlc` stops at once, silently,
+//! with exit status 141, as `autocheck` does; any other failure to write it
+//! is an `error:` line and status 1.
 
 use autocheck_core::{AnalysisJob, JobInput, MultiAnalyzer, Region};
 use autocheck_interp::{
@@ -46,9 +51,12 @@ use autocheck_trace::{
     parse_limit_arg, AnalysisCtx, BinaryWriter, Record, ResourceKind, ResourceLimits,
     TraceReadError, TraceSource, TraceStream, TraceWriter,
 };
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
+
+/// Exit status when standard output's reader has closed it.
+const CLOSED_STDOUT: u8 = 141;
 
 fn usage() -> ! {
     eprintln!(
@@ -244,7 +252,11 @@ fn usage_error(message: impl std::fmt::Display) -> ! {
 
 /// `mlc trace <file.mc>... --stream`: one streaming `MultiAnalyzer` job per
 /// input file, each in its own session, run one at a time.
-fn trace_stream(argv: &[String], opt: impl Fn(&str) -> Option<String>) -> ExitCode {
+fn trace_stream(
+    stdout: &mut impl Write,
+    argv: &[String],
+    opt: impl Fn(&str) -> Option<String>,
+) -> io::Result<ExitCode> {
     // Every positional argument is an input file.
     let targets: Vec<&String> = argv[1..]
         .iter()
@@ -344,22 +356,24 @@ fn trace_stream(argv: &[String], opt: impl Fn(&str) -> Option<String>) -> ExitCo
         .map_or_else(|| "unbounded".to_string(), |b| b.to_string());
     for s in &out.sessions {
         if batch {
-            println!("=== {} ===", s.name);
+            writeln!(stdout, "=== {} ===", s.name)?;
         }
-        println!("{}", s.rendered);
-        println!(
+        writeln!(stdout, "{}", s.rendered)?;
+        writeln!(
+            stdout,
             "streaming: peak {} live records of {} total (bound: {bound}); no trace file written",
             s.peak_live_records.unwrap_or_default(),
             s.records
-        );
-        println!(
+        )?;
+        writeln!(
+            stdout,
             "session: {} symbols; ingest+identify {:.3?}; wall {:.3?}",
             s.symbols,
             s.timings.total(),
             s.wall
-        );
+        )?;
         if batch {
-            println!();
+            writeln!(stdout)?;
         }
     }
     for f in &out.failures {
@@ -380,19 +394,32 @@ fn trace_stream(argv: &[String], opt: impl Fn(&str) -> Option<String>) -> ExitCo
         };
         if let Some((table, json)) = rendered {
             if path == "-" {
-                println!("{table}");
+                writeln!(stdout, "{table}")?;
             } else if let Err(e) = std::fs::write(&path, json) {
                 eprintln!("error: cannot write `{path}`: {e}");
                 code = ExitCode::FAILURE;
             } else {
-                println!("run ledger written to {path}");
+                writeln!(stdout, "run ledger written to {path}")?;
             }
         }
     }
-    code
+    Ok(code)
 }
 
 fn main() -> ExitCode {
+    let mut stdout = io::stdout().lock();
+    match run(&mut stdout).and_then(|code| stdout.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::from(CLOSED_STDOUT),
+        Err(e) => {
+            eprintln!("error: cannot write to standard output: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Every subcommand, printing to `stdout`.
+fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.len() < 2 {
         usage();
@@ -410,17 +437,17 @@ fn main() -> ExitCode {
             .cloned()
     };
 
-    match cmd {
+    Ok(match cmd {
         "run" => {
             let module = match compile_file(target) {
                 Ok(m) => m,
-                Err(c) => return c,
+                Err(c) => return Ok(c),
             };
             let mut machine = Machine::new(&module, ExecOptions::default());
             match machine.run(&mut NullSink, &mut NoHook) {
                 Ok(out) => {
                     for line in &out.output {
-                        println!("{line}");
+                        writeln!(stdout, "{line}")?;
                     }
                     eprintln!("[{} dynamic instructions]", out.steps);
                     ExitCode::SUCCESS
@@ -431,11 +458,11 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "trace" if argv.iter().any(|a| a == "--stream") => trace_stream(&argv, opt),
+        "trace" if argv.iter().any(|a| a == "--stream") => trace_stream(stdout, &argv, opt)?,
         "trace" => {
             let module = match compile_file(target) {
                 Ok(m) => m,
-                Err(c) => return c,
+                Err(c) => return Ok(c),
             };
             let format = opt("--format").unwrap_or_else(|| "text".to_string());
             let binary = match format.as_str() {
@@ -443,7 +470,7 @@ fn main() -> ExitCode {
                 "binary" => true,
                 other => {
                     eprintln!("error: --format must be `text` or `binary`, not `{other}`");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             let out_path = opt("-o").unwrap_or_else(|| format!("{target}.trace"));
@@ -472,7 +499,7 @@ fn main() -> ExitCode {
                     "error: `mlc convert` writes no iteration-index footer; \
                      --function/--start/--end do not apply"
                 );
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             // A fresh session per conversion: the trace is third-party input.
             let ctx = AnalysisCtx::session();
@@ -481,11 +508,11 @@ fn main() -> ExitCode {
                 Ok(s) => s,
                 Err(TraceReadError::Io(e)) => {
                     eprintln!("error: cannot read `{target}`: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             let in_bytes = std::fs::metadata(target).map_or(0, |m| m.len());
@@ -497,7 +524,7 @@ fn main() -> ExitCode {
                 None => !src_binary,
                 Some(other) => {
                     eprintln!("error: --to must be `text` or `binary`, not `{other}`");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             let written = write_then_rename(Path::new(&out_path), |tmp| {
@@ -507,7 +534,7 @@ fn main() -> ExitCode {
                 Ok(counts) => counts,
                 Err(e) => {
                     e.report(&out_path);
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             eprintln!(
@@ -525,20 +552,20 @@ fn main() -> ExitCode {
         "ir" => {
             let module = match compile_file(target) {
                 Ok(m) => m,
-                Err(c) => return c,
+                Err(c) => return Ok(c),
             };
-            print!("{}", autocheck_ir::printer::print_module(&module));
+            write!(stdout, "{}", autocheck_ir::printer::print_module(&module))?;
             ExitCode::SUCCESS
         }
         "loops" => {
             let module = match compile_file(target) {
                 Ok(m) => m,
-                Err(c) => return c,
+                Err(c) => return Ok(c),
             };
             let fname = opt("--function").unwrap_or_else(|| "main".to_string());
             let Some(fid) = module.function_by_name(&fname) else {
                 eprintln!("error: no function `{fname}`");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             };
             let f = module.function(fid);
             let cfg = Cfg::compute(f);
@@ -547,7 +574,8 @@ fn main() -> ExitCode {
             for (i, l) in forest.loops.iter().enumerate() {
                 let line = f.blocks[l.header.index()].loc.line;
                 let cv = autocheck_ir::loops::control_variables(&module, f, l);
-                println!(
+                writeln!(
+                    stdout,
                     "loop {i}: header line {line}, depth {}, control vars: {}",
                     l.depth,
                     cv.iter()
@@ -560,7 +588,7 @@ fn main() -> ExitCode {
                         })
                         .collect::<Vec<_>>()
                         .join(", ")
-                );
+                )?;
             }
             ExitCode::SUCCESS
         }
@@ -574,13 +602,13 @@ fn main() -> ExitCode {
                         .collect::<Vec<_>>()
                         .join(", ")
                 );
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             };
             match opt("-o") {
                 Some(path) => {
                     if let Err(e) = std::fs::write(&path, &spec.source) {
                         eprintln!("error: cannot write `{path}`: {e}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                     eprintln!(
                         "wrote {} ({} lines); main loop at {}:{}-{}",
@@ -591,10 +619,10 @@ fn main() -> ExitCode {
                         spec.region.end_line
                     );
                 }
-                None => print!("{}", spec.source),
+                None => write!(stdout, "{}", spec.source)?,
             }
             ExitCode::SUCCESS
         }
         _ => usage(),
-    }
+    })
 }

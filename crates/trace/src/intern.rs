@@ -529,10 +529,15 @@ impl fmt::Display for SymId {
     }
 }
 
+/// The string, resolved in the thread's current space, or `SymId(<n>)` when
+/// the id is past that space's symbols: a record of another session prints
+/// outside its guard instead of panicking.
 impl fmt::Debug for SymId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The id alone is meaningless in test output; show the string.
-        write!(f, "{:?}", self.as_str())
+        match CURRENT.with(|c| c.borrow().try_resolve(*self)) {
+            Some(s) => write!(f, "{s:?}"),
+            None => write!(f, "SymId({})", self.0),
+        }
     }
 }
 
@@ -787,6 +792,33 @@ mod tests {
         assert_eq!(s, "symstr_test_key".to_string());
         let t = space.resolve(space.intern("symstr_test_zzz"));
         assert!(s < t);
+    }
+
+    #[test]
+    fn debug_past_the_current_space_shows_the_id() {
+        let session = SymbolSpace::new();
+        let ids: Vec<SymId> = ["debug_a", "debug_b", "debug_c"]
+            .into_iter()
+            .map(|s| session.intern(s))
+            .collect();
+        let record = crate::record::Record {
+            func: ids[2],
+            ..crate::record::Record::blank()
+        };
+        // Outside the session's guard, with a one-symbol space current:
+        // id 2 is past its range, and id 0 resolves there.
+        let other = SymbolSpace::new();
+        other.intern("debug_other");
+        {
+            let _g = other.enter();
+            assert_eq!(format!("{:?}", ids[2]), "SymId(2)");
+            assert_eq!(format!("{:?}", ids[0]), "\"debug_other\"");
+            let shown = format!("{record:?}");
+            assert!(shown.contains("func: SymId(2)"), "{shown}");
+        }
+        let _g = session.enter();
+        assert_eq!(format!("{:?}", ids[2]), "\"debug_c\"");
+        assert!(format!("{record:?}").contains("func: \"debug_c\""));
     }
 
     #[test]

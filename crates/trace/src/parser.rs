@@ -1,7 +1,7 @@
-//! The decode kernel for the textual trace format.
+//! The decoder for the textual trace format.
 //!
-//! [`TextStreamReader`](crate::TextStreamReader) splits its read window into
-//! lines and hands each one, as bytes, to the kernel here, which decodes it
+//! [`TextStreamReader`](crate::TextStreamReader) hands the whole lines of
+//! its read window to the decoder here, which decodes the first of them
 //! straight into the record the reader lends out: a header line starts the
 //! record, each operand line adds to it. Every symbol (function names,
 //! block labels, operand names) interns through the reader's
@@ -9,27 +9,52 @@
 //! ctx's global space unless the reader was built for a session — so the
 //! canonical allocation per distinct symbol happens once per space.
 //!
-//! # Decode kernel
+//! # One pass, two ways to read a field
 //!
-//! The kernel works through each line's bytes front to back. Fields end at
-//! a byte search for `,`. The header's source line, block id, opcode and
-//! dynamic id, and each operand's tag, width, integer, float and `0x`
-//! values and temporary names are decoded by overflow-checked decimal and
-//! hex scanners as the scan passes over them. A scanner accepts only the
-//! plain spellings a tracer writes (an optional `-`, at most 19 decimal or
-//! 16 hex digits, then the field's end; a float as digits, `.` and digits,
-//! at most 15 digits in all). Anything else — a leading `+`, surplus
-//! leading zeros, out-of-range numbers, exponents, malformed fields — goes
-//! to `str::parse` and [`parse_value`] with the field's text, which decide
-//! the value or word the error exactly as a plain `str::parse` of every
-//! field would. Fields are read, and symbols interned, in line order, so a
-//! space's symbol ids come out in the same order too.
+//! The decoder reads a line's fields front to back, straight from the
+//! read window, with no separate search for the line's end, and interns
+//! each symbol as it reaches it. Each field first meets a byte scanner for
+//! the spelling the trace writer, like LLVM-Tracer, writes:
+//!
+//! - A header is
+//!   `0,<src line>,<function>,<bb line>:<bb col>,<label>,<opcode>,<dyn id>,`
+//!   and an operand `<tag>,<bits>,<value>,<is_reg>,<name>,`, whose tag is
+//!   one character: `r`, `f` or a digit from `1` to `9`.
+//! - Every number is plain decimal: a `-` for the signed source line and
+//!   values only, then 1 to 19 digits, within the field's type.
+//! - A value is one of four spellings: such a decimal `i64`; `0x` and 1 to
+//!   16 hex digits; a fixed-point float of digits, `.` and digits, at most
+//!   15 of them in all, after an optional `-`; or ` ` for no value.
+//! - A function, block label or name is a symbol: its bytes, at least one,
+//!   up to the next comma. A name that starts with a digit is a decimal
+//!   `u32`, a temporary.
+//! - `is_reg` is `0` or `1`.
+//! - Every field ends with a comma, and the line with `\n` or `\r\n`
+//!   after its last field's comma. Without that comma, the last field ends
+//!   at the line end and still takes its scanner.
+//!
+//! A field its scanner refuses is read as the text up to its comma, or up
+//! to the line's end, and parsed in place with `str::parse`,
+//! [`parse_value`] or the name rules, which decide the value or word the
+//! error; the pass then goes on with the next field. Those are the fields
+//! of the line split at commas: trailing `\r`s and a single trailing comma
+//! are dropped, an empty field right before that comma is no field, a
+//! missing name is an empty one, and fields past the last are skipped with
+//! the rest of the line. A scanner's spelling is one `str::parse` reads to
+//! the same value, so the input alone chooses a field's path, and a line
+//! decodes to the same record, error, line number and symbols, interned in
+//! the same order, whichever path each field took. An operand line with no
+//! record open, or a second result line, fails once its fields have
+//! decoded. Every line the trace writer writes takes the scanners
+//! throughout, as long as its operand tags are at most 9, its dynamic ids
+//! have at most 19 digits, its symbols are not empty and do not start with
+//! a digit, and its floats are finite and below 10⁹.
 //!
 //! A float field of `n` digits, `k` of them after the point, spells the
 //! exact value `N / 10^k` for the integer `N` its digits make. With at most
 //! 15 digits, `N` and `10^k` are exact `f64`s, so one IEEE division rounds
 //! that value correctly: the same `f64` `str::parse` returns, `-0.0`
-//! included. Every `%.6f` value below 10⁹ takes this path.
+//! included. Every `%.6f` value below 10⁹ takes the scanner.
 //!
 //! # Symbol memo and cache
 //!
@@ -150,8 +175,8 @@ pub(crate) enum Line {
     Operand,
 }
 
-/// The decode kernel's state: the session, the symbol memo and cache, and
-/// the number of lines decoded so far.
+/// The decoder's state: the session, the symbol memo and cache, and the
+/// number of lines decoded so far.
 pub(crate) struct TextDecoder {
     /// The session this decoder interns into.
     ctx: AnalysisCtx,
@@ -167,6 +192,10 @@ pub(crate) struct TextDecoder {
     /// looked up there.
     cache: [Option<(SymStr, SymId)>; CACHE_SLOTS],
     line_no: u64,
+    /// Fields and line ends the scanners refused so far, for the tests
+    /// that hold the writer's lines to the scanners.
+    #[cfg(test)]
+    fallbacks: u64,
 }
 
 impl TextDecoder {
@@ -177,6 +206,8 @@ impl TextDecoder {
             memo: HashMap::new(),
             cache: [const { None }; CACHE_SLOTS],
             line_no: 0,
+            #[cfg(test)]
+            fallbacks: 0,
         }
     }
 
@@ -210,20 +241,6 @@ impl TextDecoder {
         Ok(id)
     }
 
-    /// Like [`Name::parse`], but interning through the decoder's cache.
-    fn parse_name(&mut self, s: &[u8]) -> Result<Name, ParseError> {
-        Ok(if s.is_empty() || s == b" " {
-            Name::None
-        } else if s.iter().all(u8::is_ascii_digit) {
-            match self.text(s)?.parse::<u32>() {
-                Ok(n) => Name::Temp(n),
-                Err(_) => Name::Sym(self.intern(s)?),
-            }
-        } else {
-            Name::Sym(self.intern(s)?)
-        })
-    }
-
     fn err(&self, message: impl Into<String>) -> ParseError {
         ParseError {
             line: self.line_no,
@@ -231,43 +248,62 @@ impl TextDecoder {
         }
     }
 
-    /// A field's text, for `str::parse` and messages. The reader checked
-    /// the line's UTF-8 already, so this never fails on its bytes.
+    /// Bytes as text, for `str::parse` and messages. The reader checked the
+    /// line's UTF-8 already, so this never fails on its bytes.
     fn text<'b>(&self, b: &'b [u8]) -> Result<&'b str, ParseError> {
         std::str::from_utf8(b).map_err(|_| self.err(NOT_UTF8))
     }
 
-    /// Decode one line (without its `\n`). An operand line goes straight
-    /// into `slot`, which holds the record in flight when `open` is set; a
-    /// header comes back unapplied.
-    // This and the per-field helpers it calls (`parse_header`,
-    // `parse_operand`, `intern`) are forced inline: the calls cost about 5%
-    // of decoding the cg-text benchmark trace.
+    /// Decode the line at the front of `b`, which holds whole lines from
+    /// the read window, in one pass (see the module docs). An operand goes
+    /// straight into `slot`, which holds the record in flight when `open`
+    /// is set; a header comes back unapplied. Returns the line's length
+    /// with its line end, and what it held.
+    // This and the field readers it calls are forced inline, and every
+    // fallback is cold: the scanners are the whole per-line cost of a
+    // trace as the writer writes it.
     #[inline(always)]
-    pub(crate) fn decode_line(
+    pub(crate) fn decode(
         &mut self,
-        line: &[u8],
+        b: &[u8],
         slot: &mut Record,
         open: bool,
-    ) -> Result<Line, ParseError> {
+    ) -> Result<(usize, Line), ParseError> {
         self.line_no += 1;
-        let trimmed = line
-            .iter()
-            .rposition(|&b| b != b'\r' && b != b'\n')
-            .map_or(0, |i| i + 1);
-        if trimmed == 0 {
-            return Ok(Line::Blank);
-        }
-        let mut fields = Fields::new(&line[..trimmed]);
-        let tag = fields.next().ok_or_else(|| self.err("empty line"))?;
-        if tag == b"0" {
-            return self.parse_header(&mut fields).map(Line::Header);
-        }
-        let op = self.parse_operand(tag, &mut fields)?;
+        let (tag, i) = match b {
+            [b'0', b',', ..] => return self.header(b, 2),
+            [b'r', b',', ..] => (OpTag::Result, 2),
+            [b'f', b',', ..] => (OpTag::Param, 2),
+            [d @ b'1'..=b'9', b',', ..] => (OpTag::Pos(d - b'0'), 2),
+            _ => match self.parse_tag(b)? {
+                Tag::Blank(len) => return Ok((len, Line::Blank)),
+                Tag::Header(i) => return self.header(b, i),
+                Tag::Operand(tag, i) => (tag, i),
+            },
+        };
+        let (bits, i) = self.decimal_field(b, i, "operand bits")?;
+        let (value, i) = match scan_value(b, i) {
+            Some(v) => v,
+            None => self.parse_value_field(b, i)?,
+        };
+        let (is_reg, i) = match b.get(i..i + 2) {
+            Some(b"1,") => (true, i + 2),
+            Some(b"0,") => (false, i + 2),
+            _ => self.parse_is_reg(b, i)?,
+        };
+        let (name, i) = self.name_field(b, i)?;
+        let len = self.line_end(b, i);
         if !open {
             return Err(self.err("operand line before any header"));
         }
-        if op.tag == OpTag::Result {
+        let op = Operand {
+            tag,
+            bits,
+            value,
+            is_reg,
+            name,
+        };
+        if tag == OpTag::Result {
             if slot.result.is_some() {
                 return Err(self.err("duplicate result line"));
             }
@@ -275,71 +311,142 @@ impl TextDecoder {
         } else {
             slot.operands.push(op);
         }
-        Ok(Line::Operand)
+        Ok((len, Line::Operand))
     }
 
+    /// The header whose fields start at `b[i..]`, and the line's length.
     #[inline(always)]
-    fn parse_header(&mut self, fields: &mut Fields<'_>) -> Result<Header, ParseError> {
-        let src_line = self.number(fields.decimal(), "src line")?;
-        let func = {
-            let f = fields.next().ok_or_else(|| self.err("missing function"))?;
-            self.intern(f)?
+    fn header(&mut self, b: &[u8], i: usize) -> Result<(usize, Line), ParseError> {
+        let (src_line, i) = self.decimal_field(b, i, "src line")?;
+        let (func, i) = self.symbol_field(b, i, "missing function")?;
+        let (bb, i) = match block_id(b, i) {
+            Some(bb) => bb,
+            None => self.parse_block_id(b, i)?,
         };
-        let bb = match fields.block_id() {
-            Scan::Hit(bb) => bb,
-            Scan::Missing => return Err(self.err("missing bb id")),
-            Scan::Miss(bb_str) => {
-                let bb_str = self.text(bb_str)?;
-                let (l, c) = bb_str
-                    .split_once(':')
-                    .ok_or_else(|| self.err(format!("malformed bb id `{bb_str}`")))?;
-                (
-                    l.parse::<u32>()
-                        .map_err(|_| self.err(format!("bad bb line `{l}`")))?,
-                    c.parse::<u32>()
-                        .map_err(|_| self.err(format!("bad bb col `{c}`")))?,
-                )
-            }
-        };
-        let bb_label = {
-            let l = fields.next().ok_or_else(|| self.err("missing bb label"))?;
-            self.intern(l)?
-        };
-        let opcode = self.number(fields.decimal(), "opcode")?;
-        let dyn_id = self.number(fields.decimal(), "dyn id")?;
-        Ok(Header {
+        let (bb_label, i) = self.symbol_field(b, i, "missing bb label")?;
+        let (opcode, i) = self.decimal_field(b, i, "opcode")?;
+        let (dyn_id, i) = self.decimal_field(b, i, "dyn id")?;
+        let header = Header {
             src_line,
             func,
             bb,
             bb_label,
             opcode,
             dyn_id,
-        })
+        };
+        Ok((self.line_end(b, i), Line::Header(header)))
     }
 
-    /// A scanned number, or `str::parse` of the text the scanner refused.
-    fn number<T: FromStr>(&self, scan: Scan<'_, T>, what: &str) -> Result<T, ParseError> {
-        match scan {
-            Scan::Hit(v) => Ok(v),
-            Scan::Missing => Err(self.err(format!("missing {what}"))),
-            Scan::Miss(f) => {
-                let f = self.text(f)?;
-                f.parse::<T>()
-                    .map_err(|_| self.err(format!("bad {what} `{f}`")))
-            }
+    /// A number field at `b[i..]` and the index after it.
+    #[inline(always)]
+    fn decimal_field<T: Decimal>(
+        &mut self,
+        b: &[u8],
+        i: usize,
+        what: &str,
+    ) -> Result<(T, usize), ParseError> {
+        match decimal(b, i, b',') {
+            Some(v) => Ok(v),
+            None => self.parse_number(b, i, what),
         }
     }
 
+    /// A function or block label symbol at `b[i..]`, interned, and the
+    /// index after it.
     #[inline(always)]
-    fn parse_operand(
+    fn symbol_field(
         &mut self,
-        tag: &[u8],
-        fields: &mut Fields<'_>,
-    ) -> Result<Operand, ParseError> {
+        b: &[u8],
+        i: usize,
+        missing: &str,
+    ) -> Result<(SymId, usize), ParseError> {
+        let (s, next) = match symbol(b, i) {
+            Some(s) => s,
+            None => self.field(b, i).ok_or_else(|| self.err(missing))?,
+        };
+        Ok((self.intern(s)?, next))
+    }
+
+    /// A name field at `b[i..]` and the index after it.
+    #[inline(always)]
+    fn name_field(&mut self, b: &[u8], i: usize) -> Result<(Name, usize), ParseError> {
+        let fast = match b.get(i) {
+            Some(b',') => Some((Name::None, i + 1)),
+            Some(b'\n') => Some((Name::None, i)),
+            Some(b'0'..=b'9') => decimal(b, i, b',').map(|(n, end)| (Name::Temp(n), end)),
+            _ => match symbol(b, i) {
+                Some((b" ", end)) => Some((Name::None, end)),
+                Some((s, end)) => Some((Name::Sym(self.intern(s)?), end)),
+                None => None,
+            },
+        };
+        match fast {
+            Some(name) => Ok(name),
+            None => self.parse_name_field(b, i),
+        }
+    }
+
+    /// The length of the line whose last field ends before `b[i]`: up to
+    /// its `\n` or `\r\n`, or, past any fields the line has left, up to its
+    /// line end or the end of `b`.
+    #[inline(always)]
+    fn line_end(&mut self, b: &[u8], i: usize) -> usize {
+        match b.get(i) {
+            Some(b'\n') => i + 1,
+            Some(b'\r') if b.get(i + 1) == Some(&b'\n') => i + 2,
+            _ => self.skip_line(b, i),
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The fallbacks: `str::parse` of a field's text
+    // -----------------------------------------------------------------------
+
+    /// The field at `b[i..]` as splitting the line at commas reads it (see
+    /// the module docs): its text and the index after it, or `None` when
+    /// the line has no field left there.
+    #[cold]
+    fn field<'b>(&mut self, b: &'b [u8], i: usize) -> Option<(&'b [u8], usize)> {
+        #[cfg(test)]
+        {
+            self.fallbacks += 1;
+        }
+        let end = b[i..]
+            .iter()
+            .position(|&c| c == b',' || c == b'\n')
+            .map_or(b.len(), |k| i + k);
+        if b.get(end) == Some(&b',') {
+            // An empty field right before the line's trailing comma is no
+            // field: the trailing comma ends the line's fields.
+            return (end > i || !only_line_end(b, end + 1)).then(|| (&b[i..end], end + 1));
+        }
+        let text = trim_cr(&b[i..end]);
+        (!text.is_empty()).then_some((text, end))
+    }
+
+    /// The line's length from `b[i..]`: through its `\n`, or to the end of
+    /// `b` when the line has none.
+    #[cold]
+    fn skip_line(&mut self, b: &[u8], i: usize) -> usize {
+        #[cfg(test)]
+        {
+            self.fallbacks += 1;
+        }
+        (find_newline(b, i) + 1).min(b.len())
+    }
+
+    /// The tag field of a line the scanners refused: a blank line, a header
+    /// with its fields from an index on, or an operand tag.
+    #[cold]
+    fn parse_tag(&mut self, b: &[u8]) -> Result<Tag, ParseError> {
+        if only_line_end(b, 0) {
+            return Ok(Tag::Blank(self.skip_line(b, 0)));
+        }
+        let (tag, next) = self.field(b, 0).ok_or_else(|| self.err("empty line"))?;
         let tag = match tag {
+            b"0" => return Ok(Tag::Header(next)),
             b"r" => OpTag::Result,
             b"f" => OpTag::Param,
-            &[d @ b'1'..=b'9'] => OpTag::Pos(d - b'0'),
             _ => {
                 let tag = self.text(tag)?;
                 let i: u8 = tag
@@ -351,47 +458,116 @@ impl TextDecoder {
                 OpTag::Pos(i)
             }
         };
-        let bits = self.number(fields.decimal(), "operand bits")?;
-        let value = match fields.value() {
-            Scan::Hit(v) => v,
-            Scan::Missing => return Err(self.err("missing operand value")),
-            Scan::Miss(f) => {
-                let f = self.text(f)?;
-                parse_value(f).ok_or_else(|| self.err(format!("bad operand value `{f}`")))?
-            }
-        };
-        let is_reg = match fields.next() {
-            Some(b"1") => true,
-            Some(b"0") => false,
-            Some(other) => {
+        Ok(Tag::Operand(tag, next))
+    }
+
+    /// The number field at `b[i..]`, parsed as a `T`.
+    #[cold]
+    fn parse_number<T: Decimal>(
+        &mut self,
+        b: &[u8],
+        i: usize,
+        what: &str,
+    ) -> Result<(T, usize), ParseError> {
+        if let Some(v) = decimal_at_line_end(b, i) {
+            return Ok(v);
+        }
+        let (f, next) = self
+            .field(b, i)
+            .ok_or_else(|| self.err(format!("missing {what}")))?;
+        let f = self.text(f)?;
+        let v = f
+            .parse::<T>()
+            .map_err(|_| self.err(format!("bad {what} `{f}`")))?;
+        Ok((v, next))
+    }
+
+    /// The block id field at `b[i..]`: `line:col`, each a `u32`.
+    #[cold]
+    fn parse_block_id(&mut self, b: &[u8], i: usize) -> Result<((u32, u32), usize), ParseError> {
+        let (f, next) = self.field(b, i).ok_or_else(|| self.err("missing bb id"))?;
+        let f = self.text(f)?;
+        let (l, c) = f
+            .split_once(':')
+            .ok_or_else(|| self.err(format!("malformed bb id `{f}`")))?;
+        let bb = (
+            l.parse::<u32>()
+                .map_err(|_| self.err(format!("bad bb line `{l}`")))?,
+            c.parse::<u32>()
+                .map_err(|_| self.err(format!("bad bb col `{c}`")))?,
+        );
+        Ok((bb, next))
+    }
+
+    /// The value field at `b[i..]`, parsed with [`parse_value`].
+    #[cold]
+    fn parse_value_field(&mut self, b: &[u8], i: usize) -> Result<(TraceValue, usize), ParseError> {
+        let (f, next) = self
+            .field(b, i)
+            .ok_or_else(|| self.err("missing operand value"))?;
+        let f = self.text(f)?;
+        let v = parse_value(f).ok_or_else(|| self.err(format!("bad operand value `{f}`")))?;
+        Ok((v, next))
+    }
+
+    /// The `is_reg` field at `b[i..]`: `1` or `0`.
+    #[cold]
+    fn parse_is_reg(&mut self, b: &[u8], i: usize) -> Result<(bool, usize), ParseError> {
+        match self.field(b, i) {
+            Some((b"1", next)) => Ok((true, next)),
+            Some((b"0", next)) => Ok((false, next)),
+            Some((other, _)) => {
                 let other = self.text(other)?;
-                return Err(self.err(format!("bad is_reg `{other}`")));
+                Err(self.err(format!("bad is_reg `{other}`")))
             }
-            None => return Err(self.err("missing is_reg")),
+            None => Err(self.err("missing is_reg")),
+        }
+    }
+
+    /// The name field at `b[i..]`, read like [`Name::parse`] but interning
+    /// through the decoder's cache. A missing name is an empty one.
+    #[cold]
+    fn parse_name_field(&mut self, b: &[u8], i: usize) -> Result<(Name, usize), ParseError> {
+        if let Some((n, next)) = decimal_at_line_end(b, i) {
+            return Ok((Name::Temp(n), next));
+        }
+        let (f, next) = self.field(b, i).unwrap_or((&[], i));
+        let name = if f.is_empty() || f == b" " {
+            Name::None
+        } else if f.iter().all(u8::is_ascii_digit) {
+            match self.text(f)?.parse::<u32>() {
+                Ok(n) => Name::Temp(n),
+                Err(_) => Name::Sym(self.intern(f)?),
+            }
+        } else {
+            Name::Sym(self.intern(f)?)
         };
-        let name = match fields.decimal() {
-            Scan::Hit(n) => Name::Temp(n),
-            Scan::Missing => Name::None,
-            Scan::Miss(f) => self.parse_name(f)?,
-        };
-        Ok(Operand {
-            tag,
-            bits,
-            value,
-            is_reg,
-            name,
-        })
+        Ok((name, next))
     }
 }
 
-/// What a byte scanner made of one field.
-enum Scan<'a, T> {
-    /// The line has no fields left.
-    Missing,
-    /// The scanner decoded the field.
-    Hit(T),
-    /// The scanner refused the field: its bytes, for `str::parse`.
-    Miss(&'a [u8]),
+/// What the tag field of a line the scanners refused held.
+enum Tag {
+    /// A blank line of this length.
+    Blank(usize),
+    /// A header, whose fields start at this index.
+    Header(usize),
+    /// An operand with this tag, whose fields start at this index.
+    Operand(OpTag, usize),
+}
+
+/// True when `b[i..]` holds nothing but `\r`s before its line end.
+fn only_line_end(b: &[u8], i: usize) -> bool {
+    b[i..]
+        .iter()
+        .find(|&&c| c != b'\r')
+        .is_none_or(|&c| c == b'\n')
+}
+
+/// `s` without its trailing `\r`s.
+fn trim_cr(s: &[u8]) -> &[u8] {
+    let end = s.iter().rposition(|&c| c != b'\r').map_or(0, |k| k + 1);
+    &s[..end]
 }
 
 /// The integer types the decimal scanner decodes.
@@ -401,7 +577,7 @@ trait Decimal: FromStr {
     const NEG_MAX: u64;
     /// Largest value.
     const MAX: u64;
-    /// The value of a scanned field whose magnitude is within the bounds.
+    /// The value of a decoded field whose magnitude is within the bounds.
     fn from_scan(negative: bool, magnitude: u64) -> Self;
 }
 
@@ -437,11 +613,11 @@ macro_rules! signed_decimal {
 }
 signed_decimal!(i32, i64);
 
-/// Decimal digits from `i` up to `end`, at most 19 of them so the value
-/// cannot overflow: the index after the run, and its value.
-#[inline]
-fn digit_run(b: &[u8], mut i: usize, end: usize) -> (usize, u64) {
-    let stop = end.min(i + 19);
+/// Decimal digits from `i` on, at most 19 of them so the value cannot
+/// overflow: the index after the run, and its value.
+#[inline(always)]
+fn digit_run(b: &[u8], mut i: usize) -> (usize, u64) {
+    let stop = b.len().min(i + 19);
     let mut v = 0u64;
     while i < stop && b[i].is_ascii_digit() {
         v = v * 10 + u64::from(b[i] - b'0');
@@ -450,11 +626,11 @@ fn digit_run(b: &[u8], mut i: usize, end: usize) -> (usize, u64) {
     (i, v)
 }
 
-/// Hex digits from `i` up to `end`, at most 16 of them: the index after the
-/// run, and its value.
-#[inline]
-fn hex_run(b: &[u8], mut i: usize, end: usize) -> (usize, u64) {
-    let stop = end.min(i + 16);
+/// Hex digits from `i` on, at most 16 of them: the index after the run, and
+/// its value.
+#[inline(always)]
+fn hex_run(b: &[u8], mut i: usize) -> (usize, u64) {
+    let stop = b.len().min(i + 16);
     let mut v = 0u64;
     while i < stop {
         let d = match b[i] {
@@ -479,135 +655,97 @@ const POW10: [f64; FLOAT_DIGITS] = [
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14,
 ];
 
-/// Cursor over one line's comma-separated fields. A single trailing comma
-/// is ignored and an empty rest of the line holds no field, so `a,,b,`
-/// splits into `a`, an empty field and `b`.
-struct Fields<'a> {
-    line: &'a [u8],
-    /// Start of the next field.
-    pos: usize,
-    /// End of the last field: the line's length, less a trailing comma.
-    end: usize,
+/// The decimal scanner: a `T` at `b[i..]` ended by `sep`, spelled as a `-`
+/// (signed types only), then 1 to 19 digits, within `T`'s range. The value
+/// and the index after `sep`.
+#[inline(always)]
+fn decimal<T: Decimal>(b: &[u8], i: usize, sep: u8) -> Option<(T, usize)> {
+    let negative = T::NEG_MAX > 0 && b.get(i) == Some(&b'-');
+    let first = i + usize::from(negative);
+    let (end, magnitude) = digit_run(b, first);
+    let max = if negative { T::NEG_MAX } else { T::MAX };
+    (end > first && magnitude <= max && b.get(end) == Some(&sep))
+        .then(|| (T::from_scan(negative, magnitude), end + 1))
 }
 
-impl<'a> Fields<'a> {
-    fn new(line: &'a [u8]) -> Self {
-        Fields {
-            line,
-            pos: 0,
-            end: line.len() - usize::from(line.ends_with(b",")),
-        }
-    }
+/// The block id scanner: `<line>:<col>` at `b[i..]`, each a decimal `u32`,
+/// and the index after its comma.
+#[inline(always)]
+fn block_id(b: &[u8], i: usize) -> Option<((u32, u32), usize)> {
+    let (line, i) = decimal(b, i, b':')?;
+    let (col, i) = decimal(b, i, b',')?;
+    Some(((line, col), i))
+}
 
-    /// The next raw field, or `None` when the line has none left.
-    #[inline]
-    fn next(&mut self) -> Option<&'a [u8]> {
-        (self.pos < self.end).then(|| self.take_from(self.pos))
+/// The decimal scanner on a number that the line end, `\n` or `\r\n`,
+/// ends: the last field of a line without its trailing comma. The value and
+/// the index of that line end.
+#[inline]
+fn decimal_at_line_end<T: Decimal>(b: &[u8], i: usize) -> Option<(T, usize)> {
+    match decimal(b, i, b'\r') {
+        Some((v, next)) => (b.get(next) == Some(&b'\n')).then_some((v, next - 1)),
+        None => decimal(b, i, b'\n').map(|(v, next)| (v, next - 1)),
     }
+}
 
-    /// The field starting at `start`; moves the cursor past it.
-    #[inline]
-    fn take_from(&mut self, start: usize) -> &'a [u8] {
-        let stop = self.line[start..self.end]
-            .iter()
-            .position(|&b| b == b',')
-            .map_or(self.end, |i| start + i);
-        self.pos = (stop + 1).min(self.end);
-        &self.line[start..stop]
+/// The value scanner: a value field at `b[i..]` and the index after its
+/// comma, spelled as `0x` then 1 to 16 hex digits, a decimal `i64`, a float
+/// of digits, `.` and digits (at most [`FLOAT_DIGITS`] in all) after an
+/// optional `-`, or ` `.
+#[inline(always)]
+fn scan_value(b: &[u8], i: usize) -> Option<(TraceValue, usize)> {
+    let first = *b.get(i)?;
+    if first == b'0' && b.get(i + 1) == Some(&b'x') {
+        let (end, v) = hex_run(b, i + 2);
+        return (end > i + 2 && b.get(end) == Some(&b',')).then_some((TraceValue::Ptr(v), end + 1));
     }
-
-    /// True when a scan that stopped at `i` read a whole field; moves the
-    /// cursor past it.
-    #[inline]
-    fn ends_field(&mut self, i: usize) -> bool {
-        if i == self.end || self.line[i] == b',' {
-            self.pos = (i + 1).min(self.end);
-            true
-        } else {
-            false
-        }
+    if first == b' ' {
+        return (b.get(i + 1) == Some(&b',')).then_some((TraceValue::None, i + 2));
     }
-
-    /// The next field as a decimal `T`: a `-` (signed types only), then 1
-    /// to 19 digits, within `T`'s range.
-    #[inline]
-    fn decimal<T: Decimal>(&mut self) -> Scan<'a, T> {
-        let start = self.pos;
-        if start >= self.end {
-            return Scan::Missing;
-        }
-        let b = self.line;
-        let negative = T::NEG_MAX > 0 && b[start] == b'-';
-        let first = start + usize::from(negative);
-        let (i, magnitude) = digit_run(b, first, self.end);
-        let max = if negative { T::NEG_MAX } else { T::MAX };
-        if i > first && magnitude <= max && self.ends_field(i) {
-            Scan::Hit(T::from_scan(negative, magnitude))
-        } else {
-            Scan::Miss(self.take_from(start))
-        }
+    let negative = first == b'-';
+    let first = i + usize::from(negative);
+    let (point, int) = digit_run(b, first);
+    if point == first {
+        return None;
     }
-
-    /// The next field as a block id `line:col`, each a decimal `u32`.
-    #[inline]
-    fn block_id(&mut self) -> Scan<'a, (u32, u32)> {
-        let start = self.pos;
-        if start >= self.end {
-            return Scan::Missing;
-        }
-        let b = self.line;
-        let (colon, line) = digit_run(b, start, self.end);
-        if colon > start && colon < self.end && b[colon] == b':' {
-            let (i, col) = digit_run(b, colon + 1, self.end);
-            let max = u64::from(u32::MAX);
-            if i > colon + 1 && line <= max && col <= max && self.ends_field(i) {
-                return Scan::Hit((line as u32, col as u32));
-            }
-        }
-        Scan::Miss(self.take_from(start))
-    }
-
-    /// The next field as an operand value: `0x` then 1 to 16 hex digits, a
-    /// decimal `i64`, or a float of digits, `.` and digits (at most
-    /// [`FLOAT_DIGITS`] in all) after an optional `-`. Everything else,
-    /// empty values included, is refused, for [`parse_value`].
-    #[inline]
-    fn value(&mut self) -> Scan<'a, TraceValue> {
-        let start = self.pos;
-        if start >= self.end {
-            return Scan::Missing;
-        }
-        let b = self.line;
-        if b[start..self.end].starts_with(b"0x") {
-            let (i, v) = hex_run(b, start + 2, self.end);
-            if i > start + 2 && self.ends_field(i) {
-                return Scan::Hit(TraceValue::Ptr(v));
-            }
-            return Scan::Miss(self.take_from(start));
-        }
-        let negative = b[start] == b'-';
-        let first = start + usize::from(negative);
-        let (i, int) = digit_run(b, first, self.end);
-        if i > first {
+    match *b.get(point)? {
+        b',' => {
             let max = if negative {
                 <i64 as Decimal>::NEG_MAX
             } else {
                 <i64 as Decimal>::MAX
             };
-            if int <= max && self.ends_field(i) {
-                return Scan::Hit(TraceValue::I(i64::from_scan(negative, int)));
-            }
-            if i < self.end && b[i] == b'.' {
-                let (j, frac) = digit_run(b, i + 1, self.end);
-                let k = j - (i + 1);
-                if k > 0 && (i - first) + k <= FLOAT_DIGITS && self.ends_field(j) {
-                    let n = int * 10u64.pow(k as u32) + frac;
-                    let v = n as f64 / POW10[k];
-                    return Scan::Hit(TraceValue::F(if negative { -v } else { v }));
-                }
-            }
+            (int <= max).then(|| (TraceValue::I(i64::from_scan(negative, int)), point + 1))
         }
-        Scan::Miss(self.take_from(start))
+        b'.' => {
+            let (end, frac) = digit_run(b, point + 1);
+            let k = end - (point + 1);
+            if k == 0 || (point - first) + k > FLOAT_DIGITS || b.get(end) != Some(&b',') {
+                return None;
+            }
+            let v = (int * 10u64.pow(k as u32) + frac) as f64 / POW10[k];
+            Some((TraceValue::F(if negative { -v } else { v }), end + 1))
+        }
+        _ => None,
+    }
+}
+
+/// The symbol scanner: a symbol field at `b[i..]`, its bytes, at least one,
+/// up to the next comma or the line's `\n`, without the `\r`s before that
+/// `\n`, and where the line goes on after it. `None` when the field is
+/// empty or the input ends first.
+#[inline(always)]
+fn symbol(b: &[u8], i: usize) -> Option<(&[u8], usize)> {
+    let mut end = i;
+    loop {
+        match *b.get(end)? {
+            b',' => return (end > i).then(|| (&b[i..end], end + 1)),
+            b'\n' => {
+                let s = trim_cr(&b[i..end]);
+                return (!s.is_empty()).then_some((s, end));
+            }
+            _ => end += 1,
+        }
     }
 }
 

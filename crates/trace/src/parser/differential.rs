@@ -17,9 +17,16 @@
 //! Every property runs at windows of 1, 7, 64, 4096 and 65536 bytes. The
 //! property tests take their case count from `PROPTEST_CASES` (at least
 //! 256).
+//!
+//! The decoder reads each field with a byte scanner for the writer's
+//! spelling and falls back to `str::parse` of the field's text, so every
+//! check here covers both paths. The scanners' own tests add
+//! near-canonical traces, which take one field of a writer line across
+//! each edge of what the scanners accept, and hold every line the writer
+//! writes for the tracer's records to the scanners alone.
 
 use super::reference::Reference;
-use super::{find_newline, slot_of, ParseError};
+use super::{find_newline, slot_of, Line, ParseError, TextDecoder};
 use crate::ctx::AnalysisCtx;
 use crate::fault::FaultPlan;
 use crate::intern::SymId;
@@ -413,6 +420,243 @@ fn break_utf8(text: &str, rng: &mut TestRng) -> Vec<u8> {
     bytes
 }
 
+/// Spellings around the edges of what the scanners accept, for each field
+/// of a header line (its tag first).
+const HEADER_EDGES: [&[&str]; 7] = [
+    &["0", "00", "+0", "1", "r", " 0", ""],
+    &[
+        "2147483647",
+        "2147483648",
+        "-2147483648",
+        "-2147483649",
+        "007",
+        "+3",
+        "-0",
+        "-",
+        "",
+        " ",
+    ],
+    &["", " ", "main", "0", "4294967296", "-3", "héllo", "a\r"],
+    &[
+        "4294967295:4294967295",
+        "4294967296:1",
+        "1:4294967296",
+        "01:01",
+        "+1:1",
+        "1:+1",
+        "-1:1",
+        "1:",
+        ":1",
+        "1",
+        "1:1:1",
+        " 1:1",
+    ],
+    &["", " ", "0", "entry", "4294967295"],
+    &["65535", "65536", "027", "+27", "-1", "", "1e2"],
+    &[
+        "9999999999999999999",
+        "10000000000000000000",
+        "18446744073709551615",
+        "18446744073709551616",
+        "0000000000000000000001",
+        "+1",
+        "-0",
+        "",
+    ],
+];
+
+/// Spellings around the edges of what the scanners accept, for each field
+/// of an operand line (its tag first).
+const OPERAND_EDGES: [&[&str]; 5] = [
+    &[
+        "1", "9", "10", "01", "00", "0", "99", "255", "256", "r", "f", "r1", "+1", " ", "", "R",
+    ],
+    &["65535", "65536", "064", "+64", "-1", "", " "],
+    &[
+        "0xffffffffffffffff",
+        "0x1ffffffffffffffff",
+        "0x0ffffffffffffffff",
+        "0x00000000000000000ff",
+        "0xFF",
+        "0Xff",
+        "0x",
+        "0x+1",
+        "0x-1",
+        "123456789.012345",
+        "1234567890.123456",
+        "-123456789.012345",
+        "-1234567890.123456",
+        "99999999999999.9",
+        "0.000000",
+        "-0.000000",
+        "00.5",
+        "1.",
+        ".5",
+        "1.5e3",
+        "1.5.5",
+        "1234567890123456789",
+        "9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "9999999999999999999",
+        "12345678901234567890",
+        "007",
+        "-007",
+        "+5",
+        "+1.5",
+        "-0",
+        "-",
+        " ",
+        "",
+        "  ",
+        "inf",
+        "NaN",
+    ],
+    &["0", "1", "2", "01", "+1", "", " "],
+    &[
+        "",
+        " ",
+        "0",
+        "4294967295",
+        "4294967296",
+        "0004294967295",
+        "007",
+        "+5",
+        "-3",
+        "1a",
+        "a1",
+        "  ",
+        "9999999999999999999",
+        "99999999999999999999",
+    ],
+];
+
+/// `line` without its line end, and the line end (`\n`, `\r\n`, ...).
+fn split_end(line: &str) -> (&str, &str) {
+    let body = line.trim_end_matches(['\r', '\n']);
+    (body, &line[body.len()..])
+}
+
+/// `line` with one field set to a spelling from the edge tables.
+fn edge_field(line: &str, rng: &mut TestRng) -> String {
+    let (body, end) = split_end(line);
+    let mut fields: Vec<&str> = body.split(',').collect();
+    let edges: &[&[&str]] = if fields[0] == "0" {
+        &HEADER_EDGES
+    } else {
+        &OPERAND_EDGES
+    };
+    let at = rng.below(fields.len().min(edges.len()) as u64) as usize;
+    fields[at] = pick(rng, edges[at]);
+    format!("{}{end}", fields.join(","))
+}
+
+/// A writer trace of 1 to 8 records with 1 to 3 of its lines taken across
+/// an edge of what the scanners accept: a field from the edge tables, the
+/// trailing comma dropped, an extra field, another line end, the line
+/// ended after one of its commas, or the input cut inside the line, at a
+/// window edge where the line has one.
+fn arb_near_canonical() -> impl Strategy<Value = Vec<u8>> {
+    fn_strategy(|rng: &mut TestRng| {
+        let records: Vec<Record> = (0..=rng.below(8)).map(|_| arb_record(rng)).collect();
+        let mut lines: Vec<String> = writer::to_string(&records)
+            .lines()
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let mut cut = None;
+        for _ in 0..=rng.below(3) {
+            let at = rng.below(lines.len() as u64) as usize;
+            let (body, end) = split_end(&lines[at]);
+            lines[at] = match rng.below(7) {
+                0 | 1 => edge_field(&lines[at], rng),
+                2 => format!("{}{end}", body.strip_suffix(',').unwrap_or(body)),
+                3 => format!("{body}{}{end}", pick(rng, &["x,", ",", ",,", " ,"])),
+                4 => format!("{body}{}", pick(rng, &["\r\n", "\r\r\n", "\r", "\n\n"])),
+                5 => {
+                    let commas: Vec<usize> = body.match_indices(',').map(|(i, _)| i).collect();
+                    let keep = commas[rng.below(commas.len() as u64) as usize];
+                    format!("{}{end}", &body[..=keep])
+                }
+                _ => {
+                    cut = Some(at);
+                    continue;
+                }
+            };
+        }
+        let mut bytes = lines.concat().into_bytes();
+        if let Some(at) = cut {
+            let start: usize = lines[..at].iter().map(String::len).sum();
+            let len = lines[at].len();
+            let window = [7, 64][rng.below(2) as usize];
+            let edge = start.next_multiple_of(window);
+            bytes.truncate(if edge < start + len {
+                edge
+            } else {
+                start + rng.below(len as u64) as usize
+            });
+        }
+        bytes
+    })
+}
+
+/// Symbols as the tracer names functions, blocks and variables.
+const IDENTIFIERS: &[&str] = &[
+    "main",
+    "foo",
+    "conj_grad",
+    "i",
+    "it",
+    "sum",
+    "x.addr",
+    "héllo",
+];
+
+/// A trace of up to 12 records as the tracer writes them: operand tags 1
+/// to 9, dynamic ids of at most 19 digits, identifier symbols, and floats
+/// that are finite and below 10⁹.
+fn arb_tracer_trace() -> impl Strategy<Value = String> {
+    fn_strategy(|rng: &mut TestRng| {
+        let records: Vec<Record> = (0..rng.below(13))
+            .map(|_| {
+                let mut r = arb_record(rng);
+                r.func = SymId::intern(pick(rng, IDENTIFIERS));
+                r.bb_label = SymId::intern(pick(rng, IDENTIFIERS));
+                r.dyn_id %= 10u64.pow(19);
+                for op in r.operands.iter_mut().chain(r.result.as_mut()) {
+                    if let OpTag::Pos(i) = op.tag {
+                        op.tag = OpTag::Pos(i % 9 + 1);
+                    }
+                    if let TraceValue::F(v) = op.value {
+                        op.value = TraceValue::F(if v.is_finite() { v % 1e9 } else { 0.5 });
+                    }
+                    if op.name.is_sym() {
+                        op.name = Name::sym(pick(rng, IDENTIFIERS));
+                    }
+                }
+                r
+            })
+            .collect();
+        writer::to_string(&records)
+    })
+}
+
+/// The fallbacks `text` costs a fresh decoder with a record open, fed the
+/// rest of the text at each line the way the reader feeds it; `None` when
+/// a line fails.
+fn fallbacks(text: &[u8]) -> Option<u64> {
+    let mut decoder = TextDecoder::with_ctx(AnalysisCtx::session());
+    let (mut slot, mut at) = (Record::blank(), 0);
+    while at < text.len() {
+        let (len, line) = decoder.decode(&text[at..], &mut slot, true).ok()?;
+        if let Line::Header(header) = line {
+            header.start(&mut slot);
+        }
+        at += len;
+    }
+    Some(decoder.fallbacks)
+}
+
 /// The case count: `PROPTEST_CASES`, but never fewer than 256.
 fn cases() -> ProptestConfig {
     ProptestConfig::with_cases(ProptestConfig::default().cases.max(256))
@@ -437,6 +681,17 @@ proptest! {
             check_windows(mutated.as_bytes(), unlimited(), None)?;
         }
         check_windows(&break_utf8(&text, &mut rng), unlimited(), None)?;
+    }
+
+    #[test]
+    fn kernel_matches_reference_on_near_canonical_traces(bytes in arb_near_canonical()) {
+        check_windows(&bytes, unlimited(), None)?;
+    }
+
+    #[test]
+    fn the_scanners_take_every_line_the_writer_writes(text in arb_tracer_trace()) {
+        check_windows(text.as_bytes(), unlimited(), None)?;
+        prop_assert_eq!(fallbacks(text.as_bytes()), Some(0), "input: {:?}", text);
     }
 
     #[test]
@@ -471,7 +726,7 @@ proptest! {
 
     #[test]
     fn line_splitter_matches_str_lines(text in arb_trace(), seed in any::<u64>()) {
-        // Equal up to the trailing `\r`s that the kernel trims.
+        // Equal up to the trailing `\r`s that the decoder trims.
         let mut rng = TestRng::new(seed);
         let mutated = mutate(&text, &mut rng).replace(',', "\r");
         for t in [text.as_str(), mutated.as_str()] {
@@ -897,4 +1152,137 @@ fn a_thousand_symbols_in_one_cache_slot_keep_their_ids() {
     }
     assert_eq!(ids.len(), 1000);
     assert_eq!(ctx.space().len(), 1000);
+}
+
+// ---------------------------------------------------------------------------
+// The scanners
+// ---------------------------------------------------------------------------
+
+#[test]
+fn every_edge_spelling_in_every_field_matches_reference() {
+    let operand = "1,64,0x10,1,p,";
+    for (line, edges) in [(HEADER, &HEADER_EDGES[..]), (operand, &OPERAND_EDGES[..])] {
+        for (at, spellings) in edges.iter().enumerate() {
+            for spelling in *spellings {
+                let mut fields: Vec<&str> = line.split(',').collect();
+                fields[at] = spelling;
+                let edited = fields.join(",");
+                let text = if line == HEADER {
+                    format!("{edited}\n{operand}\n")
+                } else {
+                    format!("{HEADER}\n{edited}\n")
+                };
+                assert_agree(&text);
+                assert_agree(&text.replace('\n', "\r\n"));
+            }
+        }
+    }
+}
+
+#[test]
+fn what_the_scanners_take_and_what_falls_back() {
+    let taken = [
+        "0,3,foo,6:1,11,27,215,\n",
+        "0,-2147483648,f,4294967295:4294967295,l,65535,9999999999999999999,\n",
+        "1,64,0x7ffcf3f25a70,1,p,\n",
+        "9,65535,0xFFFFFFFFFFFFFFFF,0,,\n",
+        "f,64,-9223372036854775808,1,4294967295,\n",
+        "r,32,9223372036854775807,1,8,\n",
+        "2,64,-0.000000,0,,\n",
+        "2,64,123456789.012345,0,,\n",
+        "2,64,007,0,007,\n",
+        "2,64, ,0,-3,\n",
+        "2,64, ,0, ,\n",
+        "2,64,1,0,h\u{e9}llo,\n",
+        "1,64,0x10,1,p,\r\n",
+        // Without the trailing comma, the last field ends at the line end.
+        "0,3,foo,6:1,11,27,215\n",
+        "1,64,0x10,1,p\n",
+        "1,64,0x10,1,8\r\n",
+        "1,64,1,0,\n",
+        "1,64,0x10,1,p\r\r\n",
+        // One line, whatever follows it.
+        "1,64,5,1,p,\n0,zz,\n",
+    ];
+    for line in taken {
+        let first = &line[..=line.find('\n').unwrap()];
+        assert_eq!(fallbacks(first.as_bytes()), Some(0), "{line:?}");
+    }
+    // Each of these reads one field or line end with `str::parse` or a
+    // search, and decodes as the reference does.
+    let fall_back = [
+        // Other tags, and numbers past the scanners' edges.
+        "00,64,1,0,,\n",
+        "10,64,1,0,,\n",
+        "0,2147483648,foo,6:1,11,27,1,\n",
+        "0,3,foo,6:1,11,27,18446744073709551615,\n",
+        "0,3,foo,4294967296:1,11,27,1,\n",
+        "1,65536,1,0,,\n",
+        "1,64,0x1ffffffffffffffff,0,,\n",
+        "1,64,0x00000000000000000ff,0,,\n",
+        "1,64,1234567890.123456,0,,\n",
+        "1,64,9223372036854775808,0,,\n",
+        "1,64,12345678901234567890,0,,\n",
+        "1,64,1,0,4294967296,\n",
+        // Signs and spellings `str::parse` takes and the writer never writes.
+        "0,+3,foo,6:1,11,27,1,\n",
+        "1,+64,1,0,,\n",
+        "1,64,+5,0,,\n",
+        "1,64,1.5e3,0,,\n",
+        "1,64,,0,,\n",
+        "1,64,1,01,,\n",
+        // Empty function and label symbols.
+        "0,3,,6:1,0,27,1,\n",
+        "0,3,foo,6:1,,27,1,\n",
+        // Line shapes.
+        "1,64,1,0,p,x,\n",
+        "1,64,1,0,p,\r\r\n",
+        "1,64,1,0,p,\r",
+        "1,64,1,0,p,",
+        "0,3,foo,6:1,11,27,215,",
+        "0,3,foo,6:1,11,27,215",
+        "\n",
+    ];
+    for line in fall_back {
+        let text = format!("{HEADER}\n{line}");
+        assert_agree(&text);
+        assert!(fallbacks(line.as_bytes()).is_none_or(|n| n > 0), "{line:?}");
+    }
+    // fig4 as the writer writes it, from the corpus.
+    let (_, fig4) = corpus().pop().unwrap();
+    assert_eq!(fallbacks(&fig4), Some(0));
+}
+
+#[test]
+fn a_line_cut_short_after_an_empty_symbol_interns_it_nowhere() {
+    // The line's trailing comma ends the empty function or label, so the
+    // reference never reaches that field and fails without interning it.
+    for cut in ["0,-1,,\n", "0,3,foo,6:1,,\n", "0,3,foo,6:1,,\r\n"] {
+        assert_agree(cut);
+        assert_agree(&format!("{HEADER}\n{cut}"));
+    }
+}
+
+#[test]
+fn operands_that_cannot_be_placed_fail_once_their_fields_decode() {
+    // With no record open, and a second result: the name interns first.
+    for text in [
+        "1,64,5,1,p,\n".to_string(),
+        format!("{HEADER}\nr,64,5,1,8,\nr,64,6,1,q,\n"),
+    ] {
+        assert_agree(&text);
+    }
+    let ctx = AnalysisCtx::session();
+    let e = TextStreamReader::new(&b"1,64,5,1,p,\n"[..], &ctx)
+        .read_all()
+        .unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        "trace parse error at line 1: operand line before any header"
+    );
+    assert_eq!(ctx.space().len(), 1);
+    assert_eq!(
+        first_error(&format!("{HEADER}\nr,64,5,1,8,\nr,64,6,1,9,\n")).message,
+        "duplicate result line"
+    );
 }

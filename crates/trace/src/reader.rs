@@ -5,13 +5,13 @@
 //! streams ([`stream`](crate::TraceSource::stream)) or materializes
 //! ([`records`](crate::TraceSource::records)) the records, and whether the
 //! input is in memory, a file or a reader. It reads its input 64 KiB at a
-//! time into one window, finds each line there, and decodes it straight
-//! into a record slot of the stream's batch (see [`crate::parser`] for the
-//! kernel). Peak memory is the window plus the symbol cache, whatever the
-//! trace's length.
+//! time into one window and decodes each line straight out of it, in one
+//! pass, into a record slot of the stream's batch (see [`crate::parser`]).
+//! Peak memory is the window plus the symbol cache, whatever the trace's
+//! length.
 
 use crate::ctx::AnalysisCtx;
-use crate::parser::{find_newline, Header, Line, ParseError, TextDecoder};
+use crate::parser::{Header, Line, ParseError, TextDecoder};
 use crate::record::Record;
 use std::fmt;
 use std::io::{self, Read};
@@ -186,17 +186,25 @@ impl<R: Read> TextStreamReader<R> {
 
     /// Decode lines until `slot` holds a complete record: true once the
     /// next header has parsed, or at the end of input with a record open.
+    ///
+    /// The decoder gets the window's whole lines, decodes the first in one
+    /// pass and says how long it was, so no line is searched for its end
+    /// before it decodes (see [`crate::parser`]). The window's line that is
+    /// not valid UTF-8 fails without decoding.
     fn decode_next(&mut self, slot: &mut Record) -> Result<bool, TraceReadError> {
         if let Some(header) = self.pending.take() {
             header.start(slot);
             self.open = true;
         }
-        while let Some((from, to)) = self.next_line()? {
-            if self.bad_line == Some(from) {
+        while self.has_line()? {
+            if self.bad_line == Some(self.start) {
                 return Err(self.decoder.not_utf8().into());
             }
-            let line = &self.window[from..to];
-            match self.decoder.decode_line(line, slot, self.open)? {
+            let (len, line) =
+                self.decoder
+                    .decode(&self.window[self.start..self.lines], slot, self.open)?;
+            self.start += len;
+            match line {
                 Line::Header(header) if self.open => {
                     self.pending = Some(header);
                     return Ok(true);
@@ -211,20 +219,17 @@ impl<R: Read> TextStreamReader<R> {
         Ok(std::mem::take(&mut self.open))
     }
 
-    /// The window range of the next line, without its `\n`, reading more
-    /// input when no whole line is left; `None` at the end of input.
+    /// True when the window holds a line not yet decoded, reading more
+    /// input when none is left; false at the end of input.
     #[inline]
-    fn next_line(&mut self) -> Result<Option<(usize, usize)>, TraceReadError> {
+    fn has_line(&mut self) -> Result<bool, TraceReadError> {
         while self.start == self.lines {
             if self.eof {
-                return Ok(None);
+                return Ok(false);
             }
             self.refill()?;
         }
-        let from = self.start;
-        let to = find_newline(&self.window[..self.lines], from);
-        self.start = (to + 1).min(self.lines);
-        Ok(Some((from, to)))
+        Ok(true)
     }
 
     /// One read of `chunk` bytes after the partial line, which moves to the
@@ -279,7 +284,10 @@ impl<R: Read> TextStreamReader<R> {
 pub(crate) fn split_lines(input: &[u8], chunk: usize) -> Vec<Vec<u8>> {
     let mut r = TextStreamReader::with_chunk_size(input, &AnalysisCtx::current(), chunk);
     let mut lines = Vec::new();
-    while let Some((from, to)) = r.next_line().expect("in-memory reads cannot fail") {
+    while r.has_line().expect("in-memory reads cannot fail") {
+        let (from, lines_end) = (r.start, r.lines);
+        let to = crate::parser::find_newline(&r.window[..lines_end], from);
+        r.start = (to + 1).min(lines_end);
         lines.push(r.window[from..to].to_vec());
     }
     lines
